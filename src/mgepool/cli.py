@@ -430,9 +430,6 @@ def make_parser():
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed override for the command")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("MGE_WORKERS", "1")),
-                   help="worker count (reserved; evaluation is serial)")
     p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("train")

@@ -66,8 +66,7 @@ def mutate(parent: Candidate, count, gcfg: GeneratorConfig, stream: RngStream):
     for i in range(count):
         rng = stream.child(i).generator()
         entries = [
-            ParamEntry(e.name, e.shape,
-                       generate_layer(e.values, masks[e.name], gcfg, rng))
+            ParamEntry(e.name, e.shape, generate_layer(masks[e.name], gcfg, rng))
             for e in parent.params.entries
         ]
         children.append(Candidate(params=ParamSet(entries), seed=i,

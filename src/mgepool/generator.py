@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, DegenerateSpectrumError, GenerationFailedError
-from .nn import ParamEntry, ParamSet, evaluate_accuracy
+from .nn import ParamEntry, ParamSet, evaluate_accuracy, first_layer_cols
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -54,6 +54,7 @@ class MaskRow:
     keep: np.ndarray          # bool, True = retained
     energy_fraction: float    # energy actually carried by the retained set
     threshold: float
+    coeffs: np.ndarray        # the coefficients the mask was computed from
 
 
 @dataclass
@@ -93,30 +94,28 @@ def importance_mask(coeffs, t) -> MaskRow:
         raise DegenerateSpectrumError("all-zero layer spectrum")
     keep = np.zeros(c.size, dtype=bool)
     if t == 0.0:
-        return MaskRow(keep, 0.0, t)
+        return MaskRow(keep, 0.0, t, c)
     if t >= 1.0:
         keep[:] = True
-        return MaskRow(keep, 1.0, t)
+        return MaskRow(keep, 1.0, t, c)
     order = np.argsort(-energy, kind="stable")
     frac = np.cumsum(energy[order]) / total
     count = int(np.searchsorted(frac, t, side="left")) + 1
     count = min(count, c.size)
     keep[order[:count]] = True
-    return MaskRow(keep, float(frac[count - 1]), t)
+    return MaskRow(keep, float(frac[count - 1]), t, c)
 
 
 def model_masks(base: ParamSet, t: float) -> dict:
-    """Per-layer retention masks computed on the base model's spectra."""
+    """Per-layer retention masks computed on the base model's spectra; each
+    row also holds that spectrum, so it is transformed once per base."""
     return {e.name: importance_mask(dct2(e.values), t) for e in base.entries}
 
 
-def generate_layer(layer_values, mask: MaskRow, cfg: GeneratorConfig, rng,
-                   z=None) -> np.ndarray:
-    """Splice retained base coefficients with fresh bounded-normal draws."""
-    c = dct2(layer_values)
-    if mask.keep.size != c.size:
-        raise ConfigRangeError("mask length != coefficient length")
-    merged = c.copy()
+def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarray:
+    """Splice the mask's retained coefficients with fresh bounded-normal
+    draws and return the inverse DCT."""
+    merged = mask.coeffs.copy()
     n_replace = int((~mask.keep).sum())
     if n_replace:
         merged[~mask.keep] = sample_bounded_normal(z if z is not None else cfg.z,
@@ -131,36 +130,47 @@ def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
 
 
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
-                   masks=None, z=None, seed=-1) -> Candidate:
+                   masks=None, z=None, seed=-1, *, _first_cols=None) -> Candidate:
     """One full generation attempt: resample every layer, evaluate, flag.
 
     The candidate keeps full-precision parameters, but its recorded accuracy
     is measured on the float32-rounded copy so the accepted flag stays valid
-    for the persisted form of the model.
+    for the persisted form of the model. ``masks`` must be
+    ``model_masks(base, cfg.t)``: the layers are spliced from its
+    coefficients, not from ``base``'s values. ``_first_cols`` is internal
+    to ``generate_pool`` (see ``nn.first_layer_cols``).
     """
     if base_accuracy is None:
-        base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
+        base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset,
+                                          _first_cols=_first_cols)
     if rng is None:
         rng = RngStream(cfg.seed).generator()
     if masks is None:
         masks = model_masks(base, cfg.t)
+    elif any(masks[e.name].coeffs.size != e.values.size for e in base.entries):
+        raise ConfigRangeError("mask length != coefficient length")
     t0 = time.perf_counter()
     entries = [
-        ParamEntry(e.name, e.shape, generate_layer(e.values, masks[e.name], cfg, rng, z=z))
+        ParamEntry(e.name, e.shape, generate_layer(masks[e.name], cfg, rng, z=z))
         for e in base.entries
     ]
     params = ParamSet(entries)
-    acc = evaluate_accuracy(spec, params.as_float32(), valset)
+    acc = evaluate_accuracy(spec, params.as_float32(), valset, _first_cols=_first_cols)
     ok = accept(acc, base_accuracy, cfg)
     return Candidate(params=params, accuracy=acc, accepted=ok,
                      seconds=time.perf_counter() - t0, seed=seed)
 
 
 def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
-    """Collect `count` accepted candidates within cfg.attempts * count tries."""
+    """Collect `count` accepted candidates within cfg.attempts * count tries.
+
+    The first layer's im2col of the validation set is built once and shared
+    by every evaluation of this call, when ``first_layer_cols`` allows it.
+    """
     if count < 1:
         raise ConfigRangeError("count must be >= 1")
-    base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
+    first_cols = first_layer_cols(spec, valset.features)
+    base_acc = evaluate_accuracy(spec, base.as_float32(), valset, _first_cols=first_cols)
     masks = model_masks(base, cfg.t)
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
@@ -172,7 +182,8 @@ def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
     while len(accepted) < count and attempts < budget:
         rng = root.child(attempts).generator()
         cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=rng, masks=masks, z=z, seed=attempts)
+                              rng=rng, masks=masks, z=z, seed=attempts,
+                              _first_cols=first_cols)
         attempts += 1
         if cand.accepted:
             cand.cand_id = len(accepted)

@@ -3,6 +3,25 @@
 Forward/backward passes are plain numpy; parameters live in a ParamSet of
 flat per-layer vectors so the frequency-domain machinery can treat every
 parameter block uniformly.
+
+There are two forward paths with bit-identical logits:
+
+- ``loss_and_grads`` (training, FGSM) runs channels-first (NCHW) and keeps
+  the per-layer caches the backward pass needs.
+- ``forward`` and ``evaluate_accuracy`` run an inference-only path that
+  keeps no caches. Image batches are turned channels-last (NHWC) once on
+  entry and back once at ``Flatten``, so a conv's im2col is a reshape of
+  its sliding windows and its GEMM output is already NHWC. Max-pooling is
+  an elementwise maximum of the k*k strided views, and a ReLU feeding a
+  max-pool runs after it (the two commute). Every GEMM sees the same
+  operands in the same layout as on the training path.
+
+The first layer's im2col depends only on the data. ``first_layer_cols``
+builds it once for a dataset, and ``evaluate_accuracy`` reuses it for
+every parameter set scored on that dataset. It is built only for a set
+that fits in one evaluation batch (``EVAL_BATCH`` rows), since for LeNet
+it costs ~115 KB per image, and ``generate_pool`` holds it for the length
+of one call.
 """
 
 from __future__ import annotations
@@ -365,7 +384,10 @@ def _conv_forward(x, w, b, k):
     oc = w.shape[0]
     win = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, ic, h2, w2, k, k)
     h2, w2 = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, h2 * w2, -1)
+    # C order even for k=1, where the reshape would otherwise be a strided
+    # view: the GEMM's rounding depends on its operand layout, and the
+    # inference path builds the same matrix in C order
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, h2 * w2, -1)
     wmat = w.reshape(oc, -1)
     y = cols @ wmat.T + b
     y = y.transpose(0, 2, 1).reshape(n, oc, h2, w2)
@@ -390,7 +412,8 @@ def _conv_backward(dy, cache, w, k):
     return dx, dwmat.reshape(w.shape), db
 
 
-def _run_forward(spec, params, x, want_cache):
+def _run_forward(spec, params, x):
+    """NCHW forward that keeps what loss_and_grads needs: (logits, caches)."""
     caches = []
     pidx = 0
     out = x
@@ -418,16 +441,94 @@ def _run_forward(spec, params, x, want_cache):
         elif isinstance(layer, Flatten):
             caches.append(out.shape)
             out = out.reshape(out.shape[0], -1)
-    return (out, caches) if want_cache else out
+    return out, caches
 
 
-def forward(spec, params, features):
-    """Logits for a batch of examples, one row per example."""
-    _check_compatible(spec, params)
-    x = np.asarray(features, dtype=np.float64)
+def _im2col_nhwc(x, k):
+    """(n, h2, w2, c*k*k) windows of an NHWC batch, columns in the (c, k, k)
+    order of a conv weight's rows."""
+    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (n, h2, w2, c, k, k)
+    return np.ascontiguousarray(win).reshape(*win.shape[:3], -1)
+
+
+def _pool_nhwc(x, k):
+    """k x k max-pool of an NHWC batch: elementwise max of the k*k strided views."""
+    out = x[:, ::k, ::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(out, x[:, i::k, j::k], out=out)
+    return out
+
+
+def _inference_layers(spec):
+    """spec.layers with every ReLU that feeds a max-pool moved after it:
+    max and ReLU commute exactly, and the pool leaves k*k fewer values."""
+    layers = list(spec.layers)
+    for i in range(len(layers) - 1):
+        if layers[i] == Activation("relu") and isinstance(layers[i + 1], MaxPool):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return layers
+
+
+def _infer(spec, params, x, first_cols):
+    """Cache-free forward; image batches run channels-last (NHWC)."""
+    out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+    pidx = 0
+    for i, layer in enumerate(_inference_layers(spec)):
+        if isinstance(layer, Dense):
+            out = out @ params.entries[pidx].reshaped() + params.entries[pidx + 1].values
+            pidx += 2
+        elif isinstance(layer, Conv):
+            w = params.entries[pidx].reshaped()
+            cols = first_cols if i == 0 and first_cols is not None else _im2col_nhwc(out, layer.k)
+            n, h2, w2, _ = cols.shape
+            y = cols.reshape(n, h2 * w2, -1) @ w.reshape(layer.out_ch, -1).T
+            y += params.entries[pidx + 1].values
+            out = y.reshape(n, h2, w2, layer.out_ch)
+            pidx += 2
+        elif isinstance(layer, MaxPool):
+            out = _pool_nhwc(out, layer.k)
+        elif isinstance(layer, Activation):
+            out = np.maximum(out, 0.0) if layer.kind == "relu" else np.tanh(out)
+        elif isinstance(layer, Flatten):
+            if out.ndim == 4:
+                out = out.transpose(0, 3, 1, 2)
+            out = out.reshape(out.shape[0], -1)
+    return out
+
+
+def _check_batch(spec, x):
     if x.shape[1:] != tuple(spec.input_shape):
         raise StructuralError(f"batch shape {x.shape[1:]} != input {spec.input_shape}")
-    return _run_forward(spec, params, x, want_cache=False)
+
+
+EVAL_BATCH = 512  # rows per forward call in evaluate_accuracy
+
+
+def first_layer_cols(spec, features):
+    """im2col of a batch for the network's first layer, or None when that
+    layer is not a conv or the batch has more than ``EVAL_BATCH`` rows, to
+    bound its memory. It depends only on the data, so one copy serves every
+    parameter set evaluated on the same rows (see ``evaluate_accuracy``)."""
+    layer = spec.layers[0]
+    if not isinstance(layer, Conv) or len(features) > EVAL_BATCH:
+        return None
+    x = np.asarray(features, dtype=np.float64)
+    _check_batch(spec, x)
+    return _im2col_nhwc(x.transpose(0, 2, 3, 1), layer.k)
+
+
+def forward(spec, params, features, *, _first_cols=None):
+    """Logits for a batch of examples, one row per example.
+
+    ``_first_cols`` is internal to ``evaluate_accuracy``: this batch's rows
+    of a ``first_layer_cols`` result.
+    """
+    _check_compatible(spec, params)
+    x = np.asarray(features, dtype=np.float64)
+    _check_batch(spec, x)
+    return _infer(spec, params, x, _first_cols)
 
 
 def softmax(logits):
@@ -446,7 +547,7 @@ def loss_and_grads(spec, params, features, labels):
     """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    logits, caches = _run_forward(spec, params, x, want_cache=True)
+    logits, caches = _run_forward(spec, params, x)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
@@ -548,11 +649,17 @@ def train(spec, dataset, cfg: TrainConfig):
     return params, time.perf_counter() - t0
 
 
-def evaluate_accuracy(spec, params, dataset, batch=512):
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+def evaluate_accuracy(spec, params, dataset, batch=EVAL_BATCH, *, _first_cols=None):
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    ``_first_cols`` is internal: ``first_layer_cols(spec, dataset.features)``,
+    built once by a caller that scores many parameter sets on one dataset.
+    """
     correct = 0
     for start in range(0, len(dataset), batch):
-        logits = forward(spec, params, dataset.features[start:start + batch])
+        stop = start + batch
+        cols = None if _first_cols is None else _first_cols[start:stop]
+        logits = forward(spec, params, dataset.features[start:stop], _first_cols=cols)
         pred = logits.argmax(axis=1)  # argmax already breaks ties low
-        correct += int((pred == dataset.labels[start:start + batch]).sum())
+        correct += int((pred == dataset.labels[start:stop]).sum())
     return correct / len(dataset)

@@ -68,14 +68,14 @@ class TestGenerateLayer:
         rng = np.random.default_rng(1)
         x = rng.normal(size=40)
         row = importance_mask(dct2(x), 1.0)
-        out = generate_layer(x, row, GeneratorConfig(), rng)
+        out = generate_layer(row, GeneratorConfig(), rng)
         assert np.max(np.abs(out - x)) <= 1e-9
 
     def test_all_false_mask_small_z_tends_to_zero(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=32)
         row = importance_mask(dct2(x), 0.0)
-        out = generate_layer(x, row, GeneratorConfig(z=0.001), rng)
+        out = generate_layer(row, GeneratorConfig(z=0.001), rng)
         assert np.max(np.abs(out)) < 0.01
 
     def test_matches_splice_oracle(self):
@@ -86,7 +86,7 @@ class TestGenerateLayer:
         row = importance_mask(c, 0.5)
         row.keep = keep  # explicit half mask
         cfg = GeneratorConfig(z=0.2)
-        out = generate_layer(x, row, cfg, RngStream(77).generator())
+        out = generate_layer(row, cfg, RngStream(77).generator())
         # oracle: same draws, explicit coefficient splice + naive inverse DCT
         draws = sample_bounded_normal(0.2, int((~keep).sum()), RngStream(77).generator())
         merged = c.copy()
@@ -135,6 +135,12 @@ class TestGenerateModel:
             c = dct2(e.values)
             kept = (c * c)[masks[e.name].keep].sum()
             assert kept / (c * c).sum() >= desk.gcfg.t - 1e-12
+
+    def test_masks_of_another_shape_rejected(self, desk):
+        masks = model_masks(desk.base, desk.gcfg.t)
+        masks[desk.base.entries[0].name] = importance_mask(np.ones(3), 1.0)
+        with pytest.raises(ConfigRangeError):
+            generate_model(desk.base, desk.spec, desk.gcfg, desk.splits["val"], masks=masks)
 
 
 class TestGeneratePool:

@@ -1,0 +1,115 @@
+"""Property tests: the inference forward (channels-last, no caches, shared
+first-layer im2col) gives logits bit-identical to the training forward."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mgepool import generator, nn
+from mgepool.generator import GeneratorConfig
+from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
+
+
+@st.composite
+def specs(draw, conv_first=False):
+    """Small random nets: an image stage of conv, pool and activation layers
+    (optional unless `conv_first`, which also makes a conv its first layer),
+    then dense layers down to the classes."""
+    classes = draw(st.integers(2, 4))
+    layers = []
+    if conv_first or draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(4, 9)), draw(st.integers(4, 9)))
+        input_shape = shape
+        for i in range(draw(st.integers(1, 5))):
+            c, h, w = shape
+            options = ["conv", "act"] + [f"pool{k}" for k in (2, 3) if h % k == 0 and w % k == 0]
+            kind = "conv" if conv_first and i == 0 else draw(st.sampled_from(options))
+            if kind == "conv":
+                k = draw(st.integers(1, min(3, h, w)))
+                layer = Conv(c, draw(st.integers(1, 4)), k)
+                shape = (layer.out_ch, h - k + 1, w - k + 1)
+            elif kind == "act":
+                layer = Activation(draw(st.sampled_from(["relu", "tanh"])))
+            else:
+                k = int(kind[-1])
+                layer = MaxPool(k)
+                shape = (c, h // k, w // k)
+            layers.append(layer)
+        layers.append(Flatten())
+        width = int(np.prod(shape))
+    else:
+        width = draw(st.integers(1, 6))
+        input_shape = (width,)
+    if draw(st.booleans()):
+        hidden = draw(st.integers(1, 6))
+        layers += [Dense(width, hidden), Activation(draw(st.sampled_from(["relu", "tanh"])))]
+        width = hidden
+    layers.append(Dense(width, classes))
+    return NetworkSpec(tuple(layers), input_shape, classes)
+
+
+def random_params(spec, seed):
+    params = nn.init_params(spec, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for e in params.entries:
+        e.values += rng.normal(0.0, 0.3, e.values.size)
+    return params
+
+
+def random_features(spec, rows, seed):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (rows, *spec.input_shape))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=specs(), rows=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_forward_matches_training_forward(spec, rows, seed):
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    expected, _ = nn._run_forward(spec, params, x)
+    assert np.array_equal(nn.forward(spec, params, x), expected)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=specs(conv_first=True), rows=st.sampled_from([1, 37, 512, 513, 1100]),
+       seed=st.integers(0, 2**16))
+def test_first_layer_cache_changes_nothing(spec, rows, seed):
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    expected, _ = nn._run_forward(spec, params, x)
+    cols = nn.first_layer_cols(spec, x)
+    assert np.array_equal(nn.forward(spec, params, x, _first_cols=cols), expected)
+    # labels are the reference predictions, so any wrong batch row shows as accuracy < 1
+    data = Dataset(x, expected.argmax(axis=1), spec.classes)
+    assert nn.evaluate_accuracy(spec, params, data, _first_cols=cols) == 1.0
+    assert nn.evaluate_accuracy(spec, params, data) == 1.0
+
+
+def test_first_layer_cols_only_for_a_leading_conv():
+    spec = nn.mlp([3, 4, 2])
+    assert nn.first_layer_cols(spec, np.zeros((5, 3))) is None
+
+
+@pytest.mark.parametrize("rows, built", [(512, True), (513, False)])
+def test_generate_pool_cache_is_bounded_and_freed(rows, built, monkeypatch):
+    spec = NetworkSpec((Conv(1, 2, 3), Activation("relu"), MaxPool(2), Flatten(), Dense(8, 2)),
+                       (1, 6, 6), 2)
+    params = random_params(spec, 0)
+    data = Dataset(random_features(spec, rows, 1), np.arange(rows) % 2, 2)
+    refs = []
+
+    def recording(spec, features):
+        cols = nn.first_layer_cols(spec, features)
+        if cols is not None:
+            refs.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(generator, "first_layer_cols", recording)
+    pool = generator.generate_pool(params, spec, GeneratorConfig(t=1.0, attempts=1), data, 2)
+    assert len(pool.candidates) == 2
+    assert len(refs) == int(built)
+    gc.collect()
+    assert all(r() is None for r in refs)
