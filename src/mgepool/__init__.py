@@ -10,7 +10,7 @@ such as adversarial robustness.
 
 from .adversarial import AdvExample, TransferReport, fgsm, robust_accuracy, transfer_matrix
 from .evolution import EvolutionConfig, evolve, fuse, mutate, select
-from .fitness import Criterion, FitnessConfig, combined_fitness, diversity_fitness, quality_fitness
+from .fitness import Criterion, FitnessConfig, mean_score
 from .generator import (
     Candidate,
     GeneratorConfig,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError
-from .nn import forward, input_gradient
+from .nn import EVAL_BATCH, forward, input_gradient
 
 
 @dataclass
@@ -78,10 +78,9 @@ def robust_accuracy(spec, params, dataset, eps) -> float:
     if eps < 0:
         raise ConfigRangeError("eps must be >= 0")
     correct = 0
-    batch = 512
-    for start in range(0, len(dataset), batch):
-        x = dataset.features[start:start + batch]
-        y = dataset.labels[start:start + batch]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        x = dataset.features[start:start + EVAL_BATCH]
+        y = dataset.labels[start:start + EVAL_BATCH]
         adv = fgsm_batch(spec, params, x, y, eps)
         pred = forward(spec, params, adv).argmax(axis=1)
         correct += int((pred == y).sum())

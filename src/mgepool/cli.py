@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,14 +36,18 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_RUNTIME = 4
 
+# sections read straight into a config dataclass, one key per field
+_DATACLASS_SECTIONS = {
+    "train": nn.TrainConfig,
+    "generator": generator.GeneratorConfig,
+    "evolution": evolution.EvolutionConfig,
+}
+
 _SECTIONS = {
     "dataset": {"kind", "n", "classes", "seed", "noise", "dim",
                 "images", "labels", "splits"},
     "network": {"input_shape", "classes", "layers"},
-    "train": {"optimizer", "learning_rate", "epochs", "batch_size", "seed"},
-    "generator": {"t", "z", "attempts", "epsilon", "seed", "adaptive_z"},
-    "evolution": {"generations", "parents", "mutations", "fusions",
-                  "fusion_weights", "seed"},
+    **{name: {f.name for f in fields(cls)} for name, cls in _DATACLASS_SECTIONS.items()},
     "fitness": {"base", "extra", "gamma"},
     "attack": {"epsilons", "examples"},
     "output": {"directory"},
@@ -113,39 +118,15 @@ def build_datasets(cfg):
     return nn.split_dataset(full, splits, seed=int(ds.get("seed", 0)) + 1)
 
 
-def build_train_config(cfg, seed_override=None):
-    t = cfg.get("train", {})
-    return nn.TrainConfig(
-        optimizer=t.get("optimizer", "adam"),
-        learning_rate=float(t.get("learning_rate", 0.001)),
-        epochs=int(t.get("epochs", 20)),
-        batch_size=int(t.get("batch_size", 32)),
-        seed=seed_override if seed_override is not None else int(t.get("seed", 0)),
-    )
-
-
-def build_generator_config(cfg, seed_override=None):
-    g = cfg.get("generator", {})
-    return generator.GeneratorConfig(
-        t=float(g.get("t", 0.8)),
-        z=float(g.get("z", 0.2)),
-        attempts=int(g.get("attempts", 100)),
-        epsilon=float(g.get("epsilon", 0.05)),
-        seed=seed_override if seed_override is not None else int(g.get("seed", 0)),
-        adaptive_z=bool(g.get("adaptive_z", False)),
-    )
-
-
-def build_evolution_config(cfg):
-    e = cfg.get("evolution", {})
-    return evolution.EvolutionConfig(
-        generations=int(e.get("generations", 20)),
-        parents=int(e.get("parents", 10)),
-        mutations=int(e.get("mutations", 10)),
-        fusions=int(e.get("fusions", 20)),
-        fusion_weights=e.get("fusion_weights", "uniform"),
-        seed=int(e.get("seed", 0)),
-    )
+def build_section_config(cfg, section, seed_override=None):
+    """The dataclass of a train/generator/evolution section. Each key given
+    is cast to the type of its field's default; a missing key keeps the
+    default."""
+    cls, body = _DATACLASS_SECTIONS[section], cfg.get(section, {})
+    kwargs = {f.name: type(f.default)(body[f.name]) for f in fields(cls) if f.name in body}
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    return cls(**kwargs)
 
 
 def build_fitness_config(cfg, splits):
@@ -202,7 +183,7 @@ def cmd_train(cfg, args):
     out = _out_dir(cfg, args)
     splits = build_datasets(cfg)
     spec = build_network(cfg)
-    tcfg = build_train_config(cfg, seed_override=args.seed)
+    tcfg = build_section_config(cfg, "train", args.seed)
     params, seconds = nn.train(spec, splits["train"], tcfg)
     val_acc = nn.evaluate_accuracy(spec, params.as_float32(), splits["val"])
     test_acc = nn.evaluate_accuracy(spec, params.as_float32(), splits["test"])
@@ -259,7 +240,7 @@ def cmd_generate(cfg, args):
     splits = build_datasets(cfg)
     spec = build_network(cfg)
     base = store.load_model(args.model)
-    gcfg = build_generator_config(cfg, seed_override=args.seed)
+    gcfg = build_section_config(cfg, "generator", args.seed)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
     members = []
     for cand in pool.candidates:
@@ -304,8 +285,8 @@ def cmd_evolve(cfg, args):
     splits = build_datasets(cfg)
     spec = build_network(cfg)
     base = store.load_model(args.model)
-    gcfg = build_generator_config(cfg, seed_override=args.seed)
-    ecfg = build_evolution_config(cfg)
+    gcfg = build_section_config(cfg, "generator", args.seed)
+    ecfg = build_section_config(cfg, "evolution")
     fit = build_fitness_config(cfg, splits)
     best, history = evolution.evolve(base, spec, gcfg, ecfg, fit, splits["val"])
     info = store.save_model(best.params, os.path.join(out, "best.mgem"))
@@ -430,7 +411,6 @@ def make_parser():
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="seed override for the command")
-    p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("train")
     pa = sub.add_parser("analyze")

@@ -18,17 +18,17 @@ from .generator import (
     Candidate,
     GeneratorConfig,
     accept,
-    generate_layer,
     generate_pool,
     model_masks,
+    resample,
 )
-from .nn import ParamEntry, ParamSet, evaluate_accuracy
+from .nn import ParamSet, evaluate_accuracy
 from .transforms import RngStream
 
 
 @dataclass
 class EvolutionConfig:
-    generations: int
+    generations: int = 20
     parents: int = 10
     mutations: int = 10
     fusions: int = 20
@@ -56,22 +56,12 @@ class GenerationStats:
                 "mean_f": self.mean_f, "best_id": self.best_id}
 
 
-def mutate(parent: Candidate, count, gcfg: GeneratorConfig, stream: RngStream):
-    """Children share the parent's retained coefficients; the unimportant
-    ones are freshly resampled from independent child streams."""
-    if count < 1:
-        raise ConfigRangeError("count must be >= 1")
+def mutate(parent: Candidate, gcfg: GeneratorConfig, stream: RngStream) -> Candidate:
+    """One child that shares the parent's retained coefficients; the
+    unimportant ones are freshly resampled from ``stream``."""
     masks = model_masks(parent.params, gcfg.t)
-    children = []
-    for i in range(count):
-        rng = stream.child(i).generator()
-        entries = [
-            ParamEntry(e.name, e.shape, generate_layer(masks[e.name], gcfg, rng))
-            for e in parent.params.entries
-        ]
-        children.append(Candidate(params=ParamSet(entries), seed=i,
-                                  lineage=("mutate", (parent.cand_id,))))
-    return children
+    params = resample(parent.params, masks, gcfg, stream.generator())
+    return Candidate(params=params, lineage=("mutate", (parent.cand_id,)))
 
 
 def fuse(parents, weights) -> ParamSet:
@@ -84,13 +74,7 @@ def fuse(parents, weights) -> ParamSet:
     layouts = [[(e.name, tuple(e.shape)) for e in p.entries] for p in parents]
     if any(l != layouts[0] for l in layouts[1:]):
         raise StructuralError("parents have mismatched architectures")
-    entries = []
-    for i, e in enumerate(parents[0].entries):
-        acc = np.zeros_like(e.values)
-        for p, wi in zip(parents, w):
-            acc += wi * p.entries[i].values
-        entries.append(ParamEntry(e.name, e.shape, acc))
-    return ParamSet(entries)
+    return ParamSet(parents[0]._named(sum(wi * p.flat for p, wi in zip(parents, w))))
 
 
 def evaluate_population(members, spec, fit: FitnessConfig):
@@ -132,7 +116,9 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
         children = []
         for i in range(ecfg.mutations):
             parent = parents[i % len(parents)]
-            child = mutate(parent, 1, gcfg, root.child(gen, i))[0]
+            # (gen, i) then child 0: the stream layout that evolve runs have
+            # always been seeded with, so that saved runs reproduce
+            child = mutate(parent, gcfg, root.child(gen, i).child(0))
             child.cand_id = next_id
             next_id += 1
             child.accuracy = evaluate_accuracy(spec, child.params.as_float32(), valset)

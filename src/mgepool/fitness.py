@@ -1,5 +1,6 @@
-"""Fitness scoring for candidate models: quality, diversity, and their
-gamma-weighted combination."""
+"""Fitness scoring for candidate models: the criteria behind quality and
+diversity, whose gamma-weighted sum ``evolution.evaluate_population``
+assigns to every member."""
 
 from __future__ import annotations
 
@@ -46,21 +47,9 @@ def criterion_score(spec, params, crit: Criterion) -> float:
     return evaluate_accuracy(spec, params, crit.dataset)
 
 
-def quality_fitness(spec, candidates, base_criterion: Criterion) -> float:
-    """Mean base-criterion score over a candidate set."""
+def mean_score(spec, candidates, crit: Criterion) -> float:
+    """Mean criterion score over a candidate set: the quality fitness for
+    the base criterion, the diversity fitness for the extra one."""
     if not candidates:
         raise ConfigRangeError("candidate set is empty")
-    return sum(criterion_score(spec, c.params, base_criterion) for c in candidates) / len(candidates)
-
-
-def diversity_fitness(spec, candidates, extra_criterion: Criterion) -> float:
-    """Mean additional-criterion score over a candidate set."""
-    if not candidates:
-        raise ConfigRangeError("candidate set is empty")
-    return sum(criterion_score(spec, c.params, extra_criterion) for c in candidates) / len(candidates)
-
-
-def combined_fitness(f_q: float, f_d: float, gamma: float) -> float:
-    if gamma < 0:
-        raise ConfigRangeError("gamma must be >= 0")
-    return f_q + gamma * f_d
+    return sum(criterion_score(spec, c.params, crit) for c in candidates) / len(candidates)

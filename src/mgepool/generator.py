@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigRangeError, DegenerateSpectrumError, GenerationFailedError
+from .errors import ConfigRangeError, GenerationFailedError
 from .nn import ParamEntry, ParamSet, evaluate_accuracy, first_layer_cols
 from .transforms import (
     MAX_LATENT_BOUND,
@@ -83,19 +83,19 @@ def importance_mask(coeffs, t) -> MaskRow:
     """Minimal coefficient set, by descending |c|^2, reaching energy >= t.
 
     Ties in magnitude resolve to the lower index. t=0 keeps nothing,
-    t=1 keeps everything.
+    t=1 keeps everything. An all-zero spectrum has no energy to split, so
+    every coefficient is kept: resampling would add energy the layer never
+    had.
     """
     if not (0.0 <= t <= 1.0):
         raise ConfigRangeError(f"t={t} outside [0, 1]")
     c = np.asarray(coeffs, dtype=np.float64)
     energy = c * c
     total = energy.sum()
-    if total == 0.0:
-        raise DegenerateSpectrumError("all-zero layer spectrum")
     keep = np.zeros(c.size, dtype=bool)
-    if t == 0.0:
+    if t == 0.0 and total > 0.0:
         return MaskRow(keep, 0.0, t, c)
-    if t >= 1.0:
+    if t >= 1.0 or total == 0.0:
         keep[:] = True
         return MaskRow(keep, 1.0, t, c)
     order = np.argsort(-energy, kind="stable")
@@ -116,11 +116,18 @@ def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarr
     """Splice the mask's retained coefficients with fresh bounded-normal
     draws and return the inverse DCT."""
     merged = mask.coeffs.copy()
-    n_replace = int((~mask.keep).sum())
-    if n_replace:
-        merged[~mask.keep] = sample_bounded_normal(z if z is not None else cfg.z,
-                                                   n_replace, rng)
+    replace = np.flatnonzero(~mask.keep)  # indexing by position beats a bool mask
+    if replace.size:
+        merged[replace] = sample_bounded_normal(z if z is not None else cfg.z,
+                                                replace.size, rng)
     return idct2(merged)
+
+
+def resample(params: ParamSet, masks, cfg, rng, z=None) -> ParamSet:
+    """A new ParamSet: every layer of ``params`` regenerated from its row of
+    ``masks`` (``model_masks(params, cfg.t)``), drawing from ``rng`` in order."""
+    return ParamSet([ParamEntry(e.name, e.shape, generate_layer(masks[e.name], cfg, rng, z=z))
+                     for e in params.entries])
 
 
 def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
@@ -150,11 +157,7 @@ def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
     elif any(masks[e.name].coeffs.size != e.values.size for e in base.entries):
         raise ConfigRangeError("mask length != coefficient length")
     t0 = time.perf_counter()
-    entries = [
-        ParamEntry(e.name, e.shape, generate_layer(masks[e.name], cfg, rng, z=z))
-        for e in base.entries
-    ]
-    params = ParamSet(entries)
+    params = resample(base, masks, cfg, rng, z=z)
     acc = evaluate_accuracy(spec, params.as_float32(), valset, _first_cols=_first_cols)
     ok = accept(acc, base_accuracy, cfg)
     return Candidate(params=params, accuracy=acc, accepted=ok,
@@ -248,18 +251,13 @@ def zero_fill_decay(base, spec, testset, fractions):
         if f == 0.0:
             curve.append((f, evaluate_accuracy(spec, base, testset)))
             continue
-        entries = []
-        for e in base.entries:
+        zeroed = base.copy()
+        for e in zeroed.entries:
             c = dct2(e.values)
             k = int(round(f * c.size))
-            if k >= c.size:
-                entries.append(ParamEntry(e.name, e.shape, np.zeros(c.size)))
-                continue
-            order = np.argsort(c * c, kind="stable")
-            zeroed = c.copy()
-            zeroed[order[:k]] = 0.0
-            entries.append(ParamEntry(e.name, e.shape, idct2(zeroed)))
-        curve.append((f, evaluate_accuracy(spec, ParamSet(entries), testset)))
+            c[np.argsort(c * c, kind="stable")[:k]] = 0.0
+            e.values[:] = idct2(c)
+        curve.append((f, evaluate_accuracy(spec, zeroed, testset)))
     return curve
 
 
@@ -278,15 +276,12 @@ def band_sensitivity(base, spec, testset, bands, scale, seed=0):
             results.append(((lo, hi), evaluate_accuracy(spec, base, testset)))
             continue
         rng = root.child(bi).generator()
-        entries = []
-        for e in base.entries:
-            c = dct2(e.values)
-            a, b = int(lo * c.size), int(hi * c.size)
+        perturbed = base.copy()
+        for e in perturbed.entries:
+            a, b = int(lo * e.values.size), int(hi * e.values.size)
             if b > a:
-                c = c.copy()
+                c = dct2(e.values)
                 c[a:b] += sample_bounded_normal(scale, b - a, rng)
-                entries.append(ParamEntry(e.name, e.shape, idct2(c)))
-            else:
-                entries.append(ParamEntry(e.name, e.shape, e.values.copy()))
-        results.append(((lo, hi), evaluate_accuracy(spec, ParamSet(entries), testset)))
+                e.values[:] = idct2(c)
+        results.append(((lo, hi), evaluate_accuracy(spec, perturbed, testset)))
     return results

@@ -1,8 +1,10 @@
 """Minimal trainable classifier substrate: dense and small conv nets.
 
-Forward/backward passes are plain numpy; parameters live in a ParamSet of
-flat per-layer vectors so the frequency-domain machinery can treat every
-parameter block uniformly.
+Forward/backward passes are plain numpy. A ParamSet keeps all parameters
+in one C-contiguous float64 vector, ``flat``, in ``param_layout`` order,
+and each entry's ``values`` is a 1-D view of its slice. Per-layer code
+(the DCT machinery, the forward passes) reads the entries; whole-model
+operations (casting, fusion, optimizer steps) act on ``flat`` at once.
 
 There are two forward paths with bit-identical logits:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,7 +159,7 @@ def mlp(dims, activation="relu"):
 class ParamEntry:
     name: str
     shape: tuple
-    values: np.ndarray  # flat float64
+    values: np.ndarray  # flat float64; in a ParamSet, a view of its ``flat``
 
     def reshaped(self):
         return self.values.reshape(self.shape)
@@ -165,17 +167,34 @@ class ParamEntry:
 
 @dataclass
 class ParamSet:
+    """Named parameter entries over one float64 vector, ``flat``.
+
+    Construction copies the given entries' values into a new ``flat`` once
+    and keeps new entries whose ``values`` are views of it, so writing
+    through an entry writes ``flat`` and the reverse. The given entries and
+    arrays are left as they were.
+    """
+
     entries: list
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for e in self.entries:
             if e.values.ndim != 1 or e.values.size != int(np.prod(e.shape)):
                 raise StructuralError(f"entry {e.name}: flat length != prod(shape)")
-            if not np.all(np.isfinite(e.values)):
-                raise InvalidInputError(f"entry {e.name} contains non-finite values")
+        # the empty float64 head fixes the dtype and admits an empty set
+        self.flat = np.concatenate([np.zeros(0), *(e.values for e in self.entries)])
+        if not np.isfinite(self.flat).all():
+            bad = next(e.name for e in self.entries if not np.isfinite(e.values).all())
+            raise InvalidInputError(f"entry {bad} contains non-finite values")
+        self.entries = self._named(self.flat)
 
-    def names(self):
-        return [e.name for e in self.entries]
+    def _named(self, flat):
+        """Entries with this set's names and shapes over consecutive slices of
+        ``flat``."""
+        ends = np.cumsum([e.values.size for e in self.entries])[:-1]
+        return [ParamEntry(e.name, e.shape, v)
+                for e, v in zip(self.entries, np.split(flat, ends))]
 
     def get(self, name):
         for e in self.entries:
@@ -184,42 +203,29 @@ class ParamSet:
         raise KeyError(name)
 
     def copy(self):
-        return ParamSet([ParamEntry(e.name, e.shape, e.values.copy()) for e in self.entries])
-
-    def total_params(self):
-        return sum(e.values.size for e in self.entries)
+        return ParamSet(self.entries)
 
     def as_float32(self):
         """Round every value to float32 precision (kept in float64 storage)."""
-        return ParamSet([
-            ParamEntry(e.name, e.shape, e.values.astype(np.float32).astype(np.float64))
-            for e in self.entries
-        ])
-
-    def pooled_values(self):
-        return np.concatenate([e.values for e in self.entries])
+        return ParamSet(self._named(self.flat.astype(np.float32)))
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParamSet:
-    """He-initialized weights, zero biases."""
+    """He-initialized weights, zero biases, drawn in ``param_layout`` order."""
     entries = []
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            w = rng.normal(0.0, np.sqrt(2.0 / layer.in_dim), (layer.in_dim, layer.out_dim))
-            entries.append(ParamEntry(f"layer{i}.weight", w.shape, w.ravel()))
-            entries.append(ParamEntry(f"layer{i}.bias", (layer.out_dim,), np.zeros(layer.out_dim)))
-        elif isinstance(layer, Conv):
-            fan_in = layer.in_ch * layer.k * layer.k
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (layer.out_ch, layer.in_ch, layer.k, layer.k))
-            entries.append(ParamEntry(f"layer{i}.weight", w.shape, w.ravel()))
-            entries.append(ParamEntry(f"layer{i}.bias", (layer.out_ch,), np.zeros(layer.out_ch)))
+    for name, shape in param_layout(spec):
+        if name.endswith(".bias"):
+            values = np.zeros(shape[0])
+        else:  # dense (in, out) or conv (out, in, k, k)
+            fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
+            values = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).ravel()
+        entries.append(ParamEntry(name, shape, values))
     return ParamSet(entries)
 
 
 def zero_params(spec: NetworkSpec) -> ParamSet:
     ps = init_params(spec, np.random.default_rng(0))
-    for e in ps.entries:
-        e.values[:] = 0.0
+    ps.flat[:] = 0.0
     return ps
 
 
@@ -622,8 +628,8 @@ def train(spec, dataset, cfg: TrainConfig):
     params = init_params(spec, rng)
     t0 = time.perf_counter()
     if cfg.optimizer == "adam":
-        m = [np.zeros_like(e.values) for e in params.entries]
-        v = [np.zeros_like(e.values) for e in params.entries]
+        m = np.zeros_like(params.flat)
+        v = np.zeros_like(params.flat)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
     n = len(dataset)
@@ -635,17 +641,16 @@ def train(spec, dataset, cfg: TrainConfig):
                 spec, params, dataset.features[idx], dataset.labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss}")
+            g = np.concatenate(grads)
             if cfg.optimizer == "sgd":
-                for e, g in zip(params.entries, grads):
-                    e.values -= cfg.learning_rate * g
+                params.flat -= cfg.learning_rate * g
             else:
                 step += 1
-                for j, (e, g) in enumerate(zip(params.entries, grads)):
-                    m[j] = beta1 * m[j] + (1 - beta1) * g
-                    v[j] = beta2 * v[j] + (1 - beta2) * g * g
-                    mhat = m[j] / (1 - beta1 ** step)
-                    vhat = v[j] / (1 - beta2 ** step)
-                    e.values -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                m = beta1 * m + (1 - beta1) * g
+                v = beta2 * v + (1 - beta2) * g * g
+                mhat = m / (1 - beta1 ** step)
+                vhat = v / (1 - beta2 ** step)
+                params.flat -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
     return params, time.perf_counter() - t0
 
 

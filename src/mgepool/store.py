@@ -105,11 +105,11 @@ def load_model(path) -> ParamSet:
             off += 4 * count
         except struct.error as exc:
             raise CorruptModelError(f"truncated header at offset {off}") from exc
-        values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        entries.append(ParamEntry(name, tuple(int(d) for d in dims), values))
+        entries.append(ParamEntry(name, tuple(int(d) for d in dims),
+                                  np.frombuffer(payload, dtype="<f4")))
     if off != len(body):
         raise CorruptModelError(f"{len(body) - off} trailing bytes")
-    return ParamSet(entries)
+    return ParamSet(entries)  # one float32 -> float64 cast, into its flat vector
 
 
 def file_hash(path) -> str:

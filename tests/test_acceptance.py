@@ -178,8 +178,8 @@ class TestAcceptance:
                     f"fractions 0-0.5, non-increasing within 2pp")
 
     def test_criterion_07_distribution_preserved(self, desk, passline):
-        base_pooled = desk.base.pooled_values()
-        worst = max(ks_statistic(base_pooled, c.params.pooled_values())
+        base_pooled = desk.base.flat
+        worst = max(ks_statistic(base_pooled, c.params.flat)
                     for c in desk.pool.candidates)
         assert worst < 0.1
         passline(7, f"max pooled-weight KS statistic {worst:.4f} < 0.1")

@@ -69,6 +69,19 @@ class TestConfigValidation:
         assert cli.main(["--config", path, "train"]) == cli.EXIT_CONFIG
         assert "generator.zz" in capsys.readouterr().err
 
+    def test_empty_sections_yield_dataclass_defaults(self):
+        from mgepool import EvolutionConfig, GeneratorConfig, TrainConfig
+        cfg = {"train": {}, "generator": {}, "evolution": {}}
+        assert cli.build_section_config(cfg, "train") == TrainConfig()
+        assert cli.build_section_config(cfg, "generator") == GeneratorConfig()
+        assert cli.build_section_config(cfg, "evolution") == EvolutionConfig()
+        assert cli.build_section_config({}, "evolution").generations == 20
+
+    def test_section_values_cast_to_field_types(self):
+        cfg = {"generator": {"t": 1, "attempts": "7", "adaptive_z": 1}}
+        gcfg = cli.build_section_config(cfg, "generator", seed_override=4)
+        assert (type(gcfg.t), gcfg.attempts, gcfg.adaptive_z, gcfg.seed) == (float, 7, True, 4)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
 

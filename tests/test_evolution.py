@@ -20,7 +20,7 @@ class TestMutate:
     def test_small_z_children_shrink_unimportant_spectrum(self, desk):
         parent = desk.pool.candidates[0]
         gcfg = GeneratorConfig(t=0.8, z=0.001)
-        child = mutate(parent, 1, gcfg, RngStream(1))[0]
+        child = mutate(parent, gcfg, RngStream(1))
         masks = model_masks(parent.params, 0.8)
         for pe, ce in zip(parent.params.entries, child.params.entries):
             keep = masks[pe.name].keep
@@ -30,7 +30,8 @@ class TestMutate:
     def test_retained_coefficients_match_parent(self, desk):
         parent = desk.pool.candidates[1]
         gcfg = GeneratorConfig(t=0.8)
-        children = mutate(parent, 3, gcfg, RngStream(2))
+        stream = RngStream(2)
+        children = [mutate(parent, gcfg, stream.child(i)) for i in range(3)]
         masks = model_masks(parent.params, 0.8)
         for child in children:
             for pe, ce in zip(parent.params.entries, child.params.entries):
@@ -40,8 +41,9 @@ class TestMutate:
 
     def test_children_pairwise_distinct(self, desk):
         parent = desk.pool.candidates[2]
-        children = mutate(parent, 10, GeneratorConfig(), RngStream(3))
-        flat = [c.params.pooled_values() for c in children]
+        stream = RngStream(3)
+        children = [mutate(parent, GeneratorConfig(), stream.child(i)) for i in range(10)]
+        flat = [c.params.flat for c in children]
         for i in range(10):
             for j in range(i + 1, 10):
                 assert np.max(np.abs(flat[i] - flat[j])) > 0.0
@@ -178,8 +180,7 @@ class TestEvolve:
         best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit,
                               desk.splits["val"])
         assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
-        assert np.array_equal(best1.params.pooled_values(),
-                              best2.params.pooled_values())
+        assert np.array_equal(best1.params.flat, best2.params.flat)
 
     def test_config_validation(self):
         with pytest.raises(ConfigRangeError):

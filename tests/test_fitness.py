@@ -1,15 +1,8 @@
-import numpy as np
 import pytest
 
-from mgepool import (
-    Criterion,
-    FitnessConfig,
-    combined_fitness,
-    diversity_fitness,
-    quality_fitness,
-    robust_accuracy,
-)
+from mgepool import Criterion, FitnessConfig, mean_score, robust_accuracy
 from mgepool.errors import ConfigRangeError
+from mgepool.evolution import evaluate_population
 from mgepool.fitness import criterion_score
 from mgepool.generator import Candidate
 
@@ -40,7 +33,7 @@ class TestQualityFitness:
     def test_single_candidate(self, desk):
         cand = Candidate(params=desk.base, accuracy=0.9)
         crit = Criterion("accuracy", desk.splits["val"])
-        assert quality_fitness(desk.spec, [cand], crit) == \
+        assert mean_score(desk.spec, [cand], crit) == \
             criterion_score(desk.spec, desk.base, crit)
 
     def test_mean_of_two(self, desk):
@@ -50,7 +43,7 @@ class TestQualityFitness:
         const = Candidate(params=zero_params(desk.spec))  # always predicts class 0
         s_good = criterion_score(desk.spec, good.params, crit)
         s_const = criterion_score(desk.spec, const.params, crit)
-        assert quality_fitness(desk.spec, [good, const], crit) == \
+        assert mean_score(desk.spec, [good, const], crit) == \
             pytest.approx((s_good + s_const) / 2, abs=1e-12)
 
     def test_matches_arithmetic_oracle(self, desk):
@@ -58,13 +51,13 @@ class TestQualityFitness:
         cands = desk.pool.candidates
         scores = [criterion_score(desk.spec, c.params, crit) for c in cands]
         expected = sum(scores) / len(scores)
-        assert quality_fitness(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
+        assert mean_score(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_invariant(self, desk):
         crit = Criterion("accuracy", desk.splits["val"])
         cands = desk.pool.candidates
-        a = quality_fitness(desk.spec, cands, crit)
-        b = quality_fitness(desk.spec, list(reversed(cands)), crit)
+        a = mean_score(desk.spec, cands, crit)
+        b = mean_score(desk.spec, list(reversed(cands)), crit)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -73,44 +66,36 @@ class TestDiversityFitness:
         crit = Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1)
         cand = desk.pool.candidates[0]
         expected = robust_accuracy(desk.spec, cand.params, desk.splits["val"], 0.1)
-        assert diversity_fitness(desk.spec, [cand], crit) == expected
+        assert mean_score(desk.spec, [cand], crit) == expected
 
     def test_matches_reevaluation_oracle(self, desk):
         crit = Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1)
         cands = desk.pool.candidates[:8]
         expected = sum(robust_accuracy(desk.spec, c.params, desk.splits["val"], 0.1)
                        for c in cands) / len(cands)
-        assert diversity_fitness(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
+        assert mean_score(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCombinedFitness:
-    def test_gamma_zero_is_quality_only(self):
-        assert combined_fitness(0.77, 0.99, 0.0) == 0.77
+    """The gamma-weighted sum that evaluate_population assigns."""
 
-    def test_weighted_sum(self):
-        assert combined_fitness(0.9, 0.8, 1.0) == pytest.approx(1.7)
+    def _members(self, desk, gamma):
+        fit = FitnessConfig(base=Criterion("accuracy", desk.splits["val"]),
+                            extra=Criterion("robust_accuracy", desk.splits["val"],
+                                            attack_eps=0.1),
+                            gamma=gamma)
+        members = [Candidate(params=c.params, cand_id=c.cand_id)
+                   for c in desk.pool.candidates[:4]]
+        return evaluate_population(members, desk.spec, fit)
 
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ConfigRangeError):
-            combined_fitness(0.5, 0.5, -1.0)
+    def test_gamma_zero_is_quality_only(self, desk):
+        for m in self._members(desk, 0.0):
+            assert m.f == m.f_q
 
-    def test_monotone_in_each_argument(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            fq, fd, gamma = rng.uniform(0, 1, 3)
-            assert combined_fitness(fq + 0.01, fd, gamma) >= combined_fitness(fq, fd, gamma)
-            assert combined_fitness(fq, fd + 0.01, gamma) >= combined_fitness(fq, fd, gamma)
-
-    def test_argmax_invariant_under_common_rescaling(self):
-        rng = np.random.default_rng(1)
-        fq = rng.uniform(0, 1, 10)
-        fd = rng.uniform(0, 1, 10)
-        gamma = 0.7
-        base = [combined_fitness(a, b, gamma) for a, b in zip(fq, fd)]
-        for scale in (0.5, 2.0, 13.0):
-            scaled = [combined_fitness(scale * a, scale * b, gamma)
-                      for a, b in zip(fq, fd)]
-            assert int(np.argmax(base)) == int(np.argmax(scaled))
+    def test_weighted_sum(self, desk):
+        for m in self._members(desk, 0.7):
+            assert m.f_d == robust_accuracy(desk.spec, m.params, desk.splits["val"], 0.1)
+            assert m.f == m.f_q + 0.7 * m.f_d
 
 
 class TestFitnessConfig:

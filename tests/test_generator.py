@@ -13,11 +13,15 @@ from mgepool import (
     generate_pool,
     importance_mask,
     ks_statistic,
+    make_synthetic,
+    mlp,
+    mutate,
     unimportant_mask_spatial,
     zero_fill_decay,
 )
-from mgepool.errors import ConfigRangeError, DegenerateSpectrumError, GenerationFailedError
+from mgepool.errors import ConfigRangeError, GenerationFailedError
 from mgepool.generator import model_masks
+from mgepool.nn import init_params
 from mgepool.transforms import sample_bounded_normal
 from test_transforms import naive_idct2
 
@@ -58,9 +62,28 @@ class TestImportanceMask:
         row = importance_mask(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)
         assert row.keep.tolist() == [True, True, False, False]
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            importance_mask(np.zeros(3), 0.5)
+    def test_all_zero_keeps_everything(self):
+        for t in (0.0, 0.5, 1.0):
+            row = importance_mask(np.zeros(3), t)
+            assert row.keep.all()
+            assert row.energy_fraction == 1.0
+
+
+class TestAllZeroLayers:
+    def test_zero_biases_stay_exactly_zero(self):
+        # a freshly initialised net: He weights, all-zero biases
+        spec = mlp([2, 4, 2])
+        base = init_params(spec, np.random.default_rng(0))
+        val = make_synthetic("blobs", 40, 2, seed=1)
+        gcfg = GeneratorConfig(seed=2, epsilon=1.0)
+        pool = generate_pool(base, spec, gcfg, val, 2)
+        child = mutate(pool.candidates[0], gcfg, RngStream(3))
+        for params in [c.params for c in pool.candidates] + [child.params]:
+            for e, b in zip(params.entries, base.entries):
+                if e.name.endswith(".bias"):
+                    assert not e.values.any()
+                else:
+                    assert not np.array_equal(e.values, b.values)
 
 
 class TestGenerateLayer:
@@ -179,8 +202,8 @@ class TestGeneratePool:
 
     def test_distribution_preserved(self, desk):
         pooled = np.concatenate(
-            [c.params.pooled_values() for c in desk.pool.candidates])
-        assert ks_statistic(desk.base.pooled_values(), pooled) < 0.1
+            [c.params.flat for c in desk.pool.candidates])
+        assert ks_statistic(desk.base.flat, pooled) < 0.1
 
 
 class TestUnimportantMaskSpatial:

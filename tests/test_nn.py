@@ -343,3 +343,41 @@ class TestValidation:
             nn.TrainConfig(epochs=0)
         with pytest.raises(ConfigRangeError):
             nn.TrainConfig(optimizer="rmsprop")
+
+
+class TestFlatBuffer:
+    def test_every_constructor_gives_views_of_flat(self, desk, tmp_path):
+        from mgepool import fuse, generate_model, load_model, mutate, save_model
+        from mgepool.transforms import RngStream
+
+        save_model(desk.base, tmp_path / "m.mgem")
+        sets = {
+            "init_params": nn.init_params(desk.spec, np.random.default_rng(0)),
+            "copy": desk.base.copy(),
+            "as_float32": desk.base.as_float32(),
+            "fuse": fuse([desk.base, desk.pool.candidates[0].params], [0.5, 0.5]),
+            "load_model": load_model(tmp_path / "m.mgem"),
+            "generate_model": generate_model(desk.base, desk.spec, desk.gcfg,
+                                             desk.splits["val"]).params,
+            "mutate": mutate(desk.pool.candidates[0], desk.gcfg, RngStream(1)).params,
+        }
+        for origin, ps in sets.items():
+            assert ps.flat.dtype == np.float64, origin
+            assert ps.flat.flags["C_CONTIGUOUS"], origin
+            assert ps.flat.size == sum(e.values.size for e in ps.entries), origin
+            for e in ps.entries:
+                assert np.shares_memory(e.values, ps.flat), (origin, e.name)
+
+    def test_construction_copies_its_input(self):
+        values = np.arange(4.0)
+        ps = nn.ParamSet([nn.ParamEntry("w", (2, 2), values)])
+        values[0] = 9.0
+        assert ps.flat[0] == 0.0
+        ps.entries[0].values += 1.0  # writes through the view
+        assert ps.flat.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_non_finite_entry_named(self):
+        entries = [nn.ParamEntry("a", (2,), np.zeros(2)),
+                   nn.ParamEntry("b", (1,), np.array([np.inf]))]
+        with pytest.raises(InvalidInputError, match="entry b"):
+            nn.ParamSet(entries)

@@ -31,7 +31,7 @@ class TestModelFile:
         path = tmp_path / "m.mgem"
         save_model(params, path)
         loaded = load_model(path)
-        assert loaded.names() == params.names()
+        assert [e.name for e in loaded.entries] == [e.name for e in params.entries]
         for a, b in zip(loaded.entries, params.entries):
             assert tuple(a.shape) == tuple(b.shape)
             # float32 round trip: saved values come back f32-exact
