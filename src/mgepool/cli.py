@@ -76,13 +76,21 @@ def load_config(path):
     return doc
 
 
+def _required(body, key, where):
+    """``body[key]``; a missing key is a ConfigError naming ``where.key``."""
+    if key not in body:
+        raise ConfigError(f"missing key {where}.{key}")
+    return body[key]
+
+
+# layer type -> (constructor, the integer keys it takes in order)
 _LAYER_BUILDERS = {
-    "dense": lambda d: nn.Dense(int(d["in"]), int(d["out"])),
-    "conv": lambda d: nn.Conv(int(d["in_ch"]), int(d["out_ch"]), int(d["k"])),
-    "maxpool": lambda d: nn.MaxPool(int(d["k"])),
-    "relu": lambda d: nn.Activation("relu"),
-    "tanh": lambda d: nn.Activation("tanh"),
-    "flatten": lambda d: nn.Flatten(),
+    "dense": (nn.Dense, ("in", "out")),
+    "conv": (nn.Conv, ("in_ch", "out_ch", "k")),
+    "maxpool": (nn.MaxPool, ("k",)),
+    "relu": (lambda: nn.Activation("relu"), ()),
+    "tanh": (lambda: nn.Activation("tanh"), ()),
+    "flatten": (nn.Flatten, ()),
 }
 
 
@@ -91,12 +99,14 @@ def build_network(cfg):
     if not net:
         raise ConfigError("missing section network")
     layers = []
-    for i, item in enumerate(net.get("layers", [])):
+    for i, item in enumerate(_required(net, "layers", "network")):
         kind = item.get("type")
         if kind not in _LAYER_BUILDERS:
             raise ConfigError(f"network.layers[{i}]: unknown type {kind!r}")
-        layers.append(_LAYER_BUILDERS[kind](item))
-    return nn.NetworkSpec(tuple(layers), tuple(net["input_shape"]), int(net["classes"]))
+        make, keys = _LAYER_BUILDERS[kind]
+        layers.append(make(*(int(_required(item, k, f"network.layers[{i}]")) for k in keys)))
+    return nn.NetworkSpec(tuple(layers), tuple(_required(net, "input_shape", "network")),
+                          int(_required(net, "classes", "network")))
 
 
 def build_datasets(cfg):
@@ -210,7 +220,12 @@ def cmd_analyze(cfg, args):
     report = {"layers": {}}
     from .transforms import cumulative_energy, dct2
     for e in base.entries:
-        curve = cumulative_energy(dct2(e.values))
+        c = dct2(e.values)
+        if (c * c).sum() == 0.0:
+            # no energy to rank: importance_mask keeps every coefficient at any t
+            report["layers"][e.name] = {"size": c.size, "all_zero": True, "kept": c.size}
+            continue
+        curve = cumulative_energy(c)
         report["layers"][e.name] = {
             "size": int(e.values.size),
             "cumulative_energy": [float(v) for v in curve[:: max(1, len(curve) // 64)]],
@@ -317,15 +332,17 @@ def cmd_attack(cfg, args):
     spec = build_network(cfg)
     atk = cfg.get("attack", {})
     epsilons = [float(e) for e in atk.get("epsilons", [0.01, 0.1])]
+    if not epsilons:
+        raise ConfigError("attack.epsilons must list at least one value")
     n_examples = int(atk.get("examples", 100))
-    manifest = store.read_manifest(os.path.join(args.pool, "manifest.json"))
-    pool = []
-    for m in manifest["members"]:
-        pool.append((str(m["id"]), store.load_model(os.path.join(args.pool, m["file"]))))
-    base_path = os.path.join(args.pool, "..", manifest["base"]["path"])
-    if not os.path.exists(base_path):
-        base_path = os.path.join(os.path.dirname(args.pool.rstrip("/")),
-                                 manifest["base"]["path"])
+    manifest = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
+    pool = [(str(m["id"]), store.load_model(os.path.join(args.pool, m["file"])))
+            for m in manifest["members"]]
+    # the base model sits in the pool directory's parent, as `generate` records it
+    base_path = os.path.join(os.path.dirname(os.path.abspath(args.pool)),
+                             manifest["base"]["path"])
+    if store.file_hash(base_path) != manifest["base"]["hash"]:
+        raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
     base = store.load_model(base_path)
     rows = []
     for eps in epsilons:

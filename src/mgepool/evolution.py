@@ -14,15 +14,8 @@ import numpy as np
 
 from .errors import ConfigRangeError, StructuralError
 from .fitness import FitnessConfig, criterion_score
-from .generator import (
-    Candidate,
-    GeneratorConfig,
-    accept,
-    generate_pool,
-    model_masks,
-    resample,
-)
-from .nn import ParamSet, evaluate_accuracy
+from .generator import Candidate, GeneratorConfig, generate_pool, model_masks, resample, score
+from .nn import ParamSet
 from .transforms import RngStream
 
 
@@ -78,10 +71,12 @@ def fuse(parents, weights) -> ParamSet:
 
 
 def evaluate_population(members, spec, fit: FitnessConfig):
-    """Attach (f_q, f_d, f) to every member; deterministic re-evaluation."""
+    """Attach (f_q, f_d, f) to every member, scored on its float32 copy so
+    the numbers hold for the saved model; deterministic re-evaluation."""
     for m in members:
-        m.f_q = criterion_score(spec, m.params, fit.base)
-        m.f_d = 0.0 if fit.extra is None else criterion_score(spec, m.params, fit.extra)
+        p = m.params.as_float32()
+        m.f_q = criterion_score(spec, p, fit.base)
+        m.f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
         m.f = m.f_q + fit.gamma * m.f_d
     return members
 
@@ -99,53 +94,44 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
 
     The seed population comes from the standard generation loop; each
     generation adds j mutation children (round-robin over parents) and up
-    to m fused candidates, re-checks fused ones against the acceptance
-    predicate, scores everything, and keeps the n fittest.
+    to m fused candidates. Every child and fused model must pass
+    ``generator.score``; only admitted ones get an id, a fitness and a
+    place in fusion and selection, which keeps the n fittest.
     """
     pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents)
-    base_acc = pool.base_accuracy
-    members = pool.candidates
-    next_id = len(members)
-    evaluate_population(members, spec, fit)
-    parents = select(members, ecfg.parents)
-    history = [GenerationStats(0, parents[0].f,
-                               float(np.mean([m.f for m in parents])),
-                               parents[0].cand_id)]
+    parents, born, history = [], evaluate_population(pool.candidates, spec, fit), []
+    next_id = len(born)
     root = RngStream(ecfg.seed)
-    for gen in range(1, ecfg.generations + 1):
-        children = []
-        for i in range(ecfg.mutations):
-            parent = parents[i % len(parents)]
-            # (gen, i) then child 0: the stream layout that evolve runs have
-            # always been seeded with, so that saved runs reproduce
-            child = mutate(parent, gcfg, root.child(gen, i).child(0))
-            child.cand_id = next_id
-            next_id += 1
-            child.accuracy = evaluate_accuracy(spec, child.params.as_float32(), valset)
-            child.accepted = accept(child.accuracy, base_acc, gcfg)
-            children.append(child)
-        evaluate_population(children, spec, fit)
-        fusable = parents + children
-        frng = root.child(gen, 1 << 20).generator()
-        fused = []
-        for i in range(ecfg.fusions):
-            a, b = frng.choice(len(fusable), size=2, replace=False)
-            pa, pb = fusable[a], fusable[b]
-            if ecfg.fusion_weights == "fitness_proportional" and pa.f + pb.f > 0:
-                wa = pa.f / (pa.f + pb.f)
-            else:
+
+    def admit(params, lineage):
+        """``[candidate]`` with the next id if ``score`` admits it, else ``[]``."""
+        nonlocal next_id
+        cand = score(params, spec, valset, pool.base_accuracy, gcfg, lineage=lineage)
+        if not cand.accepted:
+            return []
+        cand.cand_id, next_id = next_id, next_id + 1
+        return [cand]
+
+    for gen in range(ecfg.generations + 1):
+        if gen:
+            children = []
+            for i in range(ecfg.mutations):
+                # (gen, i) then child 0: the stream layout that evolve runs have
+                # always been seeded with, so that saved runs reproduce
+                child = mutate(parents[i % len(parents)], gcfg, root.child(gen, i).child(0))
+                children += admit(child.params, child.lineage)
+            fusable = parents + evaluate_population(children, spec, fit)
+            frng = root.child(gen, 1 << 20).generator()
+            fused = []
+            for _ in range(ecfg.fusions if len(fusable) > 1 else 0):
+                pa, pb = (fusable[k] for k in frng.choice(len(fusable), size=2, replace=False))
                 wa = 0.5
-            params = fuse([pa.params, pb.params], [wa, 1.0 - wa])
-            acc = evaluate_accuracy(spec, params.as_float32(), valset)
-            if not accept(acc, base_acc, gcfg):
-                continue  # fused model lost the pool's quality guarantee
-            cand = Candidate(params=params, accuracy=acc, accepted=True,
-                             cand_id=next_id,
-                             lineage=("fuse", (pa.cand_id, pb.cand_id)))
-            next_id += 1
-            fused.append(cand)
-        evaluate_population(fused, spec, fit)
-        parents = select(parents + children + fused, ecfg.parents)
+                if ecfg.fusion_weights == "fitness_proportional" and pa.f + pb.f > 0:
+                    wa = pa.f / (pa.f + pb.f)
+                fused += admit(fuse([pa.params, pb.params], [wa, 1.0 - wa]),
+                               ("fuse", (pa.cand_id, pb.cand_id)))
+            born = children + evaluate_population(fused, spec, fit)
+        parents = select(parents + born, ecfg.parents)
         history.append(GenerationStats(gen, parents[0].f,
                                        float(np.mean([m.f for m in parents])),
                                        parents[0].cand_id))

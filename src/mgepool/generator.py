@@ -136,16 +136,27 @@ def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
             or abs(candidate_accuracy - base_accuracy) < cfg.epsilon)
 
 
+def score(params, spec, valset, base_accuracy, cfg, *, _first_cols=None,
+          **fields) -> Candidate:
+    """The one admission test for generated, mutated and fused models.
+
+    The candidate keeps full-precision parameters, but its accuracy is
+    measured on the float32-rounded copy, so the accepted flag holds for
+    the persisted form of the model. ``fields`` fill the other Candidate
+    fields.
+    """
+    acc = evaluate_accuracy(spec, params.as_float32(), valset, _first_cols=_first_cols)
+    return Candidate(params=params, accuracy=acc,
+                     accepted=accept(acc, base_accuracy, cfg), **fields)
+
+
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
                    masks=None, z=None, seed=-1, *, _first_cols=None) -> Candidate:
-    """One full generation attempt: resample every layer, evaluate, flag.
+    """One full generation attempt: resample every layer, then ``score``.
 
-    The candidate keeps full-precision parameters, but its recorded accuracy
-    is measured on the float32-rounded copy so the accepted flag stays valid
-    for the persisted form of the model. ``masks`` must be
-    ``model_masks(base, cfg.t)``: the layers are spliced from its
-    coefficients, not from ``base``'s values. ``_first_cols`` is internal
-    to ``generate_pool`` (see ``nn.first_layer_cols``).
+    ``masks`` must be ``model_masks(base, cfg.t)``: the layers are spliced
+    from its coefficients, not from ``base``'s values. ``_first_cols`` is
+    internal to ``generate_pool`` (see ``nn.first_layer_cols``).
     """
     if base_accuracy is None:
         base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset,
@@ -157,11 +168,10 @@ def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
     elif any(masks[e.name].coeffs.size != e.values.size for e in base.entries):
         raise ConfigRangeError("mask length != coefficient length")
     t0 = time.perf_counter()
-    params = resample(base, masks, cfg, rng, z=z)
-    acc = evaluate_accuracy(spec, params.as_float32(), valset, _first_cols=_first_cols)
-    ok = accept(acc, base_accuracy, cfg)
-    return Candidate(params=params, accuracy=acc, accepted=ok,
-                     seconds=time.perf_counter() - t0, seed=seed)
+    cand = score(resample(base, masks, cfg, rng, z=z), spec, valset, base_accuracy,
+                 cfg, seed=seed, _first_cols=_first_cols)
+    cand.seconds = time.perf_counter() - t0
+    return cand
 
 
 def generate_pool(base, spec, cfg, valset, count) -> PoolResult:

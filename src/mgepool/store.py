@@ -105,6 +105,8 @@ def load_model(path) -> ParamSet:
             off += 4 * count
         except struct.error as exc:
             raise CorruptModelError(f"truncated header at offset {off}") from exc
+        except UnicodeDecodeError as exc:
+            raise CorruptModelError(f"layer name before offset {off} is not UTF-8") from exc
         entries.append(ParamEntry(name, tuple(int(d) for d in dims),
                                   np.frombuffer(payload, dtype="<f4")))
     if off != len(body):

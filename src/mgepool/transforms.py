@@ -1,7 +1,8 @@
 """Orthonormal DCT-II transform pair, bounded sampling, and distribution stats.
 
-Everything here operates on flat 1-D float64 vectors and is a pure function
-of its inputs, so calls are safe from any number of workers.
+Everything here operates on flat 1-D float64 vectors and, apart from the
+sampler's draws from the generator it is given, is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -18,21 +19,20 @@ MAX_LATENT_BOUND = 0.2
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible random stream keyed by a 64-bit seed.
+    """Reproducible PCG64 random stream keyed by a 64-bit seed.
 
     Child streams are derived deterministically from (seed, key...) so that
-    parallel candidates never share a stream.
+    distinct candidates never share a stream.
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, *key: int) -> "RngStream":
         ss = np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, *key])
-        return RngStream(int(ss.generate_state(1, np.uint64)[0]), self.algorithm)
+        return RngStream(int(ss.generate_state(1, np.uint64)[0]))
 
 
 def _as_vector(x, name="input") -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mgepool import cli
@@ -38,6 +39,16 @@ def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def error_lines(capsys, code):
+    """The one ``ERROR code=<code>`` line printed, checking there is no other
+    and no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("ERROR")]
+    assert len(lines) == 1 and lines[0].startswith(f"ERROR code={code} ")
+    return lines[0]
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +92,32 @@ class TestConfigValidation:
         cfg = {"generator": {"t": 1, "attempts": "7", "adaptive_z": 1}}
         gcfg = cli.build_section_config(cfg, "generator", seed_override=4)
         assert (type(gcfg.t), gcfg.attempts, gcfg.adaptive_z, gcfg.seed) == (float, 7, True, 4)
+
+    @pytest.mark.parametrize("named", ["network.input_shape", "network.classes",
+                                       "network.layers[2].out"])
+    def test_missing_network_key_named(self, tmp_path, capsys, named):
+        cfg = desk_config(tmp_path / "o")
+        net = cfg["network"]
+        del (net["layers"][2] if "layers" in named else net)[named.rsplit(".", 1)[1]]
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["--config", path, "train"]) == cli.EXIT_CONFIG
+        assert named in error_lines(capsys, cli.EXIT_CONFIG)
+
+    def test_empty_epsilons_rejected(self, pipeline, tmp_path, capsys):
+        cfg = desk_config(tmp_path / "o", attack={"epsilons": []})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["--config", path, "attack",
+                         "--pool", str(pipeline["pool"])]) == cli.EXIT_CONFIG
+        assert "attack.epsilons" in error_lines(capsys, cli.EXIT_CONFIG)
+
+    def test_non_utf8_layer_name_is_input_error(self, tmp_path, capsys):
+        from test_store import hand_assembled
+        model = tmp_path / "bad.mgem"
+        model.write_bytes(hand_assembled(b"\xfe\xff", [1.0, 2.0]))
+        cfg_path = write_config(tmp_path, desk_config(tmp_path / "o"))
+        assert cli.main(["--config", cfg_path, "generate",
+                         "--model", str(model)]) == cli.EXIT_INPUT
+        assert "UTF-8" in error_lines(capsys, cli.EXIT_INPUT)
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
@@ -134,6 +171,24 @@ class TestAnalyze:
         assert doc["layers"]
 
 
+    def test_all_zero_layer_gets_keep_all_record(self, pipeline, tmp_path):
+        from mgepool.nn import init_params, mlp
+        from mgepool.store import save_model
+        from mgepool.transforms import cumulative_energy, dct2
+        params = init_params(mlp([2, 64, 3]), np.random.default_rng(0))
+        save_model(params, tmp_path / "init.mgem")
+        out = tmp_path / "analysis"
+        assert cli.main(["--config", pipeline["config"], "--out", str(out),
+                         "analyze", "--model", str(tmp_path / "init.mgem")]) == 0
+        layers = read_manifest(out / "analysis.json")["layers"]
+        assert layers["layer0.bias"] == {"size": 64, "all_zero": True, "kept": 64}
+        assert layers["layer2.bias"] == {"size": 3, "all_zero": True, "kept": 3}
+        weight = params.as_float32().get("layer2.weight").values
+        curve = cumulative_energy(dct2(weight))
+        assert layers["layer2.weight"] == {
+            "size": 192, "cumulative_energy": [float(v) for v in curve[::3]]}
+
+
 class TestEvolve:
     def test_history_and_best_written(self, pipeline, tmp_path):
         out = tmp_path / "evo"
@@ -156,6 +211,20 @@ class TestAttack:
         assert text.count("\n") == 1 + 2 * 11  # header + 2 eps x (base + 10)
         transfer = (out / "transfer.tsv").read_text()
         assert transfer.startswith("model_id")
+
+
+    @pytest.mark.parametrize("swap", ["model_0000.mgem", "base"])
+    def test_swapped_file_rejected(self, pipeline, tmp_path, capsys, swap):
+        # the swapped-in file is itself a valid model; only the manifest hash tells
+        import shutil
+        shutil.copy(pipeline["out"] / "base.mgem", tmp_path / "base.mgem")
+        pool = tmp_path / "pool"
+        shutil.copytree(pipeline["pool"], pool)
+        target = tmp_path / "base.mgem" if swap == "base" else pool / swap
+        shutil.copy(pool / "model_0001.mgem", target)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "atk"),
+                         "attack", "--pool", str(pool)]) == cli.EXIT_INPUT
+        error_lines(capsys, cli.EXIT_INPUT)
 
 
 class TestReport:

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from mgepool import Criterion, EvolutionConfig, FitnessConfig, evolve, fuse, mutate, select
+from mgepool import (
+    Criterion,
+    EvolutionConfig,
+    FitnessConfig,
+    evolve,
+    fuse,
+    load_model,
+    mutate,
+    save_model,
+    select,
+)
 from mgepool.errors import ConfigRangeError, StructuralError
 from mgepool.evolution import evaluate_population
-from mgepool.generator import Candidate, GeneratorConfig, model_masks
+from mgepool.fitness import criterion_score
+from mgepool.generator import Candidate, GeneratorConfig, accept, model_masks
 from mgepool.transforms import RngStream, dct2
 
 
@@ -14,6 +25,20 @@ def fitness_config(desk, gamma=1.0, eps=0.1):
         extra=Criterion("robust_accuracy", desk.splits["val"], attack_eps=eps),
         gamma=gamma,
     )
+
+
+def record_select(monkeypatch):
+    """Wrap evolution.select; returns the list of populations handed to it."""
+    from mgepool import evolution
+    seen = []
+    original = evolution.select
+
+    def recording(members, n):
+        seen.append(list(members))
+        return original(members, n)
+
+    monkeypatch.setattr(evolution, "select", recording)
+    return seen
 
 
 class TestMutate:
@@ -138,15 +163,32 @@ class TestEvaluatePopulation:
         assert select(members, 1) == members
 
     def test_matches_independent_recomputation(self, desk):
-        from mgepool.fitness import criterion_score
         fit = fitness_config(desk)
         members = [Candidate(params=c.params, cand_id=c.cand_id)
                    for c in desk.pool.candidates[:6]]
         evaluate_population(members, desk.spec, fit)
         for m in members:
-            fq = criterion_score(desk.spec, m.params, fit.base)
-            fd = criterion_score(desk.spec, m.params, fit.extra)
-            assert m.f == pytest.approx(fq + fit.gamma * fd, abs=1e-12)
+            f32 = m.params.as_float32()
+            fq = criterion_score(desk.spec, f32, fit.base)
+            fd = criterion_score(desk.spec, f32, fit.extra)
+            assert (m.f_q, m.f_d, m.f) == (fq, fd, fq + fit.gamma * fd)
+
+    def test_criteria_see_float32_exact_params(self, desk, monkeypatch):
+        from mgepool import evolution
+        seen = []
+        original = evolution.criterion_score
+
+        def recording(spec, params, crit):
+            seen.append(params.flat.copy())
+            return original(spec, params, crit)
+
+        monkeypatch.setattr(evolution, "criterion_score", recording)
+        members = [Candidate(params=c.params, cand_id=c.cand_id)
+                   for c in desk.pool.candidates[:3]]
+        evaluate_population(members, desk.spec, fitness_config(desk))
+        assert len(seen) == 6
+        for flat in seen:
+            assert np.array_equal(flat, flat.astype(np.float32).astype(np.float64))
 
 
 class TestEvolve:
@@ -179,6 +221,57 @@ class TestEvolve:
                               desk.splits["val"])
         best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit,
                               desk.splits["val"])
+        assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
+        assert np.array_equal(best1.params.flat, best2.params.flat)
+
+    def test_selected_candidates_pass_accept(self, desk, monkeypatch):
+        # on this run every mutation child fails acceptance
+        selected = record_select(monkeypatch)
+        gcfg = GeneratorConfig(seed=63)
+        ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
+        evolve(desk.base, desk.spec, gcfg, ecfg, fitness_config(desk), desk.splits["val"])
+        assert len(selected) == 6
+        for members in selected:
+            for c in members:
+                assert c.accepted and accept(c.accuracy, desk.base_accuracy, gcfg)
+
+    def test_only_child_rejected(self, desk, monkeypatch):
+        selected = record_select(monkeypatch)
+        ecfg = EvolutionConfig(generations=1, parents=1, mutations=1, fusions=1, seed=12)
+        best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
+                               fitness_config(desk), desk.splits["val"])
+        # one parent and no fusable partner: generation 1 selects from the parent alone
+        assert [len(m) for m in selected] == [1, 1]
+        assert best is selected[0][0] and len(history) == 2
+
+    def test_best_fitness_reproduced_from_saved_model(self, desk, tmp_path):
+        fit = fitness_config(desk, gamma=2.0)
+        ecfg = EvolutionConfig(generations=3, parents=4, mutations=4, fusions=6, seed=13)
+        best, _ = evolve(desk.base, desk.spec, GeneratorConfig(seed=64), ecfg, fit,
+                         desk.splits["val"])
+        save_model(best.params, tmp_path / "best.mgem")
+        loaded = load_model(tmp_path / "best.mgem")
+        f_q = criterion_score(desk.spec, loaded, fit.base)
+        f_d = criterion_score(desk.spec, loaded, fit.extra)
+        assert (best.f_q, best.f_d, best.f) == (f_q, f_d, f_q + fit.gamma * f_d)
+
+    def test_fitness_proportional_fusion(self, desk, monkeypatch):
+        fit = fitness_config(desk)
+        ecfg = EvolutionConfig(generations=3, parents=4, mutations=4, fusions=6,
+                               fusion_weights="fitness_proportional", seed=14)
+        gcfg = GeneratorConfig(seed=65)
+        selected = record_select(monkeypatch)
+        best1, hist1 = evolve(desk.base, desk.spec, gcfg, ecfg, fit, desk.splits["val"])
+        by_id = {m.cand_id: m for members in selected for m in members}
+        weights = []
+        for m in by_id.values():
+            if m.lineage[0] == "fuse":
+                pa, pb = (by_id[i] for i in m.lineage[1])
+                weights.append(pa.f / (pa.f + pb.f))
+                expected = fuse([pa.params, pb.params], [weights[-1], 1.0 - weights[-1]])
+                assert np.array_equal(m.params.flat, expected.flat)
+        assert weights and any(w != 0.5 for w in weights)
+        best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit, desk.splits["val"])
         assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
         assert np.array_equal(best1.params.flat, best2.params.flat)
 

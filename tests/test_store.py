@@ -24,6 +24,17 @@ def random_params(rng, layers=3):
     return ParamSet(entries)
 
 
+def hand_assembled(name, values):
+    """A one-layer .mgem file built with nothing but struct + hashlib; ``name``
+    is raw bytes, so it need not be valid UTF-8. Returns the file bytes."""
+    values = np.asarray(values, dtype="<f4")
+    body = b"MGEM" + struct.pack("<I", 1) + struct.pack("<I", 1)
+    body += struct.pack("<I", len(name)) + name
+    body += struct.pack("<I", values.ndim) + struct.pack(f"<{values.ndim}I", *values.shape)
+    body += values.tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
 class TestModelFile:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -42,19 +53,20 @@ class TestModelFile:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_hand_assembled_file_loads(self, tmp_path):
-        # byte-level oracle: build the file with nothing but struct + hashlib
-        values = np.array([1.5, -2.25, 0.125, 8.0], dtype="<f4")
-        body = b"MGEM" + struct.pack("<I", 1) + struct.pack("<I", 1)
-        name = b"layer0.weight"
-        body += struct.pack("<I", len(name)) + name
-        body += struct.pack("<I", 2) + struct.pack("<II", 2, 2)
-        body += values.tobytes()
+        values = np.array([[1.5, -2.25], [0.125, 8.0]], dtype="<f4")
         path = tmp_path / "hand.mgem"
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(hand_assembled(b"layer0.weight", values))
         loaded = load_model(path)
         assert loaded.entries[0].name == "layer0.weight"
         assert tuple(loaded.entries[0].shape) == (2, 2)
-        assert np.array_equal(loaded.entries[0].values, values.astype(np.float64))
+        assert np.array_equal(loaded.entries[0].values, values.ravel().astype(np.float64))
+
+    def test_non_utf8_layer_name_rejected(self, tmp_path):
+        # the trailing hash is valid; only the name bytes are bad
+        path = tmp_path / "name.mgem"
+        path.write_bytes(hand_assembled(b"layer\xff.weight", [1.0, 2.0]))
+        with pytest.raises(CorruptModelError, match="UTF-8"):
+            load_model(path)
 
     def test_corrupted_hash_rejected(self, tmp_path):
         params = random_params(np.random.default_rng(1))
