@@ -1,9 +1,9 @@
 """Command-line pipeline: train, analyze, generate, evolve, attack, report.
 
-Runs are driven by a JSON config with sections dataset / network / train /
-generator / evolution / fitness / attack / output. Unknown keys are
-rejected. Every command writes a reproducibility stamp (config echo,
-seeds, artifact hashes) into its output directory.
+Runs are driven by a JSON config; SCHEMA lists each section's keys with
+their types and defaults, and unknown sections and keys are rejected. Every
+command writes a reproducibility stamp (config echo, seeds, artifact hashes)
+into its output directory.
 
 Exit codes: 0 success, 2 config error, 3 missing/invalid input file,
 4 training or generation failure, 1 unexpected error.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import contextlib
 import json
 import os
 import sys
@@ -26,8 +27,10 @@ from .errors import (
     CorruptModelError,
     FormatError,
     GenerationFailedError,
+    InvalidInputError,
     MgeError,
     TrainingDivergedError,
+    UnsupportedVersionError,
 )
 
 EXIT_OK = 0
@@ -36,134 +39,157 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_RUNTIME = 4
 
-# sections read straight into a config dataclass, one key per field
-_DATACLASS_SECTIONS = {
-    "train": nn.TrainConfig,
-    "generator": generator.GeneratorConfig,
-    "evolution": evolution.EvolutionConfig,
-}
-
-_SECTIONS = {
-    "dataset": {"kind", "n", "classes", "seed", "noise", "dim",
-                "images", "labels", "splits"},
-    "network": {"input_shape", "classes", "layers"},
-    **{name: {f.name for f in fields(cls)} for name, cls in _DATACLASS_SECTIONS.items()},
-    "fitness": {"base", "extra", "gamma"},
-    "attack": {"epsilons", "examples"},
-    "output": {"directory"},
-}
-
 
 class ConfigError(ConfigRangeError):
     pass
 
 
-def load_config(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file {path} does not exist")
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    for section, body in doc.items():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        for key in body:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-    return doc
+# SCHEMA gives each config key's (type, default). A type is str, bool, int or
+# float, [type] for a non-empty list, a table of rows for an object ({str:
+# row} for one of any keys), or a function (value, where). A number may be a
+# JSON string, an int stands for a float and 0/1 for a bool. A missing
+# REQUIRED key fails the command that reads it; a missing OPTIONAL key is left
+# out of the call, so the callee's own default applies.
+REQUIRED, OPTIONAL = object(), object()
 
 
-def _required(body, key, where):
-    """``body[key]``; a missing key is a ConfigError naming ``where.key``."""
-    if key not in body:
-        raise ConfigError(f"missing key {where}.{key}")
-    return body[key]
+def _convert(typ, value, where, known=None):
+    """``value`` as ``typ``, else a ConfigError naming ``where``. An object's
+    keys must be in ``known`` (by default, in its table)."""
+    if value is REQUIRED:
+        raise ConfigError(f"missing key {where}")
+    if isinstance(typ, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        table = dict.fromkeys(value, typ[str]) if str in typ else typ
+        for key in value:
+            if key not in (table if known is None else known):
+                raise ConfigError(f"unknown key {where}.{key}")
+        return {key: _convert(row_type, value.get(key, default), f"{where}.{key}")
+                for key, (row_type, default) in table.items()
+                if key in value or default is not OPTIONAL}
+    if isinstance(typ, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [_convert(typ[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if typ not in (str, bool, int, float):
+        return typ(value, where)
+    if (typ is str and isinstance(value, str)
+            or typ is bool and type(value) in (bool, int) and value in (0, 1)):
+        return typ(value)
+    with contextlib.suppress(ValueError, OverflowError):
+        number = json.loads(value) if isinstance(value, str) else value
+        if typ in (int, float) and type(number) in (int, float) \
+                and abs(number) < float("inf") and typ(number) == number:
+            return typ(number)
+    raise ConfigError(f"{where} must be {typ.__name__}, got {value!r}")
 
 
 # layer type -> (constructor, the integer keys it takes in order)
-_LAYER_BUILDERS = {
-    "dense": (nn.Dense, ("in", "out")),
-    "conv": (nn.Conv, ("in_ch", "out_ch", "k")),
-    "maxpool": (nn.MaxPool, ("k",)),
-    "relu": (lambda: nn.Activation("relu"), ()),
-    "tanh": (lambda: nn.Activation("tanh"), ()),
-    "flatten": (nn.Flatten, ()),
+_LAYER_BUILDERS = {"dense": (nn.Dense, ("in", "out")), "conv": (nn.Conv, ("in_ch", "out_ch", "k")),
+                   "maxpool": (nn.MaxPool, ("k",)), "flatten": (nn.Flatten, ()),
+                   "relu": (lambda: nn.Activation("relu"), ()),
+                   "tanh": (lambda: nn.Activation("tanh"), ())}
+
+
+def _layer(value, where):
+    kind = value.get("type") if isinstance(value, dict) else value
+    if not isinstance(kind, str) or kind not in _LAYER_BUILDERS:
+        raise ConfigError(f"{where}.type must be one of {', '.join(_LAYER_BUILDERS)}, "
+                          f"got {kind!r}")
+    make, keys = _LAYER_BUILDERS[kind]
+    sizes = _convert({"type": (str, REQUIRED), **{k: (int, REQUIRED) for k in keys}},
+                     value, where)
+    return make(*(sizes[k] for k in keys))
+
+
+_DATACLASS_SECTIONS = {"train": nn.TrainConfig, "generator": generator.GeneratorConfig,
+                       "evolution": evolution.EvolutionConfig}
+_CRITERION = {"kind": (str, "accuracy"), "dataset": (str, "val"),
+              "attack_eps": (float, OPTIONAL)}
+SCHEMA = {
+    "dataset": {"kind": (str, "blobs"), "n": (int, 600), "classes": (int, 3), "seed": (int, 0),
+                "noise": (float, OPTIONAL), "dim": (int, OPTIONAL),
+                "splits": ({str: (float, REQUIRED)}, {"train": 0.6, "val": 0.2, "test": 0.2})},
+    "network": {"input_shape": ([int], REQUIRED), "classes": (int, REQUIRED),
+                "layers": ([_layer], REQUIRED)},
+    **{name: {f.name: (type(f.default), OPTIONAL) for f in fields(cls)}
+       for name, cls in _DATACLASS_SECTIONS.items()},
+    "fitness": {"base": (_CRITERION, {}),
+                "extra": ({**_CRITERION, "kind": (str, "robust_accuracy")}, OPTIONAL),
+                "gamma": (float, OPTIONAL)},
+    "attack": {"epsilons": ([float], [0.01, 0.1]), "examples": (int, OPTIONAL)},
+    "output": {"directory": (str, OPTIONAL)},
 }
+# the dataset keys of kind "idx", read in place of n, classes, noise and dim
+IDX_DATASET = {"images": (str, REQUIRED), "labels": (str, REQUIRED), "classes": (int, OPTIONAL)}
 
 
-def build_network(cfg):
-    net = cfg.get("network")
-    if not net:
-        raise ConfigError("missing section network")
-    layers = []
-    for i, item in enumerate(_required(net, "layers", "network")):
-        kind = item.get("type")
-        if kind not in _LAYER_BUILDERS:
-            raise ConfigError(f"network.layers[{i}]: unknown type {kind!r}")
-        make, keys = _LAYER_BUILDERS[kind]
-        layers.append(make(*(int(_required(item, k, f"network.layers[{i}]")) for k in keys)))
-    return nn.NetworkSpec(tuple(layers), tuple(_required(net, "input_shape", "network")),
-                          int(_required(net, "classes", "network")))
+def _section(cfg, name, table=None):
+    known = {**SCHEMA[name], **IDX_DATASET} if name == "dataset" else SCHEMA[name]
+    return _convert(SCHEMA[name] if table is None else table, cfg.get(name, {}), name, known)
+
+
+def load_config(path):
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 ({exc})") from None
+    _convert({}, doc, "config", SCHEMA)
+    for section in doc:
+        _section(doc, section, {})  # checks the keys; a command checks the values it reads
+    return doc
+
+
+class _Splits(dict):  # reading a split the config lacks is a ConfigError
+    def __missing__(self, name):
+        raise ConfigError(f"dataset.splits has no {name!r} split")
 
 
 def build_datasets(cfg):
-    """Returns dict with train/val/test Datasets."""
-    ds = cfg.get("dataset")
-    if not ds:
-        raise ConfigError("missing section dataset")
-    kind = ds.get("kind", "blobs")
-    if kind == "idx":
-        full = nn.load_idx_dataset(ds["images"], ds["labels"],
-                                   classes=int(ds.get("classes", 10)))
+    """The dataset's splits by name."""
+    ds = _section(cfg, "dataset")
+    splits = ds.pop("splits")
+    if ds["kind"] == "idx":
+        idx = _section(cfg, "dataset", IDX_DATASET)
+        full = nn.load_idx_dataset(idx.pop("images"), idx.pop("labels"), **idx)
     else:
-        full = nn.make_synthetic(kind, int(ds.get("n", 600)),
-                                 int(ds.get("classes", 3)),
-                                 int(ds.get("seed", 0)),
-                                 noise=float(ds.get("noise", 0.06)),
-                                 dim=int(ds.get("dim", 2)))
-    splits = ds.get("splits", {"train": 0.6, "val": 0.2, "test": 0.2})
-    return nn.split_dataset(full, splits, seed=int(ds.get("seed", 0)) + 1)
+        full = nn.make_synthetic(**ds)
+    try:
+        return _Splits(nn.split_dataset(full, splits, seed=ds["seed"] + 1))
+    except InvalidInputError as exc:  # an empty split
+        raise ConfigError(f"dataset.splits: {exc}") from None
 
 
 def build_section_config(cfg, section, seed_override=None):
-    """The dataclass of a train/generator/evolution section. Each key given
-    is cast to the type of its field's default; a missing key keeps the
-    default."""
-    cls, body = _DATACLASS_SECTIONS[section], cfg.get(section, {})
-    kwargs = {f.name: type(f.default)(body[f.name]) for f in fields(cls) if f.name in body}
+    """The dataclass of a train/generator/evolution section."""
+    kwargs = _section(cfg, section)
     if seed_override is not None:
         kwargs["seed"] = seed_override
-    return cls(**kwargs)
+    return _DATACLASS_SECTIONS[section](**kwargs)
 
 
 def build_fitness_config(cfg, splits):
-    f = cfg.get("fitness", {})
-
-    def criterion(body, default_kind):
-        if body is None:
-            return None
-        kind = body.get("kind", default_kind)
-        split = body.get("dataset", "val")
-        if split not in splits:
-            raise ConfigError(f"fitness dataset {split!r} is not a known split")
-        return fitness.Criterion(kind, splits[split],
-                                 attack_eps=body.get("attack_eps"))
-
-    base = criterion(f.get("base", {}), "accuracy")
-    extra = criterion(f.get("extra"), "robust_accuracy")
-    return fitness.FitnessConfig(base=base, extra=extra,
-                                 gamma=float(f.get("gamma", 1.0)))
+    f = _section(cfg, "fitness")
+    for which in [w for w in ("base", "extra") if w in f]:
+        f[which] = fitness.Criterion(**{**f[which], "dataset": splits[f[which]["dataset"]]})
+    return fitness.FitnessConfig(**f)
 
 
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("output", {}).get("directory")
+    out = args.out or _section(cfg, "output").get("directory")
     if not out:
         raise ConfigError("no output directory (use --out or output.directory)")
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _inputs(cfg, args):
+    """A command's output directory, dataset splits and network spec."""
+    out, splits, net = _out_dir(cfg, args), build_datasets(cfg), _section(cfg, "network")
+    return out, splits, nn.NetworkSpec(tuple(net["layers"]), tuple(net["input_shape"]),
+                                       net["classes"])
 
 
 def _write_stamp(out, cfg, seeds, artifacts):
@@ -190,9 +216,7 @@ def _member_record(cand, fname, fhash):
 
 
 def cmd_train(cfg, args):
-    out = _out_dir(cfg, args)
-    splits = build_datasets(cfg)
-    spec = build_network(cfg)
+    out, splits, spec = _inputs(cfg, args)
     tcfg = build_section_config(cfg, "train", args.seed)
     params, seconds = nn.train(spec, splits["train"], tcfg)
     val_acc = nn.evaluate_accuracy(spec, params.as_float32(), splits["val"])
@@ -213,9 +237,7 @@ def cmd_train(cfg, args):
 
 
 def cmd_analyze(cfg, args):
-    out = _out_dir(cfg, args)
-    splits = build_datasets(cfg)
-    spec = build_network(cfg)
+    out, splits, spec = _inputs(cfg, args)
     base = store.load_model(args.model)
     report = {"layers": {}}
     from .transforms import cumulative_energy, dct2
@@ -236,9 +258,7 @@ def cmd_analyze(cfg, args):
     bands = [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)]
     sens = generator.band_sensitivity(base, spec, splits["test"], bands,
                                       scale=0.05, seed=args.seed or 0)
-    report["band_sensitivity"] = [
-        {"band": [lo, hi], "accuracy": a} for (lo, hi), a in sens
-    ]
+    report["band_sensitivity"] = [{"band": [lo, hi], "accuracy": a} for (lo, hi), a in sens]
     masks = {}
     for e in base.entries:
         m = generator.unimportant_mask_spatial(e.values, "mid", 0.10)
@@ -251,9 +271,7 @@ def cmd_analyze(cfg, args):
 
 
 def cmd_generate(cfg, args):
-    out = _out_dir(cfg, args)
-    splits = build_datasets(cfg)
-    spec = build_network(cfg)
+    out, splits, spec = _inputs(cfg, args)
     base = store.load_model(args.model)
     gcfg = build_section_config(cfg, "generator", args.seed)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
@@ -267,12 +285,10 @@ def cmd_generate(cfg, args):
         "member_seconds": [c.seconds for c in pool.candidates],
     }
     train_json = os.path.join(os.path.dirname(os.path.abspath(args.model)), "train.json")
-    ratio = None
     if os.path.exists(train_json):
         t_train_one = store.read_manifest(train_json)["wall_clock"]["train_seconds"]
         wall["time_trained"] = t_train_one * args.count
-        ratio = store.time_ratio(pool.seconds, wall["time_trained"])
-        wall["ratio_time"] = ratio
+        wall["ratio_time"] = store.time_ratio(pool.seconds, wall["time_trained"])
     doc = store.build_manifest(
         pool_id=f"pool-{gcfg.seed}-{args.count}",
         base={"path": os.path.basename(args.model),
@@ -289,16 +305,14 @@ def cmd_generate(cfg, args):
                  {m["file"]: m["hash"] for m in members})
     msg = (f"pool of {len(members)} accepted models in {pool.attempts} attempts "
            f"({pool.seconds:.1f}s)")
-    if ratio is not None:
-        msg += f", Ratio_time={ratio:.2%}"
+    if "ratio_time" in wall:
+        msg += f", Ratio_time={wall['ratio_time']:.2%}"
     print(msg)
     return EXIT_OK
 
 
 def cmd_evolve(cfg, args):
-    out = _out_dir(cfg, args)
-    splits = build_datasets(cfg)
-    spec = build_network(cfg)
+    out, splits, spec = _inputs(cfg, args)
     base = store.load_model(args.model)
     gcfg = build_section_config(cfg, "generator", args.seed)
     ecfg = build_section_config(cfg, "evolution")
@@ -308,8 +322,7 @@ def cmd_evolve(cfg, args):
     with open(os.path.join(out, "history.csv"), "w", newline="") as f:
         writer = csv.DictWriter(f, ["generation", "max_f", "mean_f", "best_id"])
         writer.writeheader()
-        for row in history:
-            writer.writerow(row.to_record())
+        writer.writerows(row.to_record() for row in history)
     record = {
         "best": {"file": "best.mgem", "hash": info.sha256, "id": best.cand_id,
                  "accuracy": best.accuracy, "f_q": best.f_q, "f_d": best.f_d,
@@ -327,14 +340,10 @@ def cmd_evolve(cfg, args):
 
 
 def cmd_attack(cfg, args):
-    out = _out_dir(cfg, args)
-    splits = build_datasets(cfg)
-    spec = build_network(cfg)
-    atk = cfg.get("attack", {})
-    epsilons = [float(e) for e in atk.get("epsilons", [0.01, 0.1])]
-    if not epsilons:
-        raise ConfigError("attack.epsilons must list at least one value")
-    n_examples = int(atk.get("examples", 100))
+    out, splits, spec = _inputs(cfg, args)
+    atk = _section(cfg, "attack")
+    epsilons = atk["epsilons"]
+    n_examples = {"n_examples": atk["examples"]} if "examples" in atk else {}
     manifest = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
     pool = [(str(m["id"]), store.load_model(os.path.join(args.pool, m["file"])))
             for m in manifest["members"]]
@@ -355,7 +364,7 @@ def cmd_attack(cfg, args):
         writer.writeheader()
         writer.writerows(rows)
     report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
-                                         eps=epsilons[-1], n_examples=n_examples)
+                                         eps=epsilons[-1], **n_examples)
     with open(os.path.join(out, "transfer.tsv"), "w") as f:
         f.write(report.to_text())
     _write_stamp(out, cfg, {}, {})
@@ -377,7 +386,7 @@ def cmd_report(cfg, args):
     sections = []
     manifest_path = os.path.join(args.pool, "manifest.json") if args.pool else None
     if manifest_path and os.path.exists(manifest_path):
-        doc = store.read_manifest(manifest_path)
+        doc = store.verify_manifest(manifest_path)
         if not doc["members"]:
             print("pool is empty")
             return EXIT_OK
@@ -398,8 +407,7 @@ def cmd_report(cfg, args):
         with open(os.path.join(out, "report_accuracy.csv"), "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["id", "generated", "base"])
-            for m in doc["members"]:
-                writer.writerow([m["id"], m["accuracy"], base_acc])
+            writer.writerows([m["id"], m["accuracy"], base_acc] for m in doc["members"])
     if args.history and os.path.exists(args.history):
         with open(args.history) as f:
             hist = list(csv.DictReader(f))
@@ -430,29 +438,18 @@ def make_parser():
     p.add_argument("--seed", type=int, help="seed override for the command")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("train")
-    pa = sub.add_parser("analyze")
-    pa.add_argument("--model", required=True)
-    pg = sub.add_parser("generate")
-    pg.add_argument("--model", required=True)
-    pg.add_argument("--count", type=int, default=10)
-    pe = sub.add_parser("evolve")
-    pe.add_argument("--model", required=True)
-    pk = sub.add_parser("attack")
-    pk.add_argument("--pool", required=True)
+    for name in ("analyze", "generate", "evolve"):
+        sub.add_parser(name).add_argument("--model", required=True)
+    sub.choices["generate"].add_argument("--count", type=int, default=10)
+    sub.add_parser("attack").add_argument("--pool", required=True)
     pr = sub.add_parser("report")
     pr.add_argument("--pool")
     pr.add_argument("--history")
     return p
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "analyze": cmd_analyze,
-    "generate": cmd_generate,
-    "evolve": cmd_evolve,
-    "attack": cmd_attack,
-    "report": cmd_report,
-}
+_COMMANDS = {"train": cmd_train, "analyze": cmd_analyze, "generate": cmd_generate,
+             "evolve": cmd_evolve, "attack": cmd_attack, "report": cmd_report}
 
 
 def main(argv=None):
@@ -460,10 +457,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, ConfigRangeError, json.JSONDecodeError) as exc:
+    except (ConfigRangeError, json.JSONDecodeError) as exc:
         print(f"ERROR code={EXIT_CONFIG} config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, FormatError, CorruptModelError) as exc:
+    except (FileNotFoundError, IsADirectoryError, FormatError, CorruptModelError,
+            UnsupportedVersionError) as exc:
         print(f"ERROR code={EXIT_INPUT} input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GenerationFailedError, TrainingDivergedError) as exc:

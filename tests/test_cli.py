@@ -121,12 +121,125 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
+        error_lines(capsys, cli.EXIT_INPUT)
+        assert cli.main(["--config", str(tmp_path), "train"]) == cli.EXIT_INPUT
+        error_lines(capsys, cli.EXIT_INPUT)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"output": {"directory": "caf\u00e9"}}'.encode("latin-1"))
+        assert cli.main(["--config", str(latin1), "train"]) == cli.EXIT_CONFIG
+        assert "UTF-8" in error_lines(capsys, cli.EXIT_CONFIG)
+
+    def test_unsupported_model_version_is_input_error(self, pipeline, tmp_path, capsys):
+        import hashlib
+        import struct
+        body = bytearray((pipeline["out"] / "base.mgem").read_bytes()[:-32])
+        body[4:8] = struct.pack("<I", 2)
+        model = tmp_path / "v2.mgem"
+        model.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "generate", "--model", str(model)]) == cli.EXIT_INPUT
+        assert "version 2" in error_lines(capsys, cli.EXIT_INPUT)
+
+    def test_stamp_echoes_config_as_written(self, tmp_path):
+        cfg = desk_config(tmp_path / "o", dataset={"n": "600"}, train={"epochs": 2})
+        del cfg["attack"], cfg["fitness"]["extra"]
+        assert cli.main(["--config", write_config(tmp_path, cfg), "train"]) == 0
+        assert read_manifest(tmp_path / "o" / "stamp.json")["config"] == cfg
 
     def test_missing_model_file(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, desk_config(tmp_path / "o"))
         code = cli.main(["--config", cfg_path, "generate",
                         "--model", str(tmp_path / "absent.mgem")])
         assert code == cli.EXIT_INPUT
+
+
+# the command that reads each section, after --config
+_READER = {"dataset": ["train"], "network": ["train"], "train": ["train"],
+           "output": ["train"], "generator": ["generate", "--model", "{base}"],
+           "evolution": ["evolve", "--model", "{base}"],
+           "fitness": ["evolve", "--model", "{base}"], "attack": ["attack", "--pool", "{pool}"]}
+_WRONG = {int: ["abc", None, [1], {"a": 1}, 2.7, True], float: ["abc", None, [1], {"a": 1}, "NaN"],
+          bool: ["false", None, [1], {"a": 1}, 2], str: [None, 5, [1], {"a": 1}]}
+_IDX = {"dataset": {"kind": "idx", "images": "i.idx", "labels": "l.idx"}}
+
+
+def _wrong_values(typ, path):
+    """(path, wrong value) for the key at ``path`` of type ``typ`` and, for a
+    list or an object, for what it holds."""
+    if isinstance(typ, type):
+        yield from ((path, bad) for bad in _WRONG[typ])
+    elif isinstance(typ, list):
+        yield from ((path, bad) for bad in ["abc", None, 0.1, {"a": 1}, []])
+        yield from _wrong_values(typ[0], path + [0])
+    elif str in typ:  # dataset.splits
+        yield from ((path, bad) for bad in ["abc", None, [0.5]])
+        yield from _wrong_values(typ[str][0], path + ["train"])
+    else:
+        yield from ((path, bad) for bad in [3, "abc", None, [1]])
+        yield path + ["zz"], 1
+        for key, (row_type, _) in typ.items():
+            yield from _wrong_values(row_type, path + [key])
+
+
+def _config_cases():
+    """Every key of the table with each wrong value that applies, plus the
+    cases a per-key substitution cannot make."""
+    for section, table in cli.SCHEMA.items():
+        for key, (typ, _) in table.items():
+            if key != "layers":
+                yield from (("", None, p, bad) for p, bad in _wrong_values(typ, [section, key]))
+    for key, (typ, _) in cli.IDX_DATASET.items():
+        yield from (("idx:", _IDX, p, bad) for p, bad in _wrong_values(typ, ["dataset", key]))
+    layers = ["network", "layers"]
+    yield from (("", None, layers, bad) for bad in ["abc", None, {"a": 1}, []])
+    yield from (("", None, layers + [1], bad) for bad in ["relu", 5, None, [1]])
+    yield from (("", None, layers + [0, "type"], bad) for bad in ["zz", None, 5, [1]])
+    yield "", None, layers + [1, "zz"], 1
+    for kind, (_, keys) in cli._LAYER_BUILDERS.items():
+        for key in keys:
+            base = {"network": {"layers": [{"type": kind, **dict.fromkeys(keys, 1)}]}}
+            for path, bad in _wrong_values(int, layers + [0, key]):
+                yield f"{kind}:", base, path, bad
+    yield "generate:", None, ["dataset", "splits"], {"train": 0.8, "test": 0.2}  # no val
+    yield "", None, ["dataset", "splits"], {"train": 0.6, "val": 0.4, "test": 0.0}
+    yield "idx:", _IDX, ["dataset", "images"], cli.REQUIRED
+
+
+def _named(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("base, path, bad", [
+        pytest.param(base, path, bad, id=prefix + _named(path)
+                     + ("=<missing>" if bad is cli.REQUIRED else f"={bad!r}"))
+        for prefix, base, path, bad in _config_cases()])
+    def test_wrong_value_rejected(self, pipeline, tmp_path, capsys, base, path, bad):
+        cfg = desk_config(tmp_path / "o")
+        for section, body in (base or {}).items():
+            cfg[section].update(body)
+        no_val = path == ["dataset", "splits"] and isinstance(bad, dict) and "val" not in bad
+        argv = _READER["generator" if no_val else path[0]]
+        *parent, last = path
+        holder = cfg
+        for p in parent:
+            holder = holder[p]
+        if bad is cli.REQUIRED:
+            holder.pop(last, None)
+        else:
+            holder[last] = bad
+        argv = [a.format(base=pipeline["out"] / "base.mgem", pool=pipeline["pool"])
+                for a in argv]
+        assert cli.main(["--config", write_config(tmp_path, cfg)] + argv) == cli.EXIT_CONFIG
+        assert _named(path) in error_lines(capsys, cli.EXIT_CONFIG)
+
+    def test_numbers_written_as_strings_accepted(self):
+        splits = {"train": "0.6", "val": 0.2, "test": "0.2"}
+        ds = cli.build_datasets(desk_config("o", dataset={"n": "600", "noise": "0.12",
+                                                        "splits": splits}))
+        same = cli.build_datasets(desk_config("o"))
+        for name in ("train", "val", "test"):
+            assert np.array_equal(ds[name].features, same[name].features)
 
 
 class TestTrain:
@@ -236,6 +349,15 @@ class TestReport:
         assert "accuracy parity" in printed
         assert (out / "report.txt").exists()
         assert (out / "report_accuracy.csv").exists()
+
+    def test_swapped_member_rejected(self, pipeline, tmp_path, capsys):
+        import shutil
+        pool = tmp_path / "pool"
+        shutil.copytree(pipeline["pool"], pool)
+        shutil.copy(pool / "model_0001.mgem", pool / "model_0000.mgem")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "rep"),
+                         "report", "--pool", str(pool)]) == cli.EXIT_INPUT
+        error_lines(capsys, cli.EXIT_INPUT)
 
     def test_empty_pool_notice(self, pipeline, tmp_path, capsys):
         from mgepool.store import build_manifest, write_manifest
