@@ -10,7 +10,7 @@ such as adversarial robustness.
 
 from .adversarial import AdvExample, TransferReport, fgsm, robust_accuracy, transfer_matrix
 from .evolution import EvolutionConfig, evolve, fuse, mutate, select
-from .fitness import Criterion, FitnessConfig, mean_score
+from .fitness import Criterion, FitnessConfig
 from .generator import (
     Candidate,
     GeneratorConfig,
@@ -25,6 +25,7 @@ from .generator import (
 )
 from .nn import (
     Dataset,
+    EvalSet,
     NetworkSpec,
     ParamSet,
     TrainConfig,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError
-from .nn import EVAL_BATCH, forward, input_gradient
+from .nn import batch_rows, eval_batches, forward, input_gradient
 
 
 @dataclass
@@ -48,20 +48,17 @@ class TransferReport:
 
 
 def fgsm_batch(spec, params, features, labels, eps, targets=None):
-    """Signed-gradient step on a batch; clipped to [0, 1].
+    """Signed-gradient step on a batch (an array or an EvalSet); clipped to
+    [0, 1].
 
     Untargeted: ascend the loss at the true label. Targeted: descend the
     loss at the target label.
     """
     if eps < 0:
         raise ConfigRangeError("eps must be >= 0")
-    x = np.asarray(features, dtype=np.float64)
-    if targets is None:
-        g = input_gradient(spec, params, x, labels)
-        perturbed = x + eps * np.sign(g)
-    else:
-        g = input_gradient(spec, params, x, targets)
-        perturbed = x - eps * np.sign(g)
+    x, _ = batch_rows(spec, features)
+    g = input_gradient(spec, params, features, labels if targets is None else targets)
+    perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
     return np.clip(perturbed, 0.0, 1.0)
 
 
@@ -74,16 +71,18 @@ def fgsm(spec, params, example, label, eps, target=None, source_id="base") -> Ad
 
 
 def robust_accuracy(spec, params, dataset, eps) -> float:
-    """Accuracy on white-box FGSM-perturbed examples at strength eps."""
+    """Accuracy on white-box FGSM-perturbed examples at strength eps.
+
+    ``dataset`` is a Dataset or an EvalSet; on an EvalSet the attack's
+    forward pass takes the first layer's im2col from its cache.
+    """
     if eps < 0:
         raise ConfigRangeError("eps must be >= 0")
     correct = 0
-    for start in range(0, len(dataset), EVAL_BATCH):
-        x = dataset.features[start:start + EVAL_BATCH]
-        y = dataset.labels[start:start + EVAL_BATCH]
-        adv = fgsm_batch(spec, params, x, y, eps)
+    for features, labels in eval_batches(spec, dataset):
+        adv = fgsm_batch(spec, params, features, labels, eps)
         pred = forward(spec, params, adv).argmax(axis=1)
-        correct += int((pred == y).sum())
+        correct += int((pred == labels).sum())
     return correct / len(dataset)
 
 

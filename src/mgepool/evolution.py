@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigRangeError, StructuralError
 from .fitness import FitnessConfig, criterion_score
 from .generator import Candidate, GeneratorConfig, generate_pool, model_masks, resample, score
-from .nn import ParamSet
+from .nn import ParamSet, eval_set
 from .transforms import RngStream
 
 
@@ -70,12 +70,19 @@ def fuse(parents, weights) -> ParamSet:
     return ParamSet(parents[0]._named(sum(wi * p.flat for p, wi in zip(parents, w))))
 
 
-def evaluate_population(members, spec, fit: FitnessConfig):
+def evaluate_population(members, spec, fit: FitnessConfig, valset=None):
     """Attach (f_q, f_d, f) to every member, scored on its float32 copy so
-    the numbers hold for the saved model; deterministic re-evaluation."""
+    the numbers hold for the saved model; deterministic re-evaluation.
+
+    ``valset``, when given, is the set that ``generator.score`` measured
+    every member's ``accuracy`` on. A base criterion of plain accuracy on
+    that same object takes f_q from ``accuracy``: the same function on the
+    same float32 copy and rows, so the same number, without a second pass.
+    """
+    reuse = valset is not None and fit.base.kind == "accuracy" and fit.base.dataset is valset
     for m in members:
         p = m.params.as_float32()
-        m.f_q = criterion_score(spec, p, fit.base)
+        m.f_q = m.accuracy if reuse else criterion_score(spec, p, fit.base)
         m.f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
         m.f = m.f_q + fit.gamma * m.f_d
     return members
@@ -97,9 +104,17 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     to m fused candidates. Every child and fused model must pass
     ``generator.score``; only admitted ones get an id, a fitness and a
     place in fusion and selection, which keeps the n fittest.
+
+    ``valset`` (a Dataset or an EvalSet) is wrapped in one EvalSet for the
+    whole run: generation, every ``score`` and every fitness criterion on
+    the same dataset share its first-layer cache, and an accuracy base
+    criterion on it reuses the accuracy ``score`` measured.
     """
+    valset = eval_set(valset)
+    fit = fit.on(valset)
     pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents)
-    parents, born, history = [], evaluate_population(pool.candidates, spec, fit), []
+    parents, history = [], []
+    born = evaluate_population(pool.candidates, spec, fit, valset)
     next_id = len(born)
     root = RngStream(ecfg.seed)
 
@@ -120,7 +135,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
                 # always been seeded with, so that saved runs reproduce
                 child = mutate(parents[i % len(parents)], gcfg, root.child(gen, i).child(0))
                 children += admit(child.params, child.lineage)
-            fusable = parents + evaluate_population(children, spec, fit)
+            fusable = parents + evaluate_population(children, spec, fit, valset)
             frng = root.child(gen, 1 << 20).generator()
             fused = []
             for _ in range(ecfg.fusions if len(fusable) > 1 else 0):
@@ -130,7 +145,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
                     wa = pa.f / (pa.f + pb.f)
                 fused += admit(fuse([pa.params, pb.params], [wa, 1.0 - wa]),
                                ("fuse", (pa.cand_id, pb.cand_id)))
-            born = children + evaluate_population(fused, spec, fit)
+            born = children + evaluate_population(fused, spec, fit, valset)
         parents = select(parents + born, ecfg.parents)
         history.append(GenerationStats(gen, parents[0].f,
                                        float(np.mean([m.f for m in parents])),

@@ -4,27 +4,28 @@ assigns to every member."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import adversarial
 from .errors import ConfigRangeError
-from .nn import Dataset, evaluate_accuracy
+from .nn import evaluate_accuracy
 
-CRITERION_KINDS = ("accuracy", "robust_accuracy", "transfer_accuracy")
+CRITERION_KINDS = ("accuracy", "robust_accuracy")
 
 
 @dataclass(frozen=True)
 class Criterion:
-    """One scoring rule: plain accuracy, white-box FGSM robust accuracy at a
-    fixed attack strength, or accuracy on an alternate dataset."""
+    """One scoring rule on a dataset (a Dataset or an EvalSet): plain
+    accuracy, or white-box FGSM robust accuracy at a fixed attack strength."""
 
     kind: str
-    dataset: Dataset
+    dataset: object
     attack_eps: float = None
 
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
-            raise ConfigRangeError(f"unknown criterion kind {self.kind!r}")
+            raise ConfigRangeError(f"unknown criterion kind {self.kind!r}; "
+                                   f"known kinds: {', '.join(CRITERION_KINDS)}")
         if self.kind == "robust_accuracy":
             if self.attack_eps is None or self.attack_eps <= 0:
                 raise ConfigRangeError("robust_accuracy requires attack_eps > 0")
@@ -40,16 +41,17 @@ class FitnessConfig:
         if self.gamma < 0:
             raise ConfigRangeError("gamma must be >= 0")
 
+    def on(self, ev):
+        """This config with every criterion on ``ev``'s dataset moved onto the
+        EvalSet ``ev`` itself, so that they share its first-layer cache."""
+        def moved(crit):
+            on_ev = crit is not None and crit.dataset is ev.dataset
+            return replace(crit, dataset=ev) if on_ev else crit
+        return replace(self, base=moved(self.base), extra=moved(self.extra))
+
 
 def criterion_score(spec, params, crit: Criterion) -> float:
     if crit.kind == "robust_accuracy":
         return adversarial.robust_accuracy(spec, params, crit.dataset, crit.attack_eps)
     return evaluate_accuracy(spec, params, crit.dataset)
 
-
-def mean_score(spec, candidates, crit: Criterion) -> float:
-    """Mean criterion score over a candidate set: the quality fitness for
-    the base criterion, the diversity fitness for the extra one."""
-    if not candidates:
-        raise ConfigRangeError("candidate set is empty")
-    return sum(criterion_score(spec, c.params, crit) for c in candidates) / len(candidates)

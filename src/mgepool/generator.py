@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, GenerationFailedError
-from .nn import ParamEntry, ParamSet, evaluate_accuracy, first_layer_cols
+from .nn import ParamEntry, ParamSet, eval_set, evaluate_accuracy
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -136,31 +136,28 @@ def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
             or abs(candidate_accuracy - base_accuracy) < cfg.epsilon)
 
 
-def score(params, spec, valset, base_accuracy, cfg, *, _first_cols=None,
-          **fields) -> Candidate:
+def score(params, spec, valset, base_accuracy, cfg, **fields) -> Candidate:
     """The one admission test for generated, mutated and fused models.
 
     The candidate keeps full-precision parameters, but its accuracy is
     measured on the float32-rounded copy, so the accepted flag holds for
-    the persisted form of the model. ``fields`` fill the other Candidate
-    fields.
+    the persisted form of the model. ``valset`` is a Dataset or an
+    EvalSet. ``fields`` fill the other Candidate fields.
     """
-    acc = evaluate_accuracy(spec, params.as_float32(), valset, _first_cols=_first_cols)
+    acc = evaluate_accuracy(spec, params.as_float32(), valset)
     return Candidate(params=params, accuracy=acc,
                      accepted=accept(acc, base_accuracy, cfg), **fields)
 
 
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
-                   masks=None, z=None, seed=-1, *, _first_cols=None) -> Candidate:
+                   masks=None, z=None, seed=-1) -> Candidate:
     """One full generation attempt: resample every layer, then ``score``.
 
     ``masks`` must be ``model_masks(base, cfg.t)``: the layers are spliced
-    from its coefficients, not from ``base``'s values. ``_first_cols`` is
-    internal to ``generate_pool`` (see ``nn.first_layer_cols``).
+    from its coefficients, not from ``base``'s values.
     """
     if base_accuracy is None:
-        base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset,
-                                          _first_cols=_first_cols)
+        base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
     if rng is None:
         rng = RngStream(cfg.seed).generator()
     if masks is None:
@@ -169,7 +166,7 @@ def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
         raise ConfigRangeError("mask length != coefficient length")
     t0 = time.perf_counter()
     cand = score(resample(base, masks, cfg, rng, z=z), spec, valset, base_accuracy,
-                 cfg, seed=seed, _first_cols=_first_cols)
+                 cfg, seed=seed)
     cand.seconds = time.perf_counter() - t0
     return cand
 
@@ -177,13 +174,14 @@ def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
 def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
     """Collect `count` accepted candidates within cfg.attempts * count tries.
 
-    The first layer's im2col of the validation set is built once and shared
-    by every evaluation of this call, when ``first_layer_cols`` allows it.
+    ``valset`` is a Dataset or an EvalSet. A Dataset is wrapped in an
+    EvalSet for the length of this call, so the first layer's im2col of the
+    validation set is built once and shared by every evaluation.
     """
     if count < 1:
         raise ConfigRangeError("count must be >= 1")
-    first_cols = first_layer_cols(spec, valset.features)
-    base_acc = evaluate_accuracy(spec, base.as_float32(), valset, _first_cols=first_cols)
+    valset = eval_set(valset)
+    base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
     masks = model_masks(base, cfg.t)
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
@@ -195,8 +193,7 @@ def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
     while len(accepted) < count and attempts < budget:
         rng = root.child(attempts).generator()
         cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=rng, masks=masks, z=z, seed=attempts,
-                              _first_cols=first_cols)
+                              rng=rng, masks=masks, z=z, seed=attempts)
         attempts += 1
         if cand.accepted:
             cand.cand_id = len(accepted)

@@ -9,7 +9,9 @@ operations (casting, fusion, optimizer steps) act on ``flat`` at once.
 There are two forward paths with bit-identical logits:
 
 - ``loss_and_grads`` (training, FGSM) runs channels-first (NCHW) and keeps
-  the per-layer caches the backward pass needs.
+  the per-layer caches the backward pass needs. For FGSM,
+  ``input_gradient`` runs the same backward with the parameter gradients
+  (dW, db) skipped; the input gradient is computed exactly as in training.
 - ``forward`` and ``evaluate_accuracy`` run an inference-only path that
   keeps no caches. Image batches are turned channels-last (NHWC) once on
   entry and back once at ``Flatten``, so a conv's im2col is a reshape of
@@ -18,12 +20,14 @@ There are two forward paths with bit-identical logits:
   max-pool runs after it (the two commute). Every GEMM sees the same
   operands in the same layout as on the training path.
 
-The first layer's im2col depends only on the data. ``first_layer_cols``
-builds it once for a dataset, and ``evaluate_accuracy`` reuses it for
-every parameter set scored on that dataset. It is built only for a set
-that fits in one evaluation batch (``EVAL_BATCH`` rows), since for LeNet
-it costs ~115 KB per image, and ``generate_pool`` holds it for the length
-of one call.
+The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
+dataset that many parameter sets are scored on and builds that im2col
+(``first_layer_cols``) on first use. Both forward paths take it from there
+when they are handed the EvalSet in place of a feature array, so accuracy
+and FGSM on one set share a single copy. It is built only for a set that
+fits in one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it
+costs ~115 KB per image, and it lives as long as its EvalSet:
+``generate_pool`` and ``evolve`` hold theirs for the length of one call.
 """
 
 from __future__ import annotations
@@ -279,6 +283,10 @@ class Dataset:
 
 def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
     """Deterministic class-balanced toy dataset with features in [0, 1]."""
+    if classes < 1:
+        raise ConfigRangeError("classes must be >= 1")
+    if dim < 1:
+        raise ConfigRangeError("dim must be >= 1")
     if n < classes:
         raise ConfigRangeError("n must be >= classes")
     rng = np.random.default_rng(seed)
@@ -385,29 +393,30 @@ def _pool_backward(dy, cache, k):
     return dx.reshape(shape)
 
 
-def _conv_forward(x, w, b, k):
-    n = x.shape[0]
+def _conv_forward(x, w, b, k, cols=None):
+    """NCHW conv as one GEMM over the batch's im2col. ``cols`` is that
+    im2col when the caller already has it (``first_layer_cols``)."""
+    if cols is None:
+        cols = _im2col_nhwc(x.transpose(0, 2, 3, 1), k)
+    n, h2, w2, _ = cols.shape
     oc = w.shape[0]
-    win = sliding_window_view(x, (k, k), axis=(2, 3))  # (n, ic, h2, w2, k, k)
-    h2, w2 = win.shape[2], win.shape[3]
-    # C order even for k=1, where the reshape would otherwise be a strided
-    # view: the GEMM's rounding depends on its operand layout, and the
-    # inference path builds the same matrix in C order
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n, h2 * w2, -1)
-    wmat = w.reshape(oc, -1)
-    y = cols @ wmat.T + b
+    cols = cols.reshape(n, h2 * w2, -1)
+    y = cols @ w.reshape(oc, -1).T + b
     y = y.transpose(0, 2, 1).reshape(n, oc, h2, w2)
     return y, (x.shape, cols, h2, w2)
 
 
-def _conv_backward(dy, cache, w, k):
+def _conv_backward(dy, cache, w, k, param_grads=True):
+    """(dx, dW, db); dW and db are None unless ``param_grads``."""
     xshape, cols, h2, w2 = cache
     n = dy.shape[0]
     oc = dy.shape[1]
     wmat = w.reshape(oc, -1)
     dy_mat = dy.reshape(n, oc, h2 * w2).transpose(0, 2, 1)  # (n, hw, oc)
-    db = dy_mat.sum(axis=(0, 1))
-    dwmat = np.einsum("npo,npc->oc", dy_mat, cols)
+    dw = db = None
+    if param_grads:
+        db = dy_mat.sum(axis=(0, 1))
+        dw = np.einsum("npo,npc->oc", dy_mat, cols).reshape(w.shape)
     dcols = dy_mat @ wmat  # (n, hw, ic*k*k)
     ic = xshape[1]
     d6 = dcols.reshape(n, h2, w2, ic, k, k).transpose(0, 3, 1, 2, 4, 5)
@@ -415,11 +424,12 @@ def _conv_backward(dy, cache, w, k):
     for i in range(k):
         for j in range(k):
             dx[:, :, i:i + h2, j:j + w2] += d6[:, :, :, :, i, j]
-    return dx, dwmat.reshape(w.shape), db
+    return dx, dw, db
 
 
-def _run_forward(spec, params, x):
-    """NCHW forward that keeps what loss_and_grads needs: (logits, caches)."""
+def _run_forward(spec, params, x, first_cols=None):
+    """NCHW forward that keeps what loss_and_grads needs: (logits, caches).
+    ``first_cols`` is the batch's ``first_layer_cols``, or None."""
     caches = []
     pidx = 0
     out = x
@@ -433,7 +443,7 @@ def _run_forward(spec, params, x):
         elif isinstance(layer, Conv):
             w = params.entries[pidx].reshaped()
             b = params.entries[pidx + 1].values
-            out, cache = _conv_forward(out, w, b, layer.k)
+            out, cache = _conv_forward(out, w, b, layer.k, first_cols if i == 0 else None)
             caches.append(cache)
             pidx += 2
         elif isinstance(layer, MaxPool):
@@ -509,14 +519,14 @@ def _check_batch(spec, x):
         raise StructuralError(f"batch shape {x.shape[1:]} != input {spec.input_shape}")
 
 
-EVAL_BATCH = 512  # rows per forward call in evaluate_accuracy
+EVAL_BATCH = 512  # rows per forward call in evaluate_accuracy and robust_accuracy
 
 
 def first_layer_cols(spec, features):
     """im2col of a batch for the network's first layer, or None when that
     layer is not a conv or the batch has more than ``EVAL_BATCH`` rows, to
     bound its memory. It depends only on the data, so one copy serves every
-    parameter set evaluated on the same rows (see ``evaluate_accuracy``)."""
+    parameter set evaluated on the same rows (see ``EvalSet``)."""
     layer = spec.layers[0]
     if not isinstance(layer, Conv) or len(features) > EVAL_BATCH:
         return None
@@ -525,16 +535,63 @@ def first_layer_cols(spec, features):
     return _im2col_nhwc(x.transpose(0, 2, 3, 1), layer.k)
 
 
-def forward(spec, params, features, *, _first_cols=None):
-    """Logits for a batch of examples, one row per example.
+class EvalSet:
+    """A dataset that many parameter sets are scored on, plus its
+    ``first_layer_cols``, built on first use and kept while the EvalSet lives.
 
-    ``_first_cols`` is internal to ``evaluate_accuracy``: this batch's rows
-    of a ``first_layer_cols`` result.
+    ``evaluate_accuracy``, ``robust_accuracy``, ``generate_pool``,
+    ``generator.score`` and ``evolve`` take an EvalSet wherever they take a
+    dataset. ``forward``, ``loss_and_grads`` and ``input_gradient`` take one
+    in place of a feature array: the batch is then all of its rows, and the
+    first layer's im2col comes from the cache.
     """
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+        self._spec = self._cols = None
+
+    def __len__(self):
+        return len(self.dataset)
+
+    def first_cols(self, spec):
+        """``first_layer_cols(spec, features)``, built once per spec."""
+        if spec != self._spec:
+            self._spec, self._cols = spec, first_layer_cols(spec, self.dataset.features)
+        return self._cols
+
+
+def eval_set(data):
+    """``data`` if it is an EvalSet, else a new EvalSet over the Dataset ``data``."""
+    return data if isinstance(data, EvalSet) else EvalSet(data)
+
+
+def eval_batches(spec, data):
+    """(features, labels) pairs of at most ``EVAL_BATCH`` rows of a Dataset
+    or an EvalSet. An EvalSet with a cache is a single batch whose features
+    are the EvalSet itself, so the forward passes find the cache; a bare
+    Dataset builds and drops its im2col batch by batch."""
+    if isinstance(data, EvalSet) and data.first_cols(spec) is not None:
+        return [(data, data.dataset.labels)]
+    ds = data.dataset if isinstance(data, EvalSet) else data
+    return [(ds.features[s:s + EVAL_BATCH], ds.labels[s:s + EVAL_BATCH])
+            for s in range(0, len(ds), EVAL_BATCH)]
+
+
+def batch_rows(spec, features):
+    """(float64 rows, first-layer im2col or None) of a batch given as an
+    array or as an EvalSet."""
+    if isinstance(features, EvalSet):
+        return np.asarray(features.dataset.features, dtype=np.float64), features.first_cols(spec)
+    return np.asarray(features, dtype=np.float64), None
+
+
+def forward(spec, params, features):
+    """Logits for a batch of examples (an array or an EvalSet), one row per
+    example."""
     _check_compatible(spec, params)
-    x = np.asarray(features, dtype=np.float64)
+    x, cols = batch_rows(spec, features)
     _check_batch(spec, x)
-    return _infer(spec, params, x, _first_cols)
+    return _infer(spec, params, x, cols)
 
 
 def softmax(logits):
@@ -549,17 +606,23 @@ def cross_entropy(logits, labels):
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
-def loss_and_grads(spec, params, features, labels):
-    """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient."""
-    x = np.asarray(features, dtype=np.float64)
+def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
+    """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
+
+    ``features`` is a batch array or an EvalSet. ``_param_grads=False`` is
+    internal to ``input_gradient``: the backward then skips every dW and db
+    and returns None for the parameter gradients; the input gradient is
+    computed exactly as otherwise.
+    """
+    x, cols = batch_rows(spec, features)
     y = np.asarray(labels)
-    logits, caches = _run_forward(spec, params, x)
+    logits, caches = _run_forward(spec, params, x, cols)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(n), y] -= 1.0
     d = probs / n
-    grads = [None] * len(params.entries)
+    grads = [None] * len(params.entries) if _param_grads else None
     pidx = sum(2 for l in spec.layers if isinstance(l, (Dense, Conv)))
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
@@ -567,16 +630,17 @@ def loss_and_grads(spec, params, features, labels):
         if isinstance(layer, Dense):
             pidx -= 2
             w = params.entries[pidx].reshaped()
-            grads[pidx] = (cache.T @ d).ravel()
-            grads[pidx + 1] = d.sum(axis=0)
+            if _param_grads:
+                grads[pidx] = (cache.T @ d).ravel()
+                grads[pidx + 1] = d.sum(axis=0)
             d = d @ w.T
         elif isinstance(layer, Conv):
             pidx -= 2
             w = params.entries[pidx].reshaped()
-            d, dw, db = _conv_backward(d, cache, w, layer.k)
-            grads[pidx] = dw.ravel()
-            grads[pidx + 1] = db
-            # d already propagated by _conv_backward
+            d, dw, db = _conv_backward(d, cache, w, layer.k, _param_grads)
+            if _param_grads:
+                grads[pidx] = dw.ravel()
+                grads[pidx + 1] = db
         elif isinstance(layer, MaxPool):
             d = _pool_backward(d, cache, layer.k)
         elif isinstance(layer, Activation):
@@ -590,14 +654,14 @@ def loss_and_grads(spec, params, features, labels):
 
 
 def input_gradient(spec, params, features, labels):
-    """Gradient of the cross-entropy loss w.r.t. the input features."""
+    """Gradient of the cross-entropy loss w.r.t. the input features: one
+    example, a batch array or an EvalSet. No parameter gradient is formed."""
     _check_compatible(spec, params)
-    x = np.asarray(features, dtype=np.float64)
+    x, _ = batch_rows(spec, features)
     single = x.shape == tuple(spec.input_shape)
     if single:
-        x = x[None]
-        labels = np.asarray([labels])
-    _, _, dx = loss_and_grads(spec, params, x, labels)
+        features, labels = x[None], np.asarray([labels])
+    _, _, dx = loss_and_grads(spec, params, features, labels, _param_grads=False)
     return dx[0] if single else dx
 
 
@@ -618,6 +682,8 @@ class TrainConfig:
             raise ConfigRangeError("learning rate must be >= 0")
         if self.epochs < 1:
             raise ConfigRangeError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigRangeError("batch size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigRangeError(f"unknown optimizer {self.optimizer!r}")
 
@@ -654,17 +720,15 @@ def train(spec, dataset, cfg: TrainConfig):
     return params, time.perf_counter() - t0
 
 
-def evaluate_accuracy(spec, params, dataset, batch=EVAL_BATCH, *, _first_cols=None):
+def evaluate_accuracy(spec, params, dataset):
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
-    ``_first_cols`` is internal: ``first_layer_cols(spec, dataset.features)``,
-    built once by a caller that scores many parameter sets on one dataset.
+    ``dataset`` is a Dataset or an EvalSet; a caller that scores many
+    parameter sets on one dataset passes an EvalSet, so that the first
+    layer's im2col is built once for all of them.
     """
     correct = 0
-    for start in range(0, len(dataset), batch):
-        stop = start + batch
-        cols = None if _first_cols is None else _first_cols[start:stop]
-        logits = forward(spec, params, dataset.features[start:stop], _first_cols=cols)
-        pred = logits.argmax(axis=1)  # argmax already breaks ties low
-        correct += int((pred == dataset.labels[start:stop]).sum())
+    for features, labels in eval_batches(spec, dataset):
+        pred = forward(spec, params, features).argmax(axis=1)  # argmax breaks ties low
+        correct += int((pred == labels).sum())
     return correct / len(dataset)

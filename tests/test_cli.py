@@ -119,6 +119,19 @@ class TestConfigValidation:
                          "--model", str(model)]) == cli.EXIT_INPUT
         assert "UTF-8" in error_lines(capsys, cli.EXIT_INPUT)
 
+    @pytest.mark.parametrize("section, body, command, named", [
+        ("train", {"batch_size": 0}, "train", "batch size"),
+        ("dataset", {"dim": 0}, "train", "dim"),
+        ("dataset", {"classes": 0}, "train", "classes"),
+        ("fitness", {"base": {"kind": "transfer_accuracy"}}, "evolve", "accuracy, robust_accuracy"),
+    ], ids=["train.batch_size", "dataset.dim", "dataset.classes", "fitness.base.kind"])
+    def test_out_of_range_value_is_one_config_error(self, pipeline, tmp_path, capsys,
+                                                    section, body, command, named):
+        path = write_config(tmp_path, desk_config(tmp_path / "o", **{section: body}))
+        model = ["--model", str(pipeline["out"] / "base.mgem")] if command == "evolve" else []
+        assert cli.main(["--config", path, command] + model) == cli.EXIT_CONFIG
+        assert named in error_lines(capsys, cli.EXIT_CONFIG)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
         error_lines(capsys, cli.EXIT_INPUT)

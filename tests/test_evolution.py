@@ -255,6 +255,47 @@ class TestEvolve:
         f_d = criterion_score(desk.spec, loaded, fit.extra)
         assert (best.f_q, best.f_d, best.f) == (f_q, f_d, f_q + fit.gamma * f_d)
 
+    def test_accuracy_is_scored_once_per_admitted_model(self, desk, monkeypatch):
+        """An accuracy criterion on the validation set itself reuses the
+        accuracy ``score`` measured; on an equal copy of that set it is
+        measured again. Every output is the same, bit for bit."""
+        from mgepool import evolution, fitness, generator
+        from mgepool.nn import Dataset
+        val = desk.splits["val"]
+        copy = Dataset(val.features, val.labels, val.classes, val.split)
+        evaluations, admitted = [], []
+
+        def spy(fn, record):
+            def wrapper(*args):
+                record(args)
+                return fn(*args)
+            return wrapper
+
+        for module in (generator, fitness):
+            monkeypatch.setattr(module, "evaluate_accuracy",
+                                spy(module.evaluate_accuracy, evaluations.append))
+        monkeypatch.setattr(evolution, "evaluate_population",
+                            spy(evolution.evaluate_population, lambda a: admitted.extend(a[0])))
+        ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
+        runs = []
+        for data in (val, copy):
+            evaluations.clear()
+            admitted.clear()
+            fit = FitnessConfig(Criterion("accuracy", data),
+                                Criterion("robust_accuracy", data, attack_eps=0.1))
+            best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
+                                   fit, val)
+            runs.append((best, [h.to_record() for h in history],
+                         len(evaluations), len(admitted)))
+        (best, history, calls, n), (best2, history2, calls2, n2) = runs
+        assert history == history2
+        assert (best.cand_id, best.accuracy, best.f_q, best.f_d, best.f) == \
+            (best2.cand_id, best2.accuracy, best2.f_q, best2.f_d, best2.f)
+        f32 = [b.params.flat.astype("<f4").tobytes() for b in (best, best2)]
+        assert f32[0] == f32[1]
+        assert n == n2 > ecfg.parents
+        assert calls2 - calls == n
+
     def test_fitness_proportional_fusion(self, desk, monkeypatch):
         fit = fitness_config(desk)
         ecfg = EvolutionConfig(generations=3, parents=4, mutations=4, fusions=6,

@@ -1,6 +1,6 @@
 import pytest
 
-from mgepool import Criterion, FitnessConfig, mean_score, robust_accuracy
+from mgepool import Criterion, FitnessConfig, robust_accuracy
 from mgepool.errors import ConfigRangeError
 from mgepool.evolution import evaluate_population
 from mgepool.fitness import criterion_score
@@ -17,63 +17,103 @@ class TestCriterion:
     def test_unknown_kind_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
             Criterion("bleu", desk.splits["val"])
+        # the old alias of "accuracy" is gone; the message names the kinds
+        with pytest.raises(ConfigRangeError, match="accuracy, robust_accuracy"):
+            Criterion("transfer_accuracy", desk.splits["test"])
 
     def test_scores_in_unit_interval(self, desk):
         crits = [
             Criterion("accuracy", desk.splits["val"]),
             Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1),
-            Criterion("transfer_accuracy", desk.splits["test"]),
+            Criterion("accuracy", desk.splits["test"]),
         ]
         for crit in crits:
             s = criterion_score(desk.spec, desk.base, crit)
             assert 0.0 <= s <= 1.0
 
 
+def scored(desk, cands, fit):
+    """Fresh members with the accuracy ``generator.score`` gave ``cands``,
+    scored by evaluate_population with that accuracy's validation set."""
+    members = [Candidate(params=c.params, accuracy=c.accuracy, cand_id=c.cand_id)
+               for c in cands]
+    return evaluate_population(members, desk.spec, fit, desk.splits["val"])
+
+
 class TestQualityFitness:
+    """f_q, the base criterion's score, taken from the accuracy ``score``
+    measured when the criterion is accuracy on the same validation set."""
+
     def test_single_candidate(self, desk):
-        cand = Candidate(params=desk.base, accuracy=0.9)
+        cand = desk.pool.candidates[0]
         crit = Criterion("accuracy", desk.splits["val"])
-        assert mean_score(desk.spec, [cand], crit) == \
-            criterion_score(desk.spec, desk.base, crit)
+        [m] = scored(desk, [cand], FitnessConfig(crit))
+        assert m.f_q == criterion_score(desk.spec, cand.params.as_float32(), crit)
 
     def test_mean_of_two(self, desk):
+        """A good model and a constant one each get their own accuracy."""
+        from mgepool.generator import score
         from mgepool.nn import zero_params
         crit = Criterion("accuracy", desk.splits["val"])
-        good = Candidate(params=desk.base)
-        const = Candidate(params=zero_params(desk.spec))  # always predicts class 0
-        s_good = criterion_score(desk.spec, good.params, crit)
-        s_const = criterion_score(desk.spec, const.params, crit)
-        assert mean_score(desk.spec, [good, const], crit) == \
-            pytest.approx((s_good + s_const) / 2, abs=1e-12)
+        good = score(desk.base, desk.spec, desk.splits["val"], desk.base_accuracy, desk.gcfg)
+        const = score(zero_params(desk.spec), desk.spec, desk.splits["val"],
+                      desk.base_accuracy, desk.gcfg)  # always predicts class 0
+        members = scored(desk, [good, const], FitnessConfig(crit))
+        assert [m.f_q for m in members] == [
+            criterion_score(desk.spec, p.as_float32(), crit) for p in (good.params, const.params)]
+        assert members[0].f_q > members[1].f_q
 
     def test_matches_arithmetic_oracle(self, desk):
         crit = Criterion("accuracy", desk.splits["val"])
         cands = desk.pool.candidates
-        scores = [criterion_score(desk.spec, c.params, crit) for c in cands]
-        expected = sum(scores) / len(scores)
-        assert mean_score(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
+        members = scored(desk, cands, FitnessConfig(crit))
+        assert [m.f_q for m in members] == [
+            criterion_score(desk.spec, c.params.as_float32(), crit) for c in cands]
 
     def test_permutation_invariant(self, desk):
-        crit = Criterion("accuracy", desk.splits["val"])
+        fit = FitnessConfig(Criterion("accuracy", desk.splits["val"]))
         cands = desk.pool.candidates
-        a = mean_score(desk.spec, cands, crit)
-        b = mean_score(desk.spec, list(reversed(cands)), crit)
-        assert a == pytest.approx(b, abs=1e-12)
+        a = {m.cand_id: m.f_q for m in scored(desk, cands, fit)}
+        b = {m.cand_id: m.f_q for m in scored(desk, list(reversed(cands)), fit)}
+        assert a == b
+
+    def test_other_dataset_is_scored_again(self, desk, monkeypatch):
+        from mgepool import evolution
+        calls = []
+        original = evolution.criterion_score
+
+        def recording(spec, params, crit):
+            calls.append(crit)
+            return original(spec, params, crit)
+
+        monkeypatch.setattr(evolution, "criterion_score", recording)
+        crit = Criterion("accuracy", desk.splits["test"])
+        cands = desk.pool.candidates[:3]
+        members = scored(desk, cands, FitnessConfig(crit))
+        assert len(calls) == 3
+        assert [m.f_q for m in members] == [
+            criterion_score(desk.spec, c.params.as_float32(), crit) for c in cands]
 
 
 class TestDiversityFitness:
+    """f_d, the extra criterion's score: FGSM robust accuracy."""
+
     def test_single_element_robust(self, desk):
-        crit = Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1)
+        fit = FitnessConfig(Criterion("accuracy", desk.splits["val"]),
+                            Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1))
         cand = desk.pool.candidates[0]
-        expected = robust_accuracy(desk.spec, cand.params, desk.splits["val"], 0.1)
-        assert mean_score(desk.spec, [cand], crit) == expected
+        [m] = scored(desk, [cand], fit)
+        assert m.f_d == robust_accuracy(desk.spec, cand.params.as_float32(),
+                                        desk.splits["val"], 0.1)
 
     def test_matches_reevaluation_oracle(self, desk):
-        crit = Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1)
+        fit = FitnessConfig(Criterion("accuracy", desk.splits["val"]),
+                            Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.1))
         cands = desk.pool.candidates[:8]
-        expected = sum(robust_accuracy(desk.spec, c.params, desk.splits["val"], 0.1)
-                       for c in cands) / len(cands)
-        assert mean_score(desk.spec, cands, crit) == pytest.approx(expected, abs=1e-12)
+        members = scored(desk, cands, fit)
+        assert [m.f_d for m in members] == [
+            robust_accuracy(desk.spec, c.params.as_float32(), desk.splits["val"], 0.1)
+            for c in cands]
 
 
 class TestCombinedFitness:

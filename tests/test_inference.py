@@ -1,5 +1,7 @@
 """Property tests: the inference forward (channels-last, no caches, shared
-first-layer im2col) gives logits bit-identical to the training forward."""
+first-layer im2col) gives logits bit-identical to the training forward, and
+FGSM (gradient-only backward, shared first-layer im2col) gives adversarial
+examples bit-identical to the full training backward's."""
 
 import gc
 import weakref
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgepool import generator, nn
+from mgepool import adversarial, evolution, generator, nn
+from mgepool.evolution import EvolutionConfig
+from mgepool.fitness import Criterion, FitnessConfig
 from mgepool.generator import GeneratorConfig
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 
@@ -80,12 +84,51 @@ def test_first_layer_cache_changes_nothing(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
     expected, _ = nn._run_forward(spec, params, x)
-    cols = nn.first_layer_cols(spec, x)
-    assert np.array_equal(nn.forward(spec, params, x, _first_cols=cols), expected)
     # labels are the reference predictions, so any wrong batch row shows as accuracy < 1
     data = Dataset(x, expected.argmax(axis=1), spec.classes)
-    assert nn.evaluate_accuracy(spec, params, data, _first_cols=cols) == 1.0
+    ev = nn.EvalSet(data)
+    assert (ev.first_cols(spec) is None) == (rows > nn.EVAL_BATCH)
+    if rows <= nn.EVAL_BATCH:
+        assert np.array_equal(nn.forward(spec, params, ev), expected)
+    assert nn.evaluate_accuracy(spec, params, ev) == 1.0
     assert nn.evaluate_accuracy(spec, params, data) == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=specs(), rows=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_gradient_only_backward_matches_full_backward(spec, rows, seed):
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
+    _, grads, dx = nn.loss_and_grads(spec, params, x, y)
+    assert len(grads) == len(params.entries)
+    assert np.array_equal(nn.input_gradient(spec, params, x, y), dx)
+    ev = nn.EvalSet(Dataset(x, y, spec.classes))
+    assert np.array_equal(nn.input_gradient(spec, params, ev, y), dx)
+    one = nn.loss_and_grads(spec, params, x[:1], y[:1])[2][0]
+    assert np.array_equal(nn.input_gradient(spec, params, x[0], y[0]), one)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=specs(conv_first=True), rows=st.sampled_from([1, 37, 512, 513]),
+       seed=st.integers(0, 2**16), eps=st.sampled_from([0.01, 0.1, 0.3]))
+def test_fgsm_with_the_cache_matches_fgsm_without(spec, rows, seed, eps):
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    # labels are the clean predictions, so every example the attack flips counts
+    y = nn.forward(spec, params, x).argmax(axis=1)
+    ev = nn.EvalSet(Dataset(x, y, spec.classes))
+    # without the cache: the full training backward on plain array batches
+    correct, advs = 0, []
+    for s in range(0, rows, nn.EVAL_BATCH):
+        xb, yb = x[s:s + nn.EVAL_BATCH], y[s:s + nn.EVAL_BATCH]
+        advs.append(np.clip(xb + eps * np.sign(nn.loss_and_grads(spec, params, xb, yb)[2]),
+                            0.0, 1.0))
+        correct += int((nn.forward(spec, params, advs[-1]).argmax(axis=1) == yb).sum())
+    assert adversarial.robust_accuracy(spec, params, ev, eps) == correct / rows
+    if rows <= nn.EVAL_BATCH:
+        assert ev.first_cols(spec) is not None
+        assert np.array_equal(adversarial.fgsm_batch(spec, params, ev, y, eps), advs[0])
 
 
 def test_first_layer_cols_only_for_a_leading_conv():
@@ -93,23 +136,50 @@ def test_first_layer_cols_only_for_a_leading_conv():
     assert nn.first_layer_cols(spec, np.zeros((5, 3))) is None
 
 
-@pytest.mark.parametrize("rows, built", [(512, True), (513, False)])
-def test_generate_pool_cache_is_bounded_and_freed(rows, built, monkeypatch):
-    spec = NetworkSpec((Conv(1, 2, 3), Activation("relu"), MaxPool(2), Flatten(), Dense(8, 2)),
+def small_conv():
+    return NetworkSpec((Conv(1, 2, 3), Activation("relu"), MaxPool(2), Flatten(), Dense(8, 2)),
                        (1, 6, 6), 2)
-    params = random_params(spec, 0)
-    data = Dataset(random_features(spec, rows, 1), np.arange(rows) % 2, 2)
+
+
+def record_first_layer_cols(monkeypatch):
+    """Wrap nn.first_layer_cols; returns weak references to every im2col it builds."""
     refs = []
+    original = nn.first_layer_cols
 
     def recording(spec, features):
-        cols = nn.first_layer_cols(spec, features)
+        cols = original(spec, features)
         if cols is not None:
             refs.append(weakref.ref(cols))
         return cols
 
-    monkeypatch.setattr(generator, "first_layer_cols", recording)
+    monkeypatch.setattr(nn, "first_layer_cols", recording)
+    return refs
+
+
+@pytest.mark.parametrize("rows, built", [(512, True), (513, False)])
+def test_generate_pool_cache_is_bounded_and_freed(rows, built, monkeypatch):
+    spec = small_conv()
+    params = random_params(spec, 0)
+    data = Dataset(random_features(spec, rows, 1), np.arange(rows) % 2, 2)
+    refs = record_first_layer_cols(monkeypatch)
     pool = generator.generate_pool(params, spec, GeneratorConfig(t=1.0, attempts=1), data, 2)
     assert len(pool.candidates) == 2
     assert len(refs) == int(built)
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+def test_evolve_builds_one_first_layer_cache_and_frees_it(monkeypatch):
+    spec = small_conv()
+    params = random_params(spec, 0)
+    data = Dataset(random_features(spec, 40, 1), np.arange(40) % 2, 2)
+    refs = record_first_layer_cols(monkeypatch)
+    fit = FitnessConfig(Criterion("accuracy", data),
+                        Criterion("robust_accuracy", data, attack_eps=0.1))
+    ecfg = EvolutionConfig(generations=2, parents=2, mutations=2, fusions=2)
+    best, history = evolution.evolve(params, spec, GeneratorConfig(t=1.0, attempts=1), ecfg,
+                                     fit, data)
+    assert len(history) == 3 and best.f_d is not None
+    assert len(refs) == 1
+    gc.collect()
+    assert refs[0]() is None

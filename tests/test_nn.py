@@ -286,6 +286,10 @@ class TestSynthetic:
             nn.make_synthetic("blobs", 2, 3, seed=0)
         with pytest.raises(ConfigRangeError):
             nn.make_synthetic("moons", 10, 3, seed=0)
+        with pytest.raises(ConfigRangeError, match="dim"):
+            nn.make_synthetic("blobs", 10, 2, seed=0, dim=0)
+        with pytest.raises(ConfigRangeError, match="classes"):
+            nn.make_synthetic("blobs", 10, 0, seed=0)
 
 
 class TestIdx:
@@ -343,6 +347,8 @@ class TestValidation:
             nn.TrainConfig(epochs=0)
         with pytest.raises(ConfigRangeError):
             nn.TrainConfig(optimizer="rmsprop")
+        with pytest.raises(ConfigRangeError, match="batch size"):
+            nn.TrainConfig(batch_size=0)
 
 
 class TestFlatBuffer:
