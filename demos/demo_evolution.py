@@ -1,7 +1,7 @@
 """Evolve a generated pool toward a second objective.
 
 Seeds a population from the generator, then runs the evolutionary loop
-(mutation = resampling the unimportant spectrum, fusion = weighted
+(mutation = a fresh draw from the base's spectrum, fusion = weighted
 parameter averaging, elitist selection) with a combined fitness that
 rewards both clean accuracy and robustness to FGSM perturbations.
 

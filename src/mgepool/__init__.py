@@ -14,6 +14,7 @@ from .fitness import Criterion, FitnessConfig
 from .generator import (
     Candidate,
     GeneratorConfig,
+    Spectrum,
     accept,
     band_sensitivity,
     generate_layer,

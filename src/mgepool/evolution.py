@@ -1,6 +1,7 @@
-"""Evolutionary enhancement loop: mutate parents by resampling their
-unimportant spectrum, fuse candidates by weighted parameter averaging,
-score with the combined fitness, keep the fittest.
+"""Evolutionary enhancement loop: mutation samples the base model's
+``Spectrum``, fusion averages parameters, ``generator.score`` admits, and
+the combined fitness selects. Every admitted model carries the base's kept
+DCT coefficients (the DCT is linear, so fusion keeps them).
 
 Selection is elitist (parents compete with their offspring), which makes
 the per-generation max fitness exactly non-decreasing.
@@ -8,13 +9,13 @@ the per-generation max fitness exactly non-decreasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigRangeError, StructuralError
 from .fitness import FitnessConfig, criterion_score
-from .generator import Candidate, GeneratorConfig, generate_pool, model_masks, resample, score
+from .generator import Candidate, GeneratorConfig, Spectrum, generate_pool, score
 from .nn import ParamSet, eval_set
 from .transforms import RngStream
 
@@ -45,16 +46,15 @@ class GenerationStats:
     best_id: int
 
     def to_record(self):
-        return {"generation": self.generation, "max_f": self.max_f,
-                "mean_f": self.mean_f, "best_id": self.best_id}
+        return asdict(self)
 
 
-def mutate(parent: Candidate, gcfg: GeneratorConfig, stream: RngStream) -> Candidate:
-    """One child that shares the parent's retained coefficients; the
-    unimportant ones are freshly resampled from ``stream``."""
-    masks = model_masks(parent.params, gcfg.t)
-    params = resample(parent.params, masks, gcfg, stream.generator())
-    return Candidate(params=params, lineage=("mutate", (parent.cand_id,)))
+def mutate(parent: Candidate, spectrum: Spectrum, gcfg: GeneratorConfig,
+           stream: RngStream) -> Candidate:
+    """A child sampled from the base's ``spectrum`` with ``stream``; the
+    parent, which already carries the kept coefficients, gives its lineage."""
+    return Candidate(params=spectrum.sample(gcfg, stream.generator()),
+                     lineage=("mutate", (parent.cand_id,)))
 
 
 def fuse(parents, weights) -> ParamSet:
@@ -64,8 +64,7 @@ def fuse(parents, weights) -> ParamSet:
     w = np.asarray(weights, dtype=np.float64)
     if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
         raise ConfigRangeError("weights must be non-negative and sum to 1")
-    layouts = [[(e.name, tuple(e.shape)) for e in p.entries] for p in parents]
-    if any(l != layouts[0] for l in layouts[1:]):
+    if any(p.layout != parents[0].layout for p in parents[1:]):
         raise StructuralError("parents have mismatched architectures")
     return ParamSet(parents[0]._named(sum(wi * p.flat for p, wi in zip(parents, w))))
 
@@ -100,10 +99,11 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     """Full E-MGE loop; returns (best candidate, per-generation history).
 
     The seed population comes from the standard generation loop; each
-    generation adds j mutation children (round-robin over parents) and up
-    to m fused candidates. Every child and fused model must pass
-    ``generator.score``; only admitted ones get an id, a fitness and a
-    place in fusion and selection, which keeps the n fittest.
+    generation adds j mutation children (round-robin over parents, sampled
+    from the run's one Spectrum of the base) and up to m fused candidates.
+    Every child and fused model must pass ``generator.score``; only admitted
+    ones get an id, a fitness and a place in fusion and selection, which
+    keeps the n fittest (all of a smaller population).
 
     ``valset`` (a Dataset or an EvalSet) is wrapped in one EvalSet for the
     whole run: generation, every ``score`` and every fitness criterion on
@@ -113,6 +113,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     valset = eval_set(valset)
     fit = fit.on(valset)
     pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents)
+    spectrum = Spectrum(base, gcfg.t)
     parents, history = [], []
     born = evaluate_population(pool.candidates, spec, fit, valset)
     next_id = len(born)
@@ -131,9 +132,10 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
         if gen:
             children = []
             for i in range(ecfg.mutations):
-                # (gen, i) then child 0: the stream layout that evolve runs have
-                # always been seeded with, so that saved runs reproduce
-                child = mutate(parents[i % len(parents)], gcfg, root.child(gen, i).child(0))
+                # (gen, i) then child 0: a stream of the child's own, apart from
+                # generation gen's fusion stream (gen, 1 << 20)
+                child = mutate(parents[i % len(parents)], spectrum, gcfg,
+                               root.child(gen, i).child(0))
                 children += admit(child.params, child.lineage)
             fusable = parents + evaluate_population(children, spec, fit, valset)
             frng = root.child(gen, 1 << 20).generator()
@@ -146,7 +148,8 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
                 fused += admit(fuse([pa.params, pb.params], [wa, 1.0 - wa]),
                                ("fuse", (pa.cand_id, pb.cand_id)))
             born = children + evaluate_population(fused, spec, fit, valset)
-        parents = select(parents + born, ecfg.parents)
+        members = parents + born
+        parents = select(members, min(ecfg.parents, len(members)))
         history.append(GenerationStats(gen, parents[0].f,
                                        float(np.mean([m.f for m in parents])),
                                        parents[0].cand_id))

@@ -1,9 +1,10 @@
-"""Core MGE procedure: spectrum masks, latent resampling, and the
-sample-evaluate-accept loop that builds pools of generated models.
+"""Core MGE procedure: the base model's spectrum, latent resampling, and
+the sample-evaluate-accept loop that builds pools of generated models.
 
-Per layer, the DCT coefficients carrying at least a fraction t of the
-spectral energy are kept from the base model; the rest are replaced by
-bounded pseudo-normal draws and the merged spectrum is inverse-transformed.
+A ``Spectrum`` holds, per layer of the base, the DCT coefficients and the
+mask of those carrying at least a fraction t of the energy. Its ``sample``
+keeps them and replaces the rest by bounded pseudo-normal draws; both
+generation and evolution's mutation draw from it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class MaskRow:
 
     keep: np.ndarray          # bool, True = retained
     energy_fraction: float    # energy actually carried by the retained set
-    threshold: float
     coeffs: np.ndarray        # the coefficients the mask was computed from
 
 
@@ -94,22 +94,15 @@ def importance_mask(coeffs, t) -> MaskRow:
     total = energy.sum()
     keep = np.zeros(c.size, dtype=bool)
     if t == 0.0 and total > 0.0:
-        return MaskRow(keep, 0.0, t, c)
+        return MaskRow(keep, 0.0, c)
     if t >= 1.0 or total == 0.0:
         keep[:] = True
-        return MaskRow(keep, 1.0, t, c)
+        return MaskRow(keep, 1.0, c)
     order = np.argsort(-energy, kind="stable")
     frac = np.cumsum(energy[order]) / total
-    count = int(np.searchsorted(frac, t, side="left")) + 1
-    count = min(count, c.size)
+    count = min(int(np.searchsorted(frac, t, side="left")) + 1, c.size)
     keep[order[:count]] = True
-    return MaskRow(keep, float(frac[count - 1]), t, c)
-
-
-def model_masks(base: ParamSet, t: float) -> dict:
-    """Per-layer retention masks computed on the base model's spectra; each
-    row also holds that spectrum, so it is transformed once per base."""
-    return {e.name: importance_mask(dct2(e.values), t) for e in base.entries}
+    return MaskRow(keep, float(frac[count - 1]), c)
 
 
 def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarray:
@@ -123,11 +116,20 @@ def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarr
     return idct2(merged)
 
 
-def resample(params: ParamSet, masks, cfg, rng, z=None) -> ParamSet:
-    """A new ParamSet: every layer of ``params`` regenerated from its row of
-    ``masks`` (``model_masks(params, cfg.t)``), drawing from ``rng`` in order."""
-    return ParamSet([ParamEntry(e.name, e.shape, generate_layer(masks[e.name], cfg, rng, z=z))
-                     for e in params.entries])
+class Spectrum:
+    """The base model's spectrum at energy threshold ``t``, computed once:
+    ``rows`` holds each entry's MaskRow (DCT coefficients and keep-mask),
+    ``layout`` the entries' names and shapes."""
+
+    def __init__(self, base: ParamSet, t: float):
+        self.t = t
+        self.layout = base.layout
+        self.rows = [importance_mask(dct2(e.values), t) for e in base.entries]
+
+    def sample(self, cfg: GeneratorConfig, rng, z=None) -> ParamSet:
+        """A new ParamSet, each layer drawn from its row with ``rng`` in order."""
+        return ParamSet([ParamEntry(name, shape, generate_layer(row, cfg, rng, z=z))
+                         for (name, shape), row in zip(self.layout, self.rows)])
 
 
 def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
@@ -150,23 +152,19 @@ def score(params, spec, valset, base_accuracy, cfg, **fields) -> Candidate:
 
 
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
-                   masks=None, z=None, seed=-1) -> Candidate:
-    """One full generation attempt: resample every layer, then ``score``.
-
-    ``masks`` must be ``model_masks(base, cfg.t)``: the layers are spliced
-    from its coefficients, not from ``base``'s values.
-    """
+                   spectrum=None, z=None, seed=-1) -> Candidate:
+    """One full generation attempt: sample ``spectrum``, which must be
+    ``Spectrum(base, cfg.t)`` and is built when not given, then ``score``."""
     if base_accuracy is None:
         base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
     if rng is None:
         rng = RngStream(cfg.seed).generator()
-    if masks is None:
-        masks = model_masks(base, cfg.t)
-    elif any(masks[e.name].coeffs.size != e.values.size for e in base.entries):
-        raise ConfigRangeError("mask length != coefficient length")
+    if spectrum is None:
+        spectrum = Spectrum(base, cfg.t)
+    elif spectrum.layout != base.layout or spectrum.t != cfg.t:
+        raise ConfigRangeError("spectrum was not built from this base at this t")
     t0 = time.perf_counter()
-    cand = score(resample(base, masks, cfg, rng, z=z), spec, valset, base_accuracy,
-                 cfg, seed=seed)
+    cand = score(spectrum.sample(cfg, rng, z=z), spec, valset, base_accuracy, cfg, seed=seed)
     cand.seconds = time.perf_counter() - t0
     return cand
 
@@ -182,18 +180,15 @@ def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
         raise ConfigRangeError("count must be >= 1")
     valset = eval_set(valset)
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
-    masks = model_masks(base, cfg.t)
+    spectrum = Spectrum(base, cfg.t)
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
-    accepted = []
-    attempts = 0
-    consecutive = 0
-    z = cfg.z
+    accepted, attempts, consecutive, z = [], 0, 0, cfg.z
     t0 = time.perf_counter()
     while len(accepted) < count and attempts < budget:
         rng = root.child(attempts).generator()
         cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=rng, masks=masks, z=z, seed=attempts)
+                              rng=rng, spectrum=spectrum, z=z, seed=attempts)
         attempts += 1
         if cand.accepted:
             cand.cand_id = len(accepted)

@@ -200,6 +200,11 @@ class ParamSet:
         return [ParamEntry(e.name, e.shape, v)
                 for e, v in zip(self.entries, np.split(flat, ends))]
 
+    @property
+    def layout(self):
+        """The entries' names and shapes, in order."""
+        return [(e.name, tuple(e.shape)) for e in self.entries]
+
     def get(self, name):
         for e in self.entries:
             if e.name == name:

@@ -327,6 +327,16 @@ class TestEvolve:
         assert (out / "best.mgem").exists()
         assert (out / "history.csv").exists()
 
+    def test_seed_pool_smaller_than_parents(self, pipeline, tmp_path, capsys):
+        # one attempt per wanted model and a tight tolerance: 5 of 6 accepted
+        cfg = desk_config(pipeline["out"], generator={"seed": 1, "attempts": 1, "epsilon": 0.01},
+                          evolution={"generations": 1, "parents": 6})
+        out = tmp_path / "evo"
+        assert cli.main(["--config", write_config(tmp_path, cfg), "--out", str(out),
+                         "evolve", "--model", str(pipeline["out"] / "base.mgem")]) == 0
+        assert "ERROR" not in capsys.readouterr().err
+        assert len(read_manifest(out / "evolution.json")["history"]) == 2
+
 
 class TestAttack:
     def test_tables_written(self, pipeline, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgepool import (
     Criterion,
@@ -15,7 +17,8 @@ from mgepool import (
 from mgepool.errors import ConfigRangeError, StructuralError
 from mgepool.evolution import evaluate_population
 from mgepool.fitness import criterion_score
-from mgepool.generator import Candidate, GeneratorConfig, accept, model_masks
+from mgepool.generator import Candidate, GeneratorConfig, Spectrum, accept
+from mgepool.nn import ParamEntry, ParamSet
 from mgepool.transforms import RngStream, dct2
 
 
@@ -25,6 +28,12 @@ def fitness_config(desk, gamma=1.0, eps=0.1):
         extra=Criterion("robust_accuracy", desk.splits["val"], attack_eps=eps),
         gamma=gamma,
     )
+
+
+def assert_carries_base_spectrum(params, spectrum):
+    """The DCT of every entry equals the base's at its kept positions."""
+    for row, e in zip(spectrum.rows, params.entries):
+        assert np.max(np.abs(dct2(e.values) - row.coeffs)[row.keep], initial=0.0) <= 1e-9
 
 
 def record_select(monkeypatch):
@@ -42,32 +51,32 @@ def record_select(monkeypatch):
 
 
 class TestMutate:
+    """Children are drawn from the base's spectrum, whatever the parent."""
+
     def test_small_z_children_shrink_unimportant_spectrum(self, desk):
         parent = desk.pool.candidates[0]
         gcfg = GeneratorConfig(t=0.8, z=0.001)
-        child = mutate(parent, gcfg, RngStream(1))
-        masks = model_masks(parent.params, 0.8)
-        for pe, ce in zip(parent.params.entries, child.params.entries):
-            keep = masks[pe.name].keep
+        spectrum = Spectrum(desk.base, 0.8)
+        child = mutate(parent, spectrum, gcfg, RngStream(1))
+        for row, ce in zip(spectrum.rows, child.params.entries):
             cc = dct2(ce.values)
-            assert np.all(np.abs(cc[~keep]) <= 0.001 + 1e-9)
+            assert np.all(np.abs(cc[~row.keep]) <= 0.001 + 1e-9)
 
-    def test_retained_coefficients_match_parent(self, desk):
+    def test_retained_coefficients_match_base(self, desk):
         parent = desk.pool.candidates[1]
         gcfg = GeneratorConfig(t=0.8)
+        spectrum = Spectrum(desk.base, 0.8)
         stream = RngStream(2)
-        children = [mutate(parent, gcfg, stream.child(i)) for i in range(3)]
-        masks = model_masks(parent.params, 0.8)
-        for child in children:
-            for pe, ce in zip(parent.params.entries, child.params.entries):
-                keep = masks[pe.name].keep
-                pc, cc = dct2(pe.values), dct2(ce.values)
-                assert np.max(np.abs(pc[keep] - cc[keep])) <= 1e-9
+        for i in range(3):
+            assert_carries_base_spectrum(mutate(parent, spectrum, gcfg, stream.child(i)).params,
+                                         spectrum)
 
     def test_children_pairwise_distinct(self, desk):
         parent = desk.pool.candidates[2]
+        spectrum = Spectrum(desk.base, 0.8)
         stream = RngStream(3)
-        children = [mutate(parent, GeneratorConfig(), stream.child(i)) for i in range(10)]
+        children = [mutate(parent, spectrum, GeneratorConfig(), stream.child(i))
+                    for i in range(10)]
         flat = [c.params.flat for c in children]
         for i in range(10):
             for j in range(i + 1, 10):
@@ -102,6 +111,22 @@ class TestFuse:
             hi = np.maximum(ae.values, be.values)
             assert np.all(fe.values >= lo - 1e-12)
             assert np.all(fe.values <= hi + 1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5)), k=st.integers(1, 4),
+           seed=st.integers(0, 2**16), raw=st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    def test_convexity_property(self, shape, k, seed, raw):
+        """Every fused value lies between the smallest and the largest of its
+        parents' values at that position."""
+        rng = np.random.default_rng(seed)
+        parents = [ParamSet([ParamEntry("w", shape, rng.normal(0.0, 10.0, shape[0] * shape[1])),
+                             ParamEntry("b", (shape[1],), rng.normal(0.0, 10.0, shape[1]))])
+                   for _ in range(k)]
+        w = np.asarray(raw[:k], dtype=np.float64) + (sum(raw[:k]) == 0)
+        fused = fuse(parents, w / w.sum())
+        stacked = np.stack([p.flat for p in parents])
+        assert np.all(fused.flat >= stacked.min(axis=0) - 1e-12)
+        assert np.all(fused.flat <= stacked.max(axis=0) + 1e-12)
 
     def test_bad_weights_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
@@ -225,7 +250,6 @@ class TestEvolve:
         assert np.array_equal(best1.params.flat, best2.params.flat)
 
     def test_selected_candidates_pass_accept(self, desk, monkeypatch):
-        # on this run every mutation child fails acceptance
         selected = record_select(monkeypatch)
         gcfg = GeneratorConfig(seed=63)
         ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
@@ -236,13 +260,65 @@ class TestEvolve:
                 assert c.accepted and accept(c.accuracy, desk.base_accuracy, gcfg)
 
     def test_only_child_rejected(self, desk, monkeypatch):
+        from mgepool import evolution
+        original, rejected = evolution.mutate, []
+
+        def unfit(*args):
+            """The child with every parameter zeroed: its constant logits
+            predict one class, and ``score`` rejects it."""
+            child = original(*args)
+            child.params.flat[:] = 0.0
+            rejected.append(child)
+            return child
+
+        monkeypatch.setattr(evolution, "mutate", unfit)
         selected = record_select(monkeypatch)
         ecfg = EvolutionConfig(generations=1, parents=1, mutations=1, fusions=1, seed=12)
         best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
                                fitness_config(desk), desk.splits["val"])
         # one parent and no fusable partner: generation 1 selects from the parent alone
-        assert [len(m) for m in selected] == [1, 1]
+        assert [len(m) for m in selected] == [1, 1] and len(rejected) == 1
         assert best is selected[0][0] and len(history) == 2
+
+    def test_short_seed_pool_evolves_with_every_member(self, desk, monkeypatch):
+        """A seed pool that the attempt budget left smaller than ``parents``
+        is evolved with the members it has instead of raising."""
+        selected = record_select(monkeypatch)
+        gcfg = GeneratorConfig(seed=1, attempts=1, epsilon=0.01)
+        ecfg = EvolutionConfig(generations=1, parents=6, mutations=2, fusions=2, seed=12)
+        _, history = evolve(desk.base, desk.spec, gcfg, ecfg, fitness_config(desk),
+                            desk.splits["val"])
+        assert len(selected[0]) < ecfg.parents and len(history) == 2
+        assert history[1].max_f >= history[0].max_f
+
+    def test_mutation_children_are_admitted_and_selected(self, desk, monkeypatch):
+        selected = record_select(monkeypatch)
+        ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
+        evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg, fitness_config(desk),
+               desk.splits["val"])
+        survivors = [m for members in selected[1:] for m in members]
+        assert any(m.lineage[0] == "mutate" for m in survivors)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(gseed=st.integers(0, 2**16), eseed=st.integers(0, 2**16),
+           parents=st.integers(1, 4), mutations=st.integers(1, 3), fusions=st.integers(1, 3),
+           t=st.sampled_from([0.8, 0.9, 0.95]),
+           weights=st.sampled_from(["uniform", "fitness_proportional"]))
+    def test_every_admitted_model_carries_base_spectrum(self, desk, gseed, eseed, parents,
+                                                         mutations, fusions, t, weights):
+        """Seed members, mutation children and fusions alike keep the base's
+        kept DCT coefficients: every model handed to ``select`` carries them."""
+        gcfg = GeneratorConfig(t=t, seed=gseed)
+        ecfg = EvolutionConfig(generations=2, parents=parents, mutations=mutations,
+                               fusions=fusions, fusion_weights=weights, seed=eseed)
+        fit = FitnessConfig(base=Criterion("accuracy", desk.splits["val"]))
+        with pytest.MonkeyPatch.context() as mp:
+            selected = record_select(mp)
+            evolve(desk.base, desk.spec, gcfg, ecfg, fit, desk.splits["val"])
+        spectrum = Spectrum(desk.base, t)
+        admitted = {m.cand_id: m for members in selected for m in members}
+        for m in admitted.values():
+            assert_carries_base_spectrum(m.params, spectrum)
 
     def test_best_fitness_reproduced_from_saved_model(self, desk, tmp_path):
         fit = fitness_config(desk, gamma=2.0)

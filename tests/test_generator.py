@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgepool import (
     GeneratorConfig,
@@ -20,7 +22,7 @@ from mgepool import (
     zero_fill_decay,
 )
 from mgepool.errors import ConfigRangeError, GenerationFailedError
-from mgepool.generator import model_masks
+from mgepool.generator import Spectrum
 from mgepool.nn import init_params
 from mgepool.transforms import sample_bounded_normal
 from test_transforms import naive_idct2
@@ -58,6 +60,21 @@ class TestImportanceMask:
             # dropping the weakest kept coefficient falls below t
             assert (kept.sum() - kept[-1]) / total < t
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(ints=st.lists(st.integers(-1000, 1000), min_size=1, max_size=40),
+           t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_minimality_property(self, ints, t):
+        """The kept set reaches t, and dropping any one kept coefficient
+        falls below t. Integer coefficients keep every energy sum exact."""
+        c = np.asarray(ints, dtype=np.float64)
+        total = (c * c).sum()
+        assume(total > 0.0)  # with no energy to split, every coefficient is kept
+        row = importance_mask(c, t)
+        kept = (c * c)[row.keep]
+        assert kept.sum() / total >= t and row.energy_fraction >= t
+        for e in kept:
+            assert (kept.sum() - e) / total < t
+
     def test_tie_break_lower_index(self):
         row = importance_mask(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)
         assert row.keep.tolist() == [True, True, False, False]
@@ -77,7 +94,7 @@ class TestAllZeroLayers:
         val = make_synthetic("blobs", 40, 2, seed=1)
         gcfg = GeneratorConfig(seed=2, epsilon=1.0)
         pool = generate_pool(base, spec, gcfg, val, 2)
-        child = mutate(pool.candidates[0], gcfg, RngStream(3))
+        child = mutate(pool.candidates[0], Spectrum(base, gcfg.t), gcfg, RngStream(3))
         for params in [c.params for c in pool.candidates] + [child.params]:
             for e, b in zip(params.entries, base.entries):
                 if e.name.endswith(".bias"):
@@ -145,25 +162,27 @@ class TestGenerateModel:
                     or abs(cand.accuracy - desk.base_accuracy) < desk.gcfg.epsilon)
 
     def test_replaced_coefficients_bounded(self, desk):
-        masks = model_masks(desk.base, desk.gcfg.t)
+        spectrum = Spectrum(desk.base, desk.gcfg.t)
         for cand in desk.pool.candidates[:5]:
-            for e in cand.params.entries:
+            for row, e in zip(spectrum.rows, cand.params.entries):
                 coeffs = dct2(e.values)
-                replaced = coeffs[~masks[e.name].keep]
+                replaced = coeffs[~row.keep]
                 assert np.all(np.abs(replaced) <= desk.gcfg.z + 1e-9)
 
     def test_energy_retention(self, desk):
-        masks = model_masks(desk.base, desk.gcfg.t)
-        for e in desk.base.entries:
+        spectrum = Spectrum(desk.base, desk.gcfg.t)
+        for row, e in zip(spectrum.rows, desk.base.entries):
             c = dct2(e.values)
-            kept = (c * c)[masks[e.name].keep].sum()
+            kept = (c * c)[row.keep].sum()
             assert kept / (c * c).sum() >= desk.gcfg.t - 1e-12
 
     def test_masks_of_another_shape_rejected(self, desk):
-        masks = model_masks(desk.base, desk.gcfg.t)
-        masks[desk.base.entries[0].name] = importance_mask(np.ones(3), 1.0)
-        with pytest.raises(ConfigRangeError):
-            generate_model(desk.base, desk.spec, desk.gcfg, desk.splits["val"], masks=masks)
+        # a spectrum of another layout, and one of this base at another t
+        other = init_params(mlp([2, 8, 3]), np.random.default_rng(0))
+        for spectrum in (Spectrum(other, desk.gcfg.t), Spectrum(desk.base, 0.5)):
+            with pytest.raises(ConfigRangeError):
+                generate_model(desk.base, desk.spec, desk.gcfg, desk.splits["val"],
+                               spectrum=spectrum)
 
 
 class TestGeneratePool:

@@ -353,7 +353,7 @@ class TestValidation:
 
 class TestFlatBuffer:
     def test_every_constructor_gives_views_of_flat(self, desk, tmp_path):
-        from mgepool import fuse, generate_model, load_model, mutate, save_model
+        from mgepool import Spectrum, fuse, generate_model, load_model, mutate, save_model
         from mgepool.transforms import RngStream
 
         save_model(desk.base, tmp_path / "m.mgem")
@@ -365,7 +365,8 @@ class TestFlatBuffer:
             "load_model": load_model(tmp_path / "m.mgem"),
             "generate_model": generate_model(desk.base, desk.spec, desk.gcfg,
                                              desk.splits["val"]).params,
-            "mutate": mutate(desk.pool.candidates[0], desk.gcfg, RngStream(1)).params,
+            "mutate": mutate(desk.pool.candidates[0], Spectrum(desk.base, desk.gcfg.t),
+                             desk.gcfg, RngStream(1)).params,
         }
         for origin, ps in sets.items():
             assert ps.flat.dtype == np.float64, origin
