@@ -96,6 +96,8 @@ def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100,
     """
     if not pool:
         raise ConfigRangeError("pool is empty")
+    if n_examples < 1:
+        raise ConfigRangeError("n_examples must be >= 1")
     n = min(n_examples, len(dataset))
     x = dataset.features[:n]
     y = dataset.labels[:n]

@@ -3,30 +3,30 @@
 Forward/backward passes are plain numpy. A ParamSet keeps all parameters
 in one C-contiguous float64 vector, ``flat``, in ``param_layout`` order,
 and each entry's ``values`` is a 1-D view of its slice. Per-layer code
-(the DCT machinery, the forward passes) reads the entries; whole-model
+(the DCT machinery, the forward pass) reads the entries; whole-model
 operations (casting, fusion, optimizer steps) act on ``flat`` at once.
 
-There are two forward paths with bit-identical logits:
+There is one forward, ``_forward``, and its two modes give bit-identical
+logits. Image batches run channels-last (NHWC): turned once on entry and
+back once at ``Flatten``, so a conv's im2col is a reshape of its sliding
+windows and its GEMM output is already NHWC.
 
-- ``loss_and_grads`` (training, FGSM) runs channels-first (NCHW) and keeps
-  the per-layer caches the backward pass needs. For FGSM,
-  ``input_gradient`` runs the same backward with the parameter gradients
-  (dW, db) skipped; the input gradient is computed exactly as in training.
-- ``forward`` and ``evaluate_accuracy`` run an inference-only path that
-  keeps no caches. Image batches are turned channels-last (NHWC) once on
-  entry and back once at ``Flatten``, so a conv's im2col is a reshape of
-  its sliding windows and its GEMM output is already NHWC. Max-pooling is
-  an elementwise maximum of the k*k strided views, and a ReLU feeding a
-  max-pool runs after it (the two commute). Every GEMM sees the same
-  operands in the same layout as on the training path.
+- ``forward`` and ``evaluate_accuracy`` keep no caches. Max-pooling is an
+  elementwise maximum of the k*k strided views, and a ReLU feeding a
+  max-pool runs after it (the two commute).
+- ``loss_and_grads`` (training, FGSM) hands it a cache list: the layers
+  run in order, max-pooling takes an argmax, and each layer keeps what the
+  channels-first backward reads, as NCHW views. For FGSM,
+  ``input_gradient`` skips the parameter gradients (dW, db); the input
+  gradient is computed exactly as in training.
 
 The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
 dataset that many parameter sets are scored on and builds that im2col
-(``first_layer_cols``) on first use. Both forward paths take it from there
-when they are handed the EvalSet in place of a feature array, so accuracy
-and FGSM on one set share a single copy. It is built only for a set that
-fits in one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it
-costs ~115 KB per image, and it lives as long as its EvalSet:
+(``first_layer_cols``) on first use. The forward takes it from there when
+it is handed the EvalSet in place of a feature array, so accuracy and FGSM
+on one set share a single copy. It is built only for a set that fits in
+one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
+~115 KB per image, and it lives as long as its EvalSet:
 ``generate_pool`` and ``evolve`` hold theirs for the length of one call.
 """
 
@@ -101,6 +101,8 @@ class NetworkSpec:
         shape = tuple(self.input_shape)
         out = [shape]
         for layer in self.layers:
+            if isinstance(layer, (Dense, Conv, MaxPool)) and min(vars(layer).values()) < 1:
+                raise ConfigRangeError(f"layer sizes must be >= 1, got {layer}")
             if isinstance(layer, Dense):
                 if shape != (layer.in_dim,):
                     raise StructuralError(f"dense expects ({layer.in_dim},), got {shape}")
@@ -252,8 +254,7 @@ def param_layout(spec: NetworkSpec):
 
 
 def _check_compatible(spec: NetworkSpec, params: ParamSet):
-    layout = param_layout(spec)
-    if [(e.name, tuple(e.shape)) for e in params.entries] != layout:
+    if params.layout != param_layout(spec):
         raise StructuralError("parameters do not match network spec layout")
 
 
@@ -294,6 +295,8 @@ def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
         raise ConfigRangeError("dim must be >= 1")
     if n < classes:
         raise ConfigRangeError("n must be >= classes")
+    if noise < 0:
+        raise ConfigRangeError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes  # balanced within +-1
     if kind == "blobs":
@@ -398,19 +401,6 @@ def _pool_backward(dy, cache, k):
     return dx.reshape(shape)
 
 
-def _conv_forward(x, w, b, k, cols=None):
-    """NCHW conv as one GEMM over the batch's im2col. ``cols`` is that
-    im2col when the caller already has it (``first_layer_cols``)."""
-    if cols is None:
-        cols = _im2col_nhwc(x.transpose(0, 2, 3, 1), k)
-    n, h2, w2, _ = cols.shape
-    oc = w.shape[0]
-    cols = cols.reshape(n, h2 * w2, -1)
-    y = cols @ w.reshape(oc, -1).T + b
-    y = y.transpose(0, 2, 1).reshape(n, oc, h2, w2)
-    return y, (x.shape, cols, h2, w2)
-
-
 def _conv_backward(dy, cache, w, k, param_grads=True):
     """(dx, dW, db); dW and db are None unless ``param_grads``."""
     xshape, cols, h2, w2 = cache
@@ -430,39 +420,6 @@ def _conv_backward(dy, cache, w, k, param_grads=True):
         for j in range(k):
             dx[:, :, i:i + h2, j:j + w2] += d6[:, :, :, :, i, j]
     return dx, dw, db
-
-
-def _run_forward(spec, params, x, first_cols=None):
-    """NCHW forward that keeps what loss_and_grads needs: (logits, caches).
-    ``first_cols`` is the batch's ``first_layer_cols``, or None."""
-    caches = []
-    pidx = 0
-    out = x
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            w = params.entries[pidx].reshaped()
-            b = params.entries[pidx + 1].values
-            caches.append(out)
-            out = out @ w + b
-            pidx += 2
-        elif isinstance(layer, Conv):
-            w = params.entries[pidx].reshaped()
-            b = params.entries[pidx + 1].values
-            out, cache = _conv_forward(out, w, b, layer.k, first_cols if i == 0 else None)
-            caches.append(cache)
-            pidx += 2
-        elif isinstance(layer, MaxPool):
-            out, cache = _pool_forward(out, layer.k)
-            caches.append(cache)
-        elif isinstance(layer, Activation):
-            caches.append(out)
-            out = np.maximum(out, 0.0) if layer.kind == "relu" else np.tanh(out)
-            if layer.kind == "tanh":
-                caches[-1] = out  # tanh gradient needs the output
-        elif isinstance(layer, Flatten):
-            caches.append(out.shape)
-            out = out.reshape(out.shape[0], -1)
-    return out, caches
 
 
 def _im2col_nhwc(x, k):
@@ -492,30 +449,56 @@ def _inference_layers(spec):
     return layers
 
 
-def _infer(spec, params, x, first_cols):
-    """Cache-free forward; image batches run channels-last (NHWC)."""
+def _nchw(a):
+    """NCHW view of an NHWC batch; any other array as it is."""
+    return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
+
+
+def _forward(spec, params, x, first_cols, caches=None):
+    """Logits of a batch; image batches run channels-last (NHWC).
+
+    Given a ``caches`` list, it walks ``spec.layers`` and appends, per
+    layer, what the backward in ``loss_and_grads`` reads, image arrays as
+    NCHW views. Without one it keeps nothing, and each ReLU that feeds a
+    max-pool runs after the pool (``_inference_layers``).
+    """
+    keep = caches is not None
     out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
     pidx = 0
-    for i, layer in enumerate(_inference_layers(spec)):
+    for i, layer in enumerate(spec.layers if keep else _inference_layers(spec)):
         if isinstance(layer, Dense):
+            if keep:
+                caches.append(out)
             out = out @ params.entries[pidx].reshaped() + params.entries[pidx + 1].values
             pidx += 2
         elif isinstance(layer, Conv):
             w = params.entries[pidx].reshaped()
             cols = first_cols if i == 0 and first_cols is not None else _im2col_nhwc(out, layer.k)
             n, h2, w2, _ = cols.shape
-            y = cols.reshape(n, h2 * w2, -1) @ w.reshape(layer.out_ch, -1).T
+            cols = cols.reshape(n, h2 * w2, -1)
+            y = cols @ w.reshape(layer.out_ch, -1).T
             y += params.entries[pidx + 1].values
+            if keep:
+                caches.append((_nchw(out).shape, cols, h2, w2))
             out = y.reshape(n, h2, w2, layer.out_ch)
             pidx += 2
         elif isinstance(layer, MaxPool):
-            out = _pool_nhwc(out, layer.k)
+            if keep:
+                y, cache = _pool_forward(_nchw(out), layer.k)
+                caches.append(cache)
+                out = y.transpose(0, 2, 3, 1)
+            else:
+                out = _pool_nhwc(out, layer.k)
         elif isinstance(layer, Activation):
+            if keep and layer.kind == "relu":
+                caches.append(_nchw(out))
             out = np.maximum(out, 0.0) if layer.kind == "relu" else np.tanh(out)
+            if keep and layer.kind == "tanh":
+                caches.append(_nchw(out))  # tanh's gradient needs its output
         elif isinstance(layer, Flatten):
-            if out.ndim == 4:
-                out = out.transpose(0, 3, 1, 2)
-            out = out.reshape(out.shape[0], -1)
+            if keep:
+                caches.append(_nchw(out).shape)
+            out = _nchw(out).reshape(out.shape[0], -1)
     return out
 
 
@@ -596,7 +579,7 @@ def forward(spec, params, features):
     _check_compatible(spec, params)
     x, cols = batch_rows(spec, features)
     _check_batch(spec, x)
-    return _infer(spec, params, x, cols)
+    return _forward(spec, params, x, cols)
 
 
 def softmax(logits):
@@ -621,7 +604,8 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     """
     x, cols = batch_rows(spec, features)
     y = np.asarray(labels)
-    logits, caches = _run_forward(spec, params, x, cols)
+    caches = []
+    logits = _forward(spec, params, x, cols, caches)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)

@@ -102,3 +102,10 @@ class TestTransferMatrix:
     def test_empty_pool_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
             transfer_matrix(desk.spec, desk.base, [], desk.splits["test"], 0.1)
+
+    @pytest.mark.parametrize("n_examples", [0, -5])
+    def test_examples_below_one_rejected(self, desk, n_examples):
+        pool = [("0", desk.pool.candidates[0].params)]
+        with pytest.raises(ConfigRangeError, match="n_examples"):
+            transfer_matrix(desk.spec, desk.base, pool, desk.splits["test"], 0.1,
+                            n_examples=n_examples)

@@ -124,13 +124,33 @@ class TestConfigValidation:
         ("dataset", {"dim": 0}, "train", "dim"),
         ("dataset", {"classes": 0}, "train", "classes"),
         ("fitness", {"base": {"kind": "transfer_accuracy"}}, "evolve", "accuracy, robust_accuracy"),
-    ], ids=["train.batch_size", "dataset.dim", "dataset.classes", "fitness.base.kind"])
+        ("network", {"input_shape": [0], "layers": [{"type": "dense", "in": 0, "out": 3}]},
+         "train", "sizes must be >= 1"),
+        ("network", {"layers": [{"type": "dense", "in": 2, "out": -4}, {"type": "relu"},
+                                {"type": "dense", "in": -4, "out": 3}]},
+         "train", "sizes must be >= 1"),
+        ("network", {"input_shape": [1, 4, 4],
+                     "layers": [{"type": "maxpool", "k": 0}, {"type": "flatten"},
+                                {"type": "dense", "in": 16, "out": 3}]},
+         "train", "sizes must be >= 1"),
+        ("network", {"input_shape": [1, 4, 4],
+                     "layers": [{"type": "conv", "in_ch": 1, "out_ch": 2, "k": 0},
+                                {"type": "flatten"}, {"type": "dense", "in": 50, "out": 3}]},
+         "train", "sizes must be >= 1"),
+        ("dataset", {"noise": -0.1}, "train", "noise"),
+        ("attack", {"examples": 0}, "attack", "examples"),
+        ("attack", {"examples": -5}, "attack", "examples"),
+    ], ids=["train.batch_size", "dataset.dim", "dataset.classes", "fitness.base.kind",
+            "dense.in", "dense.out", "maxpool.k", "conv.k", "dataset.noise",
+            "attack.examples=0", "attack.examples=-5"])
     def test_out_of_range_value_is_one_config_error(self, pipeline, tmp_path, capsys,
                                                     section, body, command, named):
         path = write_config(tmp_path, desk_config(tmp_path / "o", **{section: body}))
-        model = ["--model", str(pipeline["out"] / "base.mgem")] if command == "evolve" else []
-        assert cli.main(["--config", path, command] + model) == cli.EXIT_CONFIG
+        operand = {"train": [], "evolve": ["--model", str(pipeline["out"] / "base.mgem")],
+                   "attack": ["--pool", str(pipeline["pool"])]}[command]
+        assert cli.main(["--config", path, command] + operand) == cli.EXIT_CONFIG
         assert named in error_lines(capsys, cli.EXIT_CONFIG)
+        assert not (tmp_path / "o" / "transfer.tsv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT

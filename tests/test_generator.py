@@ -13,6 +13,7 @@ from mgepool import (
     generate_layer,
     generate_model,
     generate_pool,
+    generator,
     importance_mask,
     ks_statistic,
     make_synthetic,
@@ -223,6 +224,42 @@ class TestGeneratePool:
         pooled = np.concatenate(
             [c.params.flat for c in desk.pool.candidates])
         assert ks_statistic(desk.base.flat, pooled) < 0.1
+
+
+def pool_z_trace(desk, monkeypatch, decisions, adaptive_z, count=1):
+    """The z that each attempt of a ``generate_pool`` run samples with, when
+    the i-th accept decision is ``decisions[i]``."""
+    decide = iter(decisions)
+    monkeypatch.setattr(generator, "accept", lambda *args: next(decide))
+    zs, sample = [], Spectrum.sample
+
+    def recording(self, cfg, rng, z=None):
+        zs.append(z)
+        return sample(self, cfg, rng, z=z)
+
+    monkeypatch.setattr(Spectrum, "sample", recording)
+    cfg = GeneratorConfig(z=0.2, attempts=len(decisions), adaptive_z=adaptive_z, seed=5)
+    try:
+        generate_pool(desk.base, desk.spec, cfg, desk.splits["val"], count)
+    except GenerationFailedError:
+        pass
+    return zs
+
+
+class TestAdaptiveZ:
+    def test_halves_after_every_ten_rejections_down_to_floor(self, desk, monkeypatch):
+        zs = pool_z_trace(desk, monkeypatch, [False] * 200, adaptive_z=True)
+        assert zs == [max(0.2 / 2 ** (i // 10), 1e-6) for i in range(200)]
+        assert zs[180:] == [1e-6] * 20  # 0.2 / 2**18 < 1e-6
+
+    def test_acceptance_resets_the_count_but_not_z(self, desk, monkeypatch):
+        decisions = [False] * 15 + [True] + [False] * 12 + [True]
+        zs = pool_z_trace(desk, monkeypatch, decisions, adaptive_z=True, count=2)
+        assert zs == [0.2] * 10 + [0.1] * 16 + [0.05] * 3
+
+    def test_off_keeps_cfg_z(self, desk, monkeypatch):
+        zs = pool_z_trace(desk, monkeypatch, [False] * 30, adaptive_z=False)
+        assert zs == [0.2] * 30
 
 
 class TestUnimportantMaskSpatial:

@@ -8,7 +8,9 @@ import hashlib
 
 import numpy as np
 
-from mgepool import Dataset, GeneratorConfig, TrainConfig, generate_pool, lenet_like, train
+from mgepool import (Dataset, EvalSet, GeneratorConfig, TrainConfig, generate_pool, lenet_like,
+                     robust_accuracy, train)
+from mgepool.adversarial import fgsm_batch
 from mgepool.nn import Activation, Conv, Dense, Flatten, MaxPool, NetworkSpec
 
 CLASSES = 10
@@ -87,3 +89,30 @@ def test_one_by_one_conv_training_matches_golden_record():
     base, _ = train(spec, bars(120, 1), TrainConfig(epochs=2, learning_rate=0.002, seed=3))
     assert params_sha256(base, "<f8") == (
         "eac1aae2077379084899447824ab45bacace0b52c9a6670727d44c55c5ec4dbd")
+
+
+FGSM_EPS = 0.005  # at 0.1 the LeNet base keeps under 1% of its accuracy
+FGSM_GOLDEN = {
+    "lenet": ("8e162ec76f7bf24ca0d3cfcccde2b5709ec0eba5f896e43ddddc6c79bf3fd71b",
+              0.49166666666666664),
+    "one_by_one_conv": ("82736cdfe761206561d838c269581f211f738653481989b74a953aefd4e9f7d6",
+                        0.03333333333333333),
+}
+
+
+def test_fgsm_matches_golden_record():
+    """FGSM's gradient-only backward (``input_gradient``): the bytes of the
+    adversarial examples and the robust accuracy for the golden LeNet base and
+    the 1x1-conv tanh net above, on the golden pool's validation set."""
+    one_by_one = NetworkSpec((Conv(1, 4, 3), Activation("tanh"), MaxPool(2), Conv(4, 1, 1),
+                              Activation("tanh"), Flatten(), Dense(13 * 13, CLASSES)),
+                             (1, SIDE, SIDE), CLASSES)
+    runs = {"lenet": (lenet_like(CLASSES), bars(300, 1), 3),
+            "one_by_one_conv": (one_by_one, bars(120, 1), 2)}
+    data = bars(120, 2)
+    for name, (spec, trainset, epochs) in runs.items():
+        base, _ = train(spec, trainset, TrainConfig(epochs=epochs, learning_rate=0.002, seed=3))
+        adv = fgsm_batch(spec, base, data.features, data.labels, FGSM_EPS)
+        record = (hashlib.sha256(adv.tobytes()).hexdigest(),
+                  robust_accuracy(spec, base, EvalSet(data), FGSM_EPS))
+        assert record == FGSM_GOLDEN[name], name

@@ -1,6 +1,8 @@
-"""Property tests: the inference forward (channels-last, no caches, shared
-first-layer im2col) gives logits bit-identical to the training forward, and
-FGSM (gradient-only backward, shared first-layer im2col) gives adversarial
+"""Property tests: the inference forward (no caches, each ReLU that feeds a
+max-pool moved after it, max-pool as a maximum of strided views, shared
+first-layer im2col) gives logits bit-identical to the forward's cache mode
+that training uses (layers in order, argmax max-pool), and FGSM
+(gradient-only backward, shared first-layer im2col) gives adversarial
 examples bit-identical to the full training backward's."""
 
 import gc
@@ -73,7 +75,7 @@ def random_features(spec, rows, seed):
 def test_forward_matches_training_forward(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected, _ = nn._run_forward(spec, params, x)
+    expected = nn._forward(spec, params, x, None, caches=[])
     assert np.array_equal(nn.forward(spec, params, x), expected)
 
 
@@ -83,7 +85,7 @@ def test_forward_matches_training_forward(spec, rows, seed):
 def test_first_layer_cache_changes_nothing(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected, _ = nn._run_forward(spec, params, x)
+    expected = nn._forward(spec, params, x, None, caches=[])
     # labels are the reference predictions, so any wrong batch row shows as accuracy < 1
     data = Dataset(x, expected.argmax(axis=1), spec.classes)
     ev = nn.EvalSet(data)

@@ -290,6 +290,8 @@ class TestSynthetic:
             nn.make_synthetic("blobs", 10, 2, seed=0, dim=0)
         with pytest.raises(ConfigRangeError, match="classes"):
             nn.make_synthetic("blobs", 10, 0, seed=0)
+        with pytest.raises(ConfigRangeError, match="noise"):
+            nn.make_synthetic("blobs", 10, 2, seed=0, noise=-0.1)
 
 
 class TestIdx:
@@ -341,6 +343,17 @@ class TestValidation:
     def test_network_needs_parameterized_layer(self):
         with pytest.raises(StructuralError):
             nn.NetworkSpec((nn.Flatten(),), (2,), 2)
+
+    @pytest.mark.parametrize("layers, input_shape", [
+        ((nn.Dense(0, 3),), (0,)),
+        ((nn.Dense(2, -4), nn.Activation("relu"), nn.Dense(-4, 3)), (2,)),
+        ((nn.MaxPool(0), nn.Flatten(), nn.Dense(16, 3)), (1, 4, 4)),
+        ((nn.Conv(1, 2, 0), nn.Flatten(), nn.Dense(50, 3)), (1, 4, 4)),
+        ((nn.Conv(1, 0, 1), nn.Flatten(), nn.Dense(0, 3)), (1, 4, 4)),
+    ], ids=["dense.in", "dense.out", "maxpool.k", "conv.k", "conv.out_ch"])
+    def test_layer_sizes_below_one_rejected(self, layers, input_shape):
+        with pytest.raises(ConfigRangeError, match="sizes must be >= 1"):
+            nn.NetworkSpec(layers, input_shape, 3)
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigRangeError):
