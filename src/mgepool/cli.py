@@ -29,6 +29,7 @@ from .errors import (
     GenerationFailedError,
     InvalidInputError,
     MgeError,
+    StructuralError,
     TrainingDivergedError,
     UnsupportedVersionError,
 )
@@ -188,8 +189,11 @@ def _out_dir(cfg, args):
 def _inputs(cfg, args):
     """A command's output directory, dataset splits and network spec."""
     out, splits, net = _out_dir(cfg, args), build_datasets(cfg), _section(cfg, "network")
-    return out, splits, nn.NetworkSpec(tuple(net["layers"]), tuple(net["input_shape"]),
-                                       net["classes"])
+    try:
+        spec = nn.NetworkSpec(tuple(net["layers"]), tuple(net["input_shape"]), net["classes"])
+    except StructuralError as exc:
+        raise ConfigError(f"network.layers: {exc}") from None
+    return out, splits, spec
 
 
 def _write_stamp(out, cfg, seeds, artifacts):
@@ -353,6 +357,9 @@ def cmd_attack(cfg, args):
     if store.file_hash(base_path) != manifest["base"]["hash"]:
         raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
     base = store.load_model(base_path)
+    # the transfer experiment checks its settings first, so it runs before the sweep
+    report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
+                                         eps=epsilons[-1], **n_examples)
     rows = []
     for eps in epsilons:
         for mid, params in [("base", base)] + pool:
@@ -363,8 +370,6 @@ def cmd_attack(cfg, args):
         writer = csv.DictWriter(f, ["model", "eps", "robust_accuracy"])
         writer.writeheader()
         writer.writerows(rows)
-    report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
-                                         eps=epsilons[-1], **n_examples)
     with open(os.path.join(out, "transfer.tsv"), "w") as f:
         f.write(report.to_text())
     _write_stamp(out, cfg, {}, {})

@@ -98,9 +98,10 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
            fit: FitnessConfig, valset):
     """Full E-MGE loop; returns (best candidate, per-generation history).
 
-    The seed population comes from the standard generation loop; each
-    generation adds j mutation children (round-robin over parents, sampled
-    from the run's one Spectrum of the base) and up to m fused candidates.
+    The run computes the base's Spectrum once. The seed population comes
+    from the standard generation loop on it; each generation adds j
+    mutation children (round-robin over parents, sampled from it) and up to
+    m fused candidates.
     Every child and fused model must pass ``generator.score``; only admitted
     ones get an id, a fitness and a place in fusion and selection, which
     keeps the n fittest (all of a smaller population).
@@ -112,8 +113,8 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     """
     valset = eval_set(valset)
     fit = fit.on(valset)
-    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents)
     spectrum = Spectrum(base, gcfg.t)
+    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, spectrum=spectrum)
     parents, history = [], []
     born = evaluate_population(pool.candidates, spec, fit, valset)
     next_id = len(born)

@@ -151,36 +151,45 @@ def score(params, spec, valset, base_accuracy, cfg, **fields) -> Candidate:
                      accepted=accept(acc, base_accuracy, cfg), **fields)
 
 
+def _base_spectrum(base, cfg, spectrum=None) -> Spectrum:
+    """``spectrum``, which must be ``Spectrum(base, cfg.t)``, or that
+    spectrum built now when none is given."""
+    if spectrum is None:
+        return Spectrum(base, cfg.t)
+    if spectrum.layout != base.layout or spectrum.t != cfg.t:
+        raise ConfigRangeError("spectrum was not built from this base at this t")
+    return spectrum
+
+
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
                    spectrum=None, z=None, seed=-1) -> Candidate:
-    """One full generation attempt: sample ``spectrum``, which must be
-    ``Spectrum(base, cfg.t)`` and is built when not given, then ``score``."""
+    """One full generation attempt: sample ``spectrum`` (``_base_spectrum``),
+    then ``score``."""
     if base_accuracy is None:
         base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
     if rng is None:
         rng = RngStream(cfg.seed).generator()
-    if spectrum is None:
-        spectrum = Spectrum(base, cfg.t)
-    elif spectrum.layout != base.layout or spectrum.t != cfg.t:
-        raise ConfigRangeError("spectrum was not built from this base at this t")
+    spectrum = _base_spectrum(base, cfg, spectrum)
     t0 = time.perf_counter()
     cand = score(spectrum.sample(cfg, rng, z=z), spec, valset, base_accuracy, cfg, seed=seed)
     cand.seconds = time.perf_counter() - t0
     return cand
 
 
-def generate_pool(base, spec, cfg, valset, count) -> PoolResult:
+def generate_pool(base, spec, cfg, valset, count, spectrum=None) -> PoolResult:
     """Collect `count` accepted candidates within cfg.attempts * count tries.
 
     ``valset`` is a Dataset or an EvalSet. A Dataset is wrapped in an
     EvalSet for the length of this call, so the first layer's im2col of the
-    validation set is built once and shared by every evaluation.
+    validation set is built once and shared by every evaluation. Every
+    attempt samples ``spectrum`` (``_base_spectrum``), which the result does
+    not keep.
     """
     if count < 1:
         raise ConfigRangeError("count must be >= 1")
+    spectrum = _base_spectrum(base, cfg, spectrum)
     valset = eval_set(valset)
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
-    spectrum = Spectrum(base, cfg.t)
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
     accepted, attempts, consecutive, z = [], 0, 0, cfg.z

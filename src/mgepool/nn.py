@@ -20,6 +20,27 @@ windows and its GEMM output is already NHWC.
   ``input_gradient`` skips the parameter gradients (dW, db); the input
   gradient is computed exactly as in training.
 
+The forward and the backward split the net at its first ``Flatten``:
+
+- The **image stage** is every layer up to and including that Flatten
+  (conv, max-pool, activations). Each of its ops works image by image: a
+  conv's GEMM is a stacked matmul (one BLAS call per image), im2col is a
+  copy, pooling and activations are elementwise, and col2im adds in a
+  fixed (i, j) order. So it runs on row tiles of ``TILE_ROWS`` (32) rows
+  and every output byte is the same as on the whole batch, while each
+  tile's temporaries stay near the size of a core's L2 cache instead of
+  streaming tens of MB per layer. In cache mode each tile keeps its own
+  cache list, and the backward runs tile by tile.
+- The **vector stage** (every Dense, its activations, the softmax and
+  cross-entropy) runs on the whole batch. BLAS rounds a dense GEMM by its
+  row count: with OpenBLAS 0.3.31, the rows of ``(M, 64) @ (64, 10)``
+  differ in the low bits from the same rows of the 500-row product for
+  40 of the M in 1..64 (M = 1 goes through gemv), so tiling this stage
+  would move logits.
+- When ``loss_and_grads`` forms parameter gradients (training), the image
+  stage is one tile: dW and db sum over the batch, and one tile keeps that
+  sum's order. An MLP has no image stage.
+
 The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
 dataset that many parameter sets are scored on and builds that im2col
 (``first_layer_cols``) on first use. The forward takes it from there when
@@ -454,18 +475,25 @@ def _nchw(a):
     return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
 
 
-def _forward(spec, params, x, first_cols, caches=None):
-    """Logits of a batch; image batches run channels-last (NHWC).
+def _image_stage_len(spec):
+    """How many leading layers make the image stage: every layer up to and
+    including the first Flatten, or none when no layer comes before a
+    Flatten (an MLP)."""
+    cut = next((i for i, l in enumerate(spec.layers) if isinstance(l, Flatten)), 0)
+    return cut + 1 if cut else 0
 
-    Given a ``caches`` list, it walks ``spec.layers`` and appends, per
-    layer, what the backward in ``loss_and_grads`` reads, image arrays as
-    NCHW views. Without one it keeps nothing, and each ReLU that feeds a
-    max-pool runs after the pool (``_inference_layers``).
-    """
+
+def _param_entries(layers):
+    """How many ParamSet entries (weight and bias) ``layers`` own."""
+    return 2 * sum(isinstance(l, (Dense, Conv)) for l in layers)
+
+
+def _layers_forward(layers, params, pidx, out, first_cols, caches):
+    """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
+    see ``_forward``. ``first_cols`` replaces the im2col of a conv at
+    ``layers[0]``."""
     keep = caches is not None
-    out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
-    pidx = 0
-    for i, layer in enumerate(spec.layers if keep else _inference_layers(spec)):
+    for i, layer in enumerate(layers):
         if isinstance(layer, Dense):
             if keep:
                 caches.append(out)
@@ -502,12 +530,45 @@ def _forward(spec, params, x, first_cols, caches=None):
     return out
 
 
+def _forward(spec, params, x, first_cols, caches=None, tile_rows=None):
+    """Logits of a batch; image batches run channels-last (NHWC).
+
+    The image stage (``_image_stage_len``) runs on row tiles of
+    ``tile_rows`` (default ``TILE_ROWS``) and the vector stage on the whole
+    batch. Given ``caches``, a pair of lists ``(tiles, vector)``, it walks
+    ``spec.layers`` and keeps what the backward in ``loss_and_grads`` reads,
+    image arrays as NCHW views: one ``(rows, per-layer list)`` per tile in
+    ``tiles``, one entry per vector-stage layer in ``vector``. Without it it
+    keeps nothing, and each ReLU that feeds a max-pool runs after the pool
+    (``_inference_layers``).
+    """
+    keep = caches is not None
+    layers = spec.layers if keep else _inference_layers(spec)
+    tiles, vector = caches if keep else (None, None)
+    cut = _image_stage_len(spec)
+    out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+    if cut:
+        step = tile_rows or TILE_ROWS
+        parts = []
+        for s in range(0, len(x), step):
+            rows = slice(s, s + step)
+            tile = [] if keep else None
+            cols = None if first_cols is None else first_cols[rows]
+            parts.append(_layers_forward(layers[:cut], params, 0, out[rows], cols, tile))
+            if keep:
+                tiles.append((rows, tile))
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _layers_forward(layers[cut:], params, _param_entries(layers[:cut]), out,
+                           None, vector)
+
+
 def _check_batch(spec, x):
     if x.shape[1:] != tuple(spec.input_shape):
         raise StructuralError(f"batch shape {x.shape[1:]} != input {spec.input_shape}")
 
 
 EVAL_BATCH = 512  # rows per forward call in evaluate_accuracy and robust_accuracy
+TILE_ROWS = 32  # rows per image-stage tile in evaluation and FGSM (module docstring)
 
 
 def first_layer_cols(spec, features):
@@ -600,34 +661,51 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     ``features`` is a batch array or an EvalSet. ``_param_grads=False`` is
     internal to ``input_gradient``: the backward then skips every dW and db
     and returns None for the parameter gradients; the input gradient is
-    computed exactly as otherwise.
+    computed exactly as otherwise. The image stage's forward and backward
+    then run on tiles of ``TILE_ROWS`` rows, holding every tile's caches
+    until the backward; with parameter gradients they run as one tile.
     """
     x, cols = batch_rows(spec, features)
     y = np.asarray(labels)
-    caches = []
-    logits = _forward(spec, params, x, cols, caches)
+    tiles, vector = [], []
+    # dW and db sum over the batch, so their image stage runs as one tile
+    logits = _forward(spec, params, x, cols, (tiles, vector),
+                      tile_rows=len(x) if _param_grads else None)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(n), y] -= 1.0
     d = probs / n
     grads = [None] * len(params.entries) if _param_grads else None
-    pidx = sum(2 for l in spec.layers if isinstance(l, (Dense, Conv)))
-    for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        cache = caches[i]
+    cut = _image_stage_len(spec)
+    image = spec.layers[:cut]
+    d = _layers_backward(spec.layers[cut:], params, _param_entries(image), d, vector, grads)
+    if cut:
+        parts = [_layers_backward(image, params, 0, d[rows], tile, grads)
+                 for rows, tile in tiles]
+        d = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return loss, grads, d
+
+
+def _layers_backward(layers, params, pidx, d, caches, grads):
+    """Backward through ``layers``, whose parameters start at entry
+    ``pidx``, from ``d`` at their output, using the ``caches`` their forward
+    kept; returns the gradient at their input. Fills the layers' entries of
+    ``grads`` unless it is None."""
+    pidx += _param_entries(layers)
+    for layer, cache in zip(reversed(layers), reversed(caches)):
         if isinstance(layer, Dense):
             pidx -= 2
             w = params.entries[pidx].reshaped()
-            if _param_grads:
+            if grads is not None:
                 grads[pidx] = (cache.T @ d).ravel()
                 grads[pidx + 1] = d.sum(axis=0)
             d = d @ w.T
         elif isinstance(layer, Conv):
             pidx -= 2
             w = params.entries[pidx].reshaped()
-            d, dw, db = _conv_backward(d, cache, w, layer.k, _param_grads)
-            if _param_grads:
+            d, dw, db = _conv_backward(d, cache, w, layer.k, grads is not None)
+            if grads is not None:
                 grads[pidx] = dw.ravel()
                 grads[pidx + 1] = db
         elif isinstance(layer, MaxPool):
@@ -639,7 +717,7 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
                 d = d * (1.0 - cache * cache)
         elif isinstance(layer, Flatten):
             d = d.reshape(cache)
-    return loss, grads, d
+    return d
 
 
 def input_gradient(spec, params, features, labels):

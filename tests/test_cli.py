@@ -140,9 +140,23 @@ class TestConfigValidation:
         ("dataset", {"noise": -0.1}, "train", "noise"),
         ("attack", {"examples": 0}, "attack", "examples"),
         ("attack", {"examples": -5}, "attack", "examples"),
+        # layers whose shapes do not compose
+        ("network", {"layers": [{"type": "dense", "in": 5, "out": 3}]},
+         "train", "network.layers"),
+        ("network", {"layers": [{"type": "dense", "in": 2, "out": 4}]},
+         "train", "network.layers"),
+        ("network", {"input_shape": [1, 4, 4],
+                     "layers": [{"type": "conv", "in_ch": 1, "out_ch": 2, "k": 5},
+                                {"type": "flatten"}, {"type": "dense", "in": 2, "out": 3}]},
+         "train", "network.layers"),
+        ("network", {"input_shape": [1, 4, 4],
+                     "layers": [{"type": "maxpool", "k": 3}, {"type": "flatten"},
+                                {"type": "dense", "in": 16, "out": 3}]},
+         "train", "network.layers"),
     ], ids=["train.batch_size", "dataset.dim", "dataset.classes", "fitness.base.kind",
             "dense.in", "dense.out", "maxpool.k", "conv.k", "dataset.noise",
-            "attack.examples=0", "attack.examples=-5"])
+            "attack.examples=0", "attack.examples=-5", "layers:dense.in", "layers:classes",
+            "layers:conv.k", "layers:maxpool.k"])
     def test_out_of_range_value_is_one_config_error(self, pipeline, tmp_path, capsys,
                                                     section, body, command, named):
         path = write_config(tmp_path, desk_config(tmp_path / "o", **{section: body}))
@@ -151,6 +165,7 @@ class TestConfigValidation:
         assert cli.main(["--config", path, command] + operand) == cli.EXIT_CONFIG
         assert named in error_lines(capsys, cli.EXIT_CONFIG)
         assert not (tmp_path / "o" / "transfer.tsv").exists()
+        assert not (tmp_path / "o" / "robustness.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT

@@ -9,6 +9,7 @@ from mgepool import (
     FitnessConfig,
     evolve,
     fuse,
+    generator,
     load_model,
     mutate,
     save_model,
@@ -227,6 +228,15 @@ class TestEvolve:
         assert best.lineage[0] == "seed"
         assert best.f == history[0].max_f
 
+    def test_one_spectrum_per_run(self, desk, monkeypatch):
+        calls = []
+        original = generator.dct2
+        monkeypatch.setattr(generator, "dct2", lambda x: calls.append(1) or original(x))
+        ecfg = EvolutionConfig(generations=2, parents=3, mutations=3, fusions=3, seed=13)
+        evolve(desk.base, desk.spec, GeneratorConfig(seed=64), ecfg, fitness_config(desk),
+               desk.splits["val"])
+        assert len(calls) == len(desk.base.entries)
+
     def test_max_fitness_non_decreasing(self, desk):
         fit = fitness_config(desk)
         ecfg = EvolutionConfig(generations=10, parents=5, mutations=5,
@@ -335,7 +345,7 @@ class TestEvolve:
         """An accuracy criterion on the validation set itself reuses the
         accuracy ``score`` measured; on an equal copy of that set it is
         measured again. Every output is the same, bit for bit."""
-        from mgepool import evolution, fitness, generator
+        from mgepool import evolution, fitness
         from mgepool.nn import Dataset
         val = desk.splits["val"]
         copy = Dataset(val.features, val.labels, val.classes, val.split)

@@ -184,9 +184,21 @@ class TestGenerateModel:
             with pytest.raises(ConfigRangeError):
                 generate_model(desk.base, desk.spec, desk.gcfg, desk.splits["val"],
                                spectrum=spectrum)
+            with pytest.raises(ConfigRangeError):
+                generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], 2,
+                              spectrum=spectrum)
 
 
 class TestGeneratePool:
+    def test_given_spectrum_gives_the_same_pool(self, desk):
+        val = desk.splits["val"]
+        built = generate_pool(desk.base, desk.spec, desk.gcfg, val, 3)
+        given = generate_pool(desk.base, desk.spec, desk.gcfg, val, 3,
+                              spectrum=Spectrum(desk.base, desk.gcfg.t))
+        assert given.attempts == built.attempts
+        for a, b in zip(given.candidates, built.candidates, strict=True):
+            assert np.array_equal(a.params.flat, b.params.flat)
+
     def test_single_attempt_at_full_retention(self, desk):
         pool = generate_pool(desk.base, desk.spec, GeneratorConfig(t=1.0, seed=21),
                              desk.splits["val"], 1)

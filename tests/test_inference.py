@@ -3,7 +3,8 @@ max-pool moved after it, max-pool as a maximum of strided views, shared
 first-layer im2col) gives logits bit-identical to the forward's cache mode
 that training uses (layers in order, argmax max-pool), and FGSM
 (gradient-only backward, shared first-layer im2col) gives adversarial
-examples bit-identical to the full training backward's."""
+examples bit-identical to the full training backward's. Every output is
+the same, bit for bit, whatever the image stage's tile size."""
 
 import gc
 import weakref
@@ -75,7 +76,7 @@ def random_features(spec, rows, seed):
 def test_forward_matches_training_forward(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected = nn._forward(spec, params, x, None, caches=[])
+    expected = nn._forward(spec, params, x, None, caches=([], []))
     assert np.array_equal(nn.forward(spec, params, x), expected)
 
 
@@ -85,7 +86,7 @@ def test_forward_matches_training_forward(spec, rows, seed):
 def test_first_layer_cache_changes_nothing(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected = nn._forward(spec, params, x, None, caches=[])
+    expected = nn._forward(spec, params, x, None, caches=([], []))
     # labels are the reference predictions, so any wrong batch row shows as accuracy < 1
     data = Dataset(x, expected.argmax(axis=1), spec.classes)
     ev = nn.EvalSet(data)
@@ -131,6 +132,36 @@ def test_fgsm_with_the_cache_matches_fgsm_without(spec, rows, seed, eps):
     if rows <= nn.EVAL_BATCH:
         assert ev.first_cols(spec) is not None
         assert np.array_equal(adversarial.fgsm_batch(spec, params, ev, y, eps), advs[0])
+
+
+def with_tile_rows(tile, fn):
+    """fn() with the image stage run on tiles of ``tile`` rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "TILE_ROWS", tile)
+        return fn()
+
+
+@pytest.mark.parametrize("conv_first", [False, True])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(1, 80), seed=st.integers(0, 2**16))
+def test_outputs_do_not_depend_on_the_tile_size(conv_first, data, rows, seed):
+    spec = data.draw(specs(conv_first=conv_first))
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
+    ev = nn.EvalSet(Dataset(x, y, spec.classes))
+
+    def outputs():
+        loss, grads, dx = nn.loss_and_grads(spec, params, x, y)
+        return [nn.forward(spec, params, x), nn.forward(spec, params, ev),
+                nn.input_gradient(spec, params, x, y), nn.input_gradient(spec, params, ev, y),
+                adversarial.fgsm_batch(spec, params, ev, y, 0.1), loss, dx, *grads]
+
+    whole = with_tile_rows(rows, outputs)
+    assert np.array_equal(whole[2], whole[6])  # FGSM's dx is training's dx
+    for tile in (1, 2, 3, 7, rows + 5):
+        for got, expected in zip(with_tile_rows(tile, outputs), whole, strict=True):
+            assert np.array_equal(got, expected)
 
 
 def test_first_layer_cols_only_for_a_leading_conv():
