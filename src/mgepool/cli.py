@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -43,6 +44,10 @@ EXIT_RUNTIME = 4
 
 class ConfigError(ConfigRangeError):
     pass
+
+
+class LayoutMismatchError(MgeError):
+    """A model file's entries are not the ones ``network.layers`` makes."""
 
 
 # SCHEMA gives each config key's (type, default). A type is str, bool, int or
@@ -196,6 +201,23 @@ def _inputs(cfg, args):
     return out, splits, spec
 
 
+def _load_model(path, spec):
+    """The model at ``path``, checked against ``network.layers`` right after
+    loading."""
+    params = store.load_model(path)
+    pairs = itertools.zip_longest(params.layout, nn.param_layout(spec))
+    for i, (got, want) in enumerate(pairs):
+        if got != want:
+            raise LayoutMismatchError(
+                f"{path} does not match network.layers: entry {i} is {_entry(got)} "
+                f"in the file, {_entry(want)} in network.layers")
+    return params
+
+
+def _entry(entry):
+    return "no entry" if entry is None else "{} {}".format(*entry)
+
+
 def _write_stamp(out, cfg, seeds, artifacts):
     store.write_manifest(store.stamp(cfg, seeds, artifacts),
                          os.path.join(out, "stamp.json"))
@@ -242,7 +264,7 @@ def cmd_train(cfg, args):
 
 def cmd_analyze(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base = store.load_model(args.model)
+    base = _load_model(args.model, spec)
     report = {"layers": {}}
     from .transforms import cumulative_energy, dct2
     for e in base.entries:
@@ -276,7 +298,7 @@ def cmd_analyze(cfg, args):
 
 def cmd_generate(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base = store.load_model(args.model)
+    base = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
     members = []
@@ -317,7 +339,7 @@ def cmd_generate(cfg, args):
 
 def cmd_evolve(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base = store.load_model(args.model)
+    base = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
     ecfg = build_section_config(cfg, "evolution")
     fit = build_fitness_config(cfg, splits)
@@ -349,14 +371,14 @@ def cmd_attack(cfg, args):
     epsilons = atk["epsilons"]
     n_examples = {"n_examples": atk["examples"]} if "examples" in atk else {}
     manifest = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
-    pool = [(str(m["id"]), store.load_model(os.path.join(args.pool, m["file"])))
+    pool = [(str(m["id"]), _load_model(os.path.join(args.pool, m["file"]), spec))
             for m in manifest["members"]]
     # the base model sits in the pool directory's parent, as `generate` records it
     base_path = os.path.join(os.path.dirname(os.path.abspath(args.pool)),
                              manifest["base"]["path"])
     if store.file_hash(base_path) != manifest["base"]["hash"]:
         raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
-    base = store.load_model(base_path)
+    base = _load_model(base_path, spec)
     # the transfer experiment checks its settings first, so it runs before the sweep
     report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
                                          eps=epsilons[-1], **n_examples)
@@ -466,7 +488,7 @@ def main(argv=None):
         print(f"ERROR code={EXIT_CONFIG} config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, IsADirectoryError, FormatError, CorruptModelError,
-            UnsupportedVersionError) as exc:
+            UnsupportedVersionError, LayoutMismatchError) as exc:
         print(f"ERROR code={EXIT_INPUT} input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GenerationFailedError, TrainingDivergedError) as exc:

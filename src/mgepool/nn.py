@@ -9,16 +9,18 @@ operations (casting, fusion, optimizer steps) act on ``flat`` at once.
 There is one forward, ``_forward``, and its two modes give bit-identical
 logits. Image batches run channels-last (NHWC): turned once on entry and
 back once at ``Flatten``, so a conv's im2col is a reshape of its sliding
-windows and its GEMM output is already NHWC.
+windows and its GEMM output is already NHWC. Both modes walk one layer
+order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
+(the two commute, and the pool leaves k*k fewer values).
 
 - ``forward`` and ``evaluate_accuracy`` keep no caches. Max-pooling is an
-  elementwise maximum of the k*k strided views, and a ReLU feeding a
-  max-pool runs after it (the two commute).
-- ``loss_and_grads`` (training, FGSM) hands it a cache list: the layers
-  run in order, max-pooling takes an argmax, and each layer keeps what the
-  channels-first backward reads, as NCHW views. For FGSM,
-  ``input_gradient`` skips the parameter gradients (dW, db); the input
-  gradient is computed exactly as in training.
+  elementwise maximum of the k*k strided views.
+- ``loss_and_grads`` (training, FGSM) hands it a cache list: max-pooling
+  takes an argmax, and each layer keeps what the channels-first backward
+  reads, as NCHW views. For FGSM, ``input_gradient`` skips the parameter
+  gradients (dW, db), and its caches keep only what dx reads: a conv keeps
+  no im2col and a dense layer no input. The input gradient is computed
+  exactly as in training.
 
 The forward and the backward split the net at its first ``Flatten``:
 
@@ -29,14 +31,18 @@ The forward and the backward split the net at its first ``Flatten``:
   fixed (i, j) order. So it runs on row tiles of ``TILE_ROWS`` (32) rows
   and every output byte is the same as on the whole batch, while each
   tile's temporaries stay near the size of a core's L2 cache instead of
-  streaming tens of MB per layer. In cache mode each tile keeps its own
-  cache list, and the backward runs tile by tile.
+  streaming tens of MB per layer. Tiles are independent, so several tiles
+  run at once on a private thread pool with one thread per CPU the process
+  may run on (made on first use, and made anew in a forked child), and
+  their outputs are joined in tile order; a single tile runs on the
+  calling thread. In cache mode each tile keeps its own cache list, and
+  the backward runs tile by tile, on the same pool.
 - The **vector stage** (every Dense, its activations, the softmax and
-  cross-entropy) runs on the whole batch. BLAS rounds a dense GEMM by its
-  row count: with OpenBLAS 0.3.31, the rows of ``(M, 64) @ (64, 10)``
-  differ in the low bits from the same rows of the 500-row product for
-  40 of the M in 1..64 (M = 1 goes through gemv), so tiling this stage
-  would move logits.
+  cross-entropy) runs on the whole batch, on the calling thread. BLAS
+  rounds a dense GEMM by its row count: with OpenBLAS 0.3.31, the rows of
+  ``(M, 64) @ (64, 10)`` differ in the low bits from the same rows of the
+  500-row product for 40 of the M in 1..64 (M = 1 goes through gemv), so
+  tiling this stage would move logits.
 - When ``loss_and_grads`` forms parameter gradients (training), the image
   stage is one tile: dW and db sum over the batch, and one tile keeps that
   sum's order. An MLP has no image stage.
@@ -53,8 +59,11 @@ one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -488,7 +497,7 @@ def _param_entries(layers):
     return 2 * sum(isinstance(l, (Dense, Conv)) for l in layers)
 
 
-def _layers_forward(layers, params, pidx, out, first_cols, caches):
+def _layers_forward(layers, params, pidx, out, first_cols, caches, param_grads):
     """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
     see ``_forward``. ``first_cols`` replaces the im2col of a conv at
     ``layers[0]``."""
@@ -496,7 +505,7 @@ def _layers_forward(layers, params, pidx, out, first_cols, caches):
     for i, layer in enumerate(layers):
         if isinstance(layer, Dense):
             if keep:
-                caches.append(out)
+                caches.append(out if param_grads else None)  # only dW reads it
             out = out @ params.entries[pidx].reshaped() + params.entries[pidx + 1].values
             pidx += 2
         elif isinstance(layer, Conv):
@@ -506,8 +515,8 @@ def _layers_forward(layers, params, pidx, out, first_cols, caches):
             cols = cols.reshape(n, h2 * w2, -1)
             y = cols @ w.reshape(layer.out_ch, -1).T
             y += params.entries[pidx + 1].values
-            if keep:
-                caches.append((_nchw(out).shape, cols, h2, w2))
+            if keep:  # only dW reads the im2col
+                caches.append((_nchw(out).shape, cols if param_grads else None, h2, w2))
             out = y.reshape(n, h2, w2, layer.out_ch)
             pidx += 2
         elif isinstance(layer, MaxPool):
@@ -530,36 +539,75 @@ def _layers_forward(layers, params, pidx, out, first_cols, caches):
     return out
 
 
-def _forward(spec, params, x, first_cols, caches=None, tile_rows=None):
-    """Logits of a batch; image batches run channels-last (NHWC).
+class _TilePool:
+    """The image stage's thread pool: one worker per CPU this process may
+    run on, made on first use. A forked child has none of its parent's
+    threads, so it drops the pool and makes its own."""
 
-    The image stage (``_image_stage_len``) runs on row tiles of
-    ``tile_rows`` (default ``TILE_ROWS``) and the vector stage on the whole
-    batch. Given ``caches``, a pair of lists ``(tiles, vector)``, it walks
-    ``spec.layers`` and keeps what the backward in ``loss_and_grads`` reads,
-    image arrays as NCHW views: one ``(rows, per-layer list)`` per tile in
-    ``tiles``, one entry per vector-stage layer in ``vector``. Without it it
-    keeps nothing, and each ReLU that feeds a max-pool runs after the pool
-    (``_inference_layers``).
+    def __init__(self):
+        self._forget()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._forget)
+
+    def _forget(self):
+        self._lock, self.executor = threading.Lock(), None
+
+    def map(self, fn, tiles):
+        """``[fn(t) for t in tiles]``, in tile order. Several tiles run on the
+        pool; a single tile runs on the calling thread."""
+        if len(tiles) == 1:
+            return [fn(tiles[0])]
+        with self._lock:
+            if self.executor is None:
+                try:
+                    workers = len(os.sched_getaffinity(0))
+                except AttributeError:  # a platform without CPU affinity
+                    workers = os.cpu_count() or 1
+                self.executor = ThreadPoolExecutor(workers, thread_name_prefix="mgepool-tile")
+            executor = self.executor
+        return list(executor.map(fn, tiles))
+
+
+_tile_pool = _TilePool()
+
+
+def _join(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _forward(spec, params, x, first_cols, caches=None, param_grads=True):
+    """Logits of a non-empty batch; image batches run channels-last (NHWC).
+
+    It walks ``_inference_layers(spec)``. The image stage
+    (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
+    tile order, and the vector stage on the whole batch. Given ``caches``, a
+    pair of lists ``(tiles, vector)``, it keeps what the backward in
+    ``loss_and_grads`` reads, image arrays as NCHW views: one ``(rows,
+    per-layer list)`` per tile in ``tiles``, one entry per vector-stage layer
+    in ``vector``. With ``param_grads`` the image stage is one tile and each
+    conv and dense layer also keeps the input that its dW reads.
     """
     keep = caches is not None
-    layers = spec.layers if keep else _inference_layers(spec)
-    tiles, vector = caches if keep else (None, None)
+    layers = _inference_layers(spec)
     cut = _image_stage_len(spec)
     out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
     if cut:
-        step = tile_rows or TILE_ROWS
-        parts = []
-        for s in range(0, len(x), step):
-            rows = slice(s, s + step)
+        # dW and db sum over the batch, so their image stage runs as one tile
+        step = len(x) if keep and param_grads else TILE_ROWS
+        rows = [slice(s, s + step) for s in range(0, len(x), step)]
+
+        def run(tile_rows):
             tile = [] if keep else None
-            cols = None if first_cols is None else first_cols[rows]
-            parts.append(_layers_forward(layers[:cut], params, 0, out[rows], cols, tile))
-            if keep:
-                tiles.append((rows, tile))
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            cols = None if first_cols is None else first_cols[tile_rows]
+            return _layers_forward(layers[:cut], params, 0, out[tile_rows], cols, tile,
+                                   param_grads), tile
+
+        parts = _tile_pool.map(run, rows)
+        if keep:
+            caches[0].extend((r, tile) for r, (_, tile) in zip(rows, parts))
+        out = _join([part for part, _ in parts])
     return _layers_forward(layers[cut:], params, _param_entries(layers[:cut]), out,
-                           None, vector)
+                           None, caches[1] if keep else None, param_grads)
 
 
 def _check_batch(spec, x):
@@ -640,6 +688,8 @@ def forward(spec, params, features):
     _check_compatible(spec, params)
     x, cols = batch_rows(spec, features)
     _check_batch(spec, x)
+    if not len(x):
+        return np.zeros((0, spec.classes))
     return _forward(spec, params, x, cols)
 
 
@@ -658,32 +708,36 @@ def cross_entropy(logits, labels):
 def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
 
-    ``features`` is a batch array or an EvalSet. ``_param_grads=False`` is
-    internal to ``input_gradient``: the backward then skips every dW and db
-    and returns None for the parameter gradients; the input gradient is
-    computed exactly as otherwise. The image stage's forward and backward
-    then run on tiles of ``TILE_ROWS`` rows, holding every tile's caches
-    until the backward; with parameter gradients they run as one tile.
+    ``features`` is a non-empty batch array or an EvalSet. ``_param_grads=False``
+    is internal to ``input_gradient``: the forward then keeps only what dx
+    reads, the backward skips every dW and db and returns None for the
+    parameter gradients, and the image stage's forward and backward run on
+    tiles of ``TILE_ROWS`` rows on the tile pool, holding every tile's caches
+    until the backward. The input gradient is computed exactly as otherwise.
     """
     x, cols = batch_rows(spec, features)
+    if not len(x):
+        raise InvalidInputError("empty batch: the loss is a mean over its rows")
     y = np.asarray(labels)
     tiles, vector = [], []
-    # dW and db sum over the batch, so their image stage runs as one tile
-    logits = _forward(spec, params, x, cols, (tiles, vector),
-                      tile_rows=len(x) if _param_grads else None)
+    logits = _forward(spec, params, x, cols, (tiles, vector), _param_grads)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(n), y] -= 1.0
     d = probs / n
     grads = [None] * len(params.entries) if _param_grads else None
+    layers = _inference_layers(spec)
     cut = _image_stage_len(spec)
-    image = spec.layers[:cut]
-    d = _layers_backward(spec.layers[cut:], params, _param_entries(image), d, vector, grads)
+    d = _layers_backward(layers[cut:], params, _param_entries(layers[:cut]), d, vector, grads)
     if cut:
-        parts = [_layers_backward(image, params, 0, d[rows], tile, grads)
-                 for rows, tile in tiles]
-        d = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        dy = d
+
+        def back(tile):  # several tiles only without parameter gradients
+            rows, cache = tile
+            return _layers_backward(layers[:cut], params, 0, dy[rows], cache, grads)
+
+        d = _join(_tile_pool.map(back, tiles))
     return loss, grads, d
 
 

@@ -201,6 +201,63 @@ class TestConfigValidation:
         assert code == cli.EXIT_INPUT
 
 
+def narrow_network(width=32):
+    """desk_config's network with another hidden width."""
+    return {"layers": [{"type": "dense", "in": 2, "out": width}, {"type": "relu"},
+                       {"type": "dense", "in": width, "out": 3}]}
+
+
+class TestLayoutMismatch:
+    """A model file whose entries are not the ones network.layers makes is an
+    input error, reported before any work: one ERROR code=3 line naming the
+    file and its first differing entry."""
+
+    @pytest.mark.parametrize("command", ["analyze", "generate", "evolve"])
+    def test_model_of_another_network(self, pipeline, tmp_path, capsys, command):
+        path = write_config(tmp_path, desk_config(tmp_path / "o", network=narrow_network()))
+        model = str(pipeline["out"] / "base.mgem")
+        assert cli.main(["--config", path, command, "--model", model]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert model in line
+        assert "entry 0 is layer0.weight (2, 64) in the file, layer0.weight (2, 32)" in line
+        assert sorted(os.listdir(tmp_path / "o")) == []
+
+    def test_model_with_fewer_entries(self, pipeline, tmp_path, capsys):
+        deeper = {"layers": [{"type": "dense", "in": 2, "out": 64}, {"type": "relu"},
+                             {"type": "dense", "in": 64, "out": 3}, {"type": "relu"},
+                             {"type": "dense", "in": 3, "out": 3}]}
+        path = write_config(tmp_path, desk_config(tmp_path / "o", network=deeper))
+        assert cli.main(["--config", path, "generate", "--model",
+                         str(pipeline["out"] / "base.mgem")]) == cli.EXIT_INPUT
+        assert "entry 4 is no entry in the file, layer4.weight (3, 3)" in error_lines(
+            capsys, cli.EXIT_INPUT)
+
+    def test_pool_member_of_another_network(self, pipeline, tmp_path, capsys):
+        path = write_config(tmp_path, desk_config(tmp_path / "o", network=narrow_network()))
+        assert cli.main(["--config", path, "attack",
+                         "--pool", str(pipeline["pool"])]) == cli.EXIT_INPUT
+        assert "model_0000.mgem does not match network.layers" in error_lines(
+            capsys, cli.EXIT_INPUT)
+        assert sorted(os.listdir(tmp_path / "o")) == []
+
+    def test_pool_base_of_another_network(self, pipeline, tmp_path, capsys):
+        import shutil
+
+        from mgepool.nn import init_params, mlp
+        from mgepool.store import file_hash, save_model, write_manifest
+        pool = tmp_path / "pool"
+        shutil.copytree(pipeline["pool"], pool)
+        save_model(init_params(mlp([2, 32, 3]), np.random.default_rng(0)),
+                   tmp_path / "base.mgem")
+        doc = read_manifest(pool / "manifest.json")
+        doc["base"]["hash"] = file_hash(tmp_path / "base.mgem")
+        write_manifest(doc, pool / "manifest.json")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "attack", "--pool", str(pool)]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert str(tmp_path / "base.mgem") in line and "entry 0 is layer0.weight (2, 32)" in line
+
+
 # the command that reads each section, after --config
 _READER = {"dataset": ["train"], "network": ["train"], "train": ["train"],
            "output": ["train"], "generator": ["generate", "--model", "{base}"],

@@ -1,13 +1,17 @@
-"""Property tests: the inference forward (no caches, each ReLU that feeds a
-max-pool moved after it, max-pool as a maximum of strided views, shared
-first-layer im2col) gives logits bit-identical to the forward's cache mode
-that training uses (layers in order, argmax max-pool), and FGSM
-(gradient-only backward, shared first-layer im2col) gives adversarial
-examples bit-identical to the full training backward's. Every output is
-the same, bit for bit, whatever the image stage's tile size."""
+"""Property tests: the inference forward (no caches, max-pool as a maximum
+of strided views, shared first-layer im2col) gives logits bit-identical to
+the forward's cache mode that training uses (argmax max-pool); both move
+each ReLU that feeds a max-pool after it. FGSM (gradient-only backward,
+shared first-layer im2col) gives adversarial examples bit-identical to the
+full training backward's. Every output is the same, bit for bit, whatever
+the image stage's tile size and however many threads run the tiles."""
 
 import gc
+import multiprocessing
+import os
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,6 +138,18 @@ def test_fgsm_with_the_cache_matches_fgsm_without(spec, rows, seed, eps):
         assert np.array_equal(adversarial.fgsm_batch(spec, params, ev, y, eps), advs[0])
 
 
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the tasks handed to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = 0
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(*args, **kwargs)
+
+
 def with_tile_rows(tile, fn):
     """fn() with the image stage run on tiles of ``tile`` rows."""
     with pytest.MonkeyPatch.context() as mp:
@@ -141,10 +157,26 @@ def with_tile_rows(tile, fn):
         return fn()
 
 
+def on_private_pool(workers, fn):
+    """fn() with the image stage's tiles run on a private pool of ``workers``
+    threads, switching threads as often as the interpreter allows; returns
+    fn()'s result and the pool."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CountingPool(workers) as pool, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn._tile_pool, "executor", pool)
+            return fn(), pool
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("conv_first", [False, True])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), rows=st.integers(1, 80), seed=st.integers(0, 2**16))
 def test_outputs_do_not_depend_on_the_tile_size(conv_first, data, rows, seed):
+    """... nor on how many threads run the tiles: one, or more than the
+    host's CPUs, with many tiles in flight at once."""
     spec = data.draw(specs(conv_first=conv_first))
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
@@ -162,6 +194,32 @@ def test_outputs_do_not_depend_on_the_tile_size(conv_first, data, rows, seed):
     for tile in (1, 2, 3, 7, rows + 5):
         for got, expected in zip(with_tile_rows(tile, outputs), whole, strict=True):
             assert np.array_equal(got, expected)
+    for workers in (1, 4):
+        outs, pool = with_tile_rows(2, lambda: on_private_pool(workers, outputs))
+        for got, expected in zip(outs, whole, strict=True):
+            assert np.array_equal(got, expected)
+        # several tiles go to the pool; a single tile runs on the calling thread
+        assert (pool.tasks > 0) == (nn._image_stage_len(spec) > 0 and rows > 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_the_image_stage_on_its_own_threads():
+    spec = nn.lenet_like(10)
+    params = random_params(spec, 0)
+    x = random_features(spec, 4 * nn.TILE_ROWS + 5, 0)
+    # labels are the parent's predictions, so any wrong row in the child shows
+    data = Dataset(x, nn.forward(spec, params, x).argmax(axis=1), spec.classes)
+    assert nn.evaluate_accuracy(spec, params, data) == 1.0  # the parent's pool has threads
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=lambda: results.put(nn.evaluate_accuracy(spec, params, data)))
+    child.start()
+    try:
+        assert results.get(timeout=60) == 1.0
+        child.join(timeout=60)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
 
 
 def test_first_layer_cols_only_for_a_leading_conv():

@@ -124,6 +124,35 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
+EMPTY_BATCH_SPECS = {
+    "mlp": nn.mlp([3, 8, 2]),
+    "lenet": nn.lenet_like(10),
+    "conv": nn.NetworkSpec((nn.Conv(2, 3, 3), nn.Activation("relu"), nn.MaxPool(2),
+                            nn.Flatten(), nn.Dense(12, 4)), (2, 6, 6), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH_SPECS))
+class TestEmptyBatch:
+    def setup_method(self):
+        self.rng = np.random.default_rng(6)
+
+    def test_forward_gives_no_rows(self, name):
+        spec = EMPTY_BATCH_SPECS[name]
+        params = nn.init_params(spec, self.rng)
+        logits = nn.forward(spec, params, np.zeros((0, *spec.input_shape)))
+        assert logits.shape == (0, spec.classes) and logits.dtype == np.float64
+
+    def test_gradients_rejected(self, name):
+        spec = EMPTY_BATCH_SPECS[name]
+        params = nn.init_params(spec, self.rng)
+        x, y = np.zeros((0, *spec.input_shape)), np.zeros(0, dtype=int)
+        with pytest.raises(InvalidInputError, match="empty batch"):
+            nn.loss_and_grads(spec, params, x, y)
+        with pytest.raises(InvalidInputError, match="empty batch"):
+            nn.input_gradient(spec, params, x, y)
+
+
 class TestGradients:
     def test_param_grads_match_finite_differences_mlp(self):
         spec = nn.mlp([3, 5, 4, 2], activation="tanh")
