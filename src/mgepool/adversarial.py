@@ -54,8 +54,8 @@ def fgsm_batch(spec, params, features, labels, eps, targets=None):
     Untargeted: ascend the loss at the true label. Targeted: descend the
     loss at the target label.
     """
-    if eps < 0:
-        raise ConfigRangeError("eps must be >= 0")
+    if not (0 <= eps < np.inf):
+        raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
     x, _ = batch_rows(spec, features)
     g = input_gradient(spec, params, features, labels if targets is None else targets)
     perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
@@ -76,8 +76,6 @@ def robust_accuracy(spec, params, dataset, eps) -> float:
     ``dataset`` is a Dataset or an EvalSet; on an EvalSet the attack's
     forward pass takes the first layer's im2col from its cache.
     """
-    if eps < 0:
-        raise ConfigRangeError("eps must be >= 0")
     correct = 0
     for features, labels in eval_batches(spec, dataset):
         adv = fgsm_batch(spec, params, features, labels, eps)

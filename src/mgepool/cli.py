@@ -164,7 +164,7 @@ def build_datasets(cfg):
         full = nn.make_synthetic(**ds)
     try:
         return _Splits(nn.split_dataset(full, splits, seed=ds["seed"] + 1))
-    except InvalidInputError as exc:  # an empty split
+    except (ConfigRangeError, InvalidInputError) as exc:  # a bad fraction, an empty split
         raise ConfigError(f"dataset.splits: {exc}") from None
 
 
@@ -337,6 +337,9 @@ def cmd_generate(cfg, args):
     return EXIT_OK
 
 
+HISTORY_COLUMNS = ["generation", "max_f", "mean_f", "best_id"]  # of history.csv
+
+
 def cmd_evolve(cfg, args):
     out, splits, spec = _inputs(cfg, args)
     base = _load_model(args.model, spec)
@@ -346,7 +349,7 @@ def cmd_evolve(cfg, args):
     best, history = evolution.evolve(base, spec, gcfg, ecfg, fit, splits["val"])
     info = store.save_model(best.params, os.path.join(out, "best.mgem"))
     with open(os.path.join(out, "history.csv"), "w", newline="") as f:
-        writer = csv.DictWriter(f, ["generation", "max_f", "mean_f", "best_id"])
+        writer = csv.DictWriter(f, HISTORY_COLUMNS)
         writer.writeheader()
         writer.writerows(row.to_record() for row in history)
     record = {
@@ -408,12 +411,28 @@ def _aligned(rows, headers):
     return "\n".join(lines)
 
 
+def _read_history(path):
+    """The rows of an evolve run's history.csv, in HISTORY_COLUMNS order."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise FormatError(f"history file {path} lacks the columns {', '.join(missing)}")
+            rows = [[row[c] for c in HISTORY_COLUMNS] for row in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"history file {path} is not a UTF-8 CSV file ({exc})") from None
+    for i, row in enumerate(rows, 1):
+        if None in row:
+            raise FormatError(f"history file {path}: row {i} has fewer fields than the header")
+    return rows
+
+
 def cmd_report(cfg, args):
     out = _out_dir(cfg, args)
     sections = []
-    manifest_path = os.path.join(args.pool, "manifest.json") if args.pool else None
-    if manifest_path and os.path.exists(manifest_path):
-        doc = store.verify_manifest(manifest_path)
+    if args.pool:
+        doc = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
         if not doc["members"]:
             print("pool is empty")
             return EXIT_OK
@@ -435,15 +454,11 @@ def cmd_report(cfg, args):
             writer = csv.writer(f)
             writer.writerow(["id", "generated", "base"])
             writer.writerows([m["id"], m["accuracy"], base_acc] for m in doc["members"])
-    if args.history and os.path.exists(args.history):
-        with open(args.history) as f:
-            hist = list(csv.DictReader(f))
+    if args.history:
         sections.append("== evolution history ==")
-        sections.append(_aligned(
-            [[h["generation"], h["max_f"], h["mean_f"], h["best_id"]] for h in hist],
-            ["generation", "max_f", "mean_f", "best_id"]))
+        sections.append(_aligned(_read_history(args.history), HISTORY_COLUMNS))
     if not sections:
-        print("nothing to report (no pool manifest or history found)")
+        print("nothing to report (neither --pool nor --history given)")
         return EXIT_OK
     text = "\n".join(sections)
     print(text)

@@ -26,7 +26,7 @@ class TrainingDivergedError(MgeError, RuntimeError):
 
 
 class FormatError(MgeError, ValueError):
-    """Malformed binary input file.
+    """Malformed input file (an IDX file, an evolve history).
 
     offset is the byte position where parsing failed.
     """

@@ -62,7 +62,7 @@ def fuse(parents, weights) -> ParamSet:
     if len(parents) != len(weights) or not parents:
         raise ConfigRangeError("parents/weights length mismatch")
     w = np.asarray(weights, dtype=np.float64)
-    if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+    if not ((w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9):
         raise ConfigRangeError("weights must be non-negative and sum to 1")
     if any(p.layout != parents[0].layout for p in parents[1:]):
         raise StructuralError("parents have mismatched architectures")

@@ -4,6 +4,7 @@ assigns to every member."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import adversarial
@@ -27,8 +28,8 @@ class Criterion:
             raise ConfigRangeError(f"unknown criterion kind {self.kind!r}; "
                                    f"known kinds: {', '.join(CRITERION_KINDS)}")
         if self.kind == "robust_accuracy":
-            if self.attack_eps is None or self.attack_eps <= 0:
-                raise ConfigRangeError("robust_accuracy requires attack_eps > 0")
+            if self.attack_eps is None or not (0 < self.attack_eps < math.inf):
+                raise ConfigRangeError("robust_accuracy requires a finite attack_eps > 0")
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class FitnessConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ConfigRangeError("gamma must be >= 0")
+        if not (0 <= self.gamma < math.inf):
+            raise ConfigRangeError(f"gamma {self.gamma} must be finite and >= 0")
 
     def on(self, ev):
         """This config with every criterion on ``ev``'s dataset moved onto the

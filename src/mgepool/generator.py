@@ -44,8 +44,8 @@ class GeneratorConfig:
             raise ConfigRangeError(f"latent bound z={self.z} outside (0, {MAX_LATENT_BOUND}]")
         if self.attempts < 1:
             raise ConfigRangeError("attempt budget must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigRangeError("acceptance tolerance must be > 0")
+        if not (0.0 < self.epsilon < np.inf):
+            raise ConfigRangeError(f"acceptance tolerance {self.epsilon} must be finite and > 0")
 
 
 @dataclass
@@ -255,7 +255,7 @@ def unimportant_mask_spatial(layer_values, band, fraction) -> np.ndarray:
 def zero_fill_decay(base, spec, testset, fractions):
     """Accuracy after zeroing the lowest-energy share of each layer's spectrum."""
     fractions = list(fractions)
-    if fractions != sorted(fractions) or any(f < 0 or f > 1 for f in fractions):
+    if fractions != sorted(fractions) or not all(0 <= f <= 1 for f in fractions):
         raise ConfigRangeError("fractions must be ascending within [0, 1]")
     curve = []
     for f in fractions:

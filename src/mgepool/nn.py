@@ -13,14 +13,19 @@ windows and its GEMM output is already NHWC. Both modes walk one layer
 order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
 (the two commute, and the pool leaves k*k fewer values).
 
-- ``forward`` and ``evaluate_accuracy`` keep no caches. Max-pooling is an
-  elementwise maximum of the k*k strided views.
-- ``loss_and_grads`` (training, FGSM) hands it a cache list: max-pooling
-  takes an argmax, and each layer keeps what the channels-first backward
-  reads, as NCHW views. For FGSM, ``input_gradient`` skips the parameter
-  gradients (dW, db), and its caches keep only what dx reads: a conv keeps
-  no im2col and a dense layer no input. The input gradient is computed
-  exactly as in training.
+Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
+strided views ``x[:, i::k, j::k]``.
+
+- ``forward`` and ``evaluate_accuracy`` keep no caches.
+- ``loss_and_grads`` (training, FGSM) hands it a cache list, and each layer
+  keeps what the channels-first backward reads, as NCHW views. A max-pool
+  keeps where each strided view equals the output (k*k bool arrays), and
+  its backward gives each window's gradient to the first maximum in (i, j)
+  order, as an argmax would. For FGSM, ``input_gradient`` skips the
+  parameter gradients (dW, db), and its caches keep only what dx reads: a
+  conv keeps no im2col and a dense layer no input. The input gradient is
+  computed exactly as in training.
+- A batch array must be finite: a NaN equals no maximum.
 
 The forward and the backward split the net at its first ``Flatten``:
 
@@ -325,8 +330,8 @@ def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
         raise ConfigRangeError("dim must be >= 1")
     if n < classes:
         raise ConfigRangeError("n must be >= classes")
-    if noise < 0:
-        raise ConfigRangeError("noise must be >= 0")
+    if not (0 <= noise < np.inf):
+        raise ConfigRangeError(f"noise {noise} must be finite and >= 0")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes  # balanced within +-1
     if kind == "blobs":
@@ -350,7 +355,16 @@ def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
 
 
 def split_dataset(ds, fractions, seed):
-    """Shuffle and split into named parts, e.g. {'train': .6, 'val': .2, 'test': .2}."""
+    """Shuffle and split into named parts, e.g. {'train': .6, 'val': .2, 'test': .2}.
+
+    Fractions are non-negative and sum to at most 1; the last part takes
+    every row the others leave."""
+    total = 0.0
+    for name, f in fractions.items():
+        total += f
+        if not (0.0 <= f and total <= 1.0 + 1e-9):
+            raise ConfigRangeError(
+                f"split {name!r}: fraction {f} is negative or takes the sum past 1")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(ds))
     out, start = {}, 0
@@ -413,22 +427,17 @@ def load_idx_dataset(images_path, labels_path, classes=10, split="test"):
 # forward / backward
 
 
-def _pool_forward(x, k):
-    n, c, h, w = x.shape
-    xr = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-    xr = xr.reshape(n, c, h // k, w // k, k * k)
-    idx = xr.argmax(-1)
-    y = np.take_along_axis(xr, idx[..., None], -1)[..., 0]
-    return y, (x.shape, idx)
-
-
-def _pool_backward(dy, cache, k):
-    shape, idx = cache
-    n, c, h, w = shape
-    dxr = np.zeros((n, c, h // k, w // k, k * k))
-    np.put_along_axis(dxr, idx[..., None], dy[..., None], -1)
-    dx = dxr.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-    return dx.reshape(shape)
+def _pool_backward(dy, hits, k):
+    """dx of a k x k max-pool, C-order NCHW: each window's dy goes to its
+    first maximum in (i, j) order. ``hits`` holds, for each (i, j) in that
+    order, where the strided view ``x[..., i::k, j::k]`` equals the output."""
+    dx = np.zeros((*dy.shape[:2], dy.shape[2] * k, dy.shape[3] * k))
+    free = np.ones(dy.shape, dtype=bool)  # windows whose dy is not yet placed
+    for (i, j), hit in zip(np.ndindex(k, k), hits):
+        first = hit & free
+        np.copyto(dx[:, :, i::k, j::k], dy, where=first)
+        free ^= first
+    return dx
 
 
 def _conv_backward(dy, cache, w, k, param_grads=True):
@@ -520,12 +529,11 @@ def _layers_forward(layers, params, pidx, out, first_cols, caches, param_grads):
             out = y.reshape(n, h2, w2, layer.out_ch)
             pidx += 2
         elif isinstance(layer, MaxPool):
-            if keep:
-                y, cache = _pool_forward(_nchw(out), layer.k)
-                caches.append(cache)
-                out = y.transpose(0, 2, 3, 1)
-            else:
-                out = _pool_nhwc(out, layer.k)
+            y = _pool_nhwc(out, layer.k)
+            if keep:  # where each strided view holds its window's maximum
+                k = layer.k
+                caches.append([_nchw(out[:, i::k, j::k] == y) for i, j in np.ndindex(k, k)])
+            out = y
         elif isinstance(layer, Activation):
             if keep and layer.kind == "relu":
                 caches.append(_nchw(out))
@@ -676,10 +684,14 @@ def eval_batches(spec, data):
 
 def batch_rows(spec, features):
     """(float64 rows, first-layer im2col or None) of a batch given as an
-    array or as an EvalSet."""
+    array or as an EvalSet. An array must be finite; an EvalSet's Dataset
+    was checked when it was made."""
     if isinstance(features, EvalSet):
         return np.asarray(features.dataset.features, dtype=np.float64), features.first_cols(spec)
-    return np.asarray(features, dtype=np.float64), None
+    x = np.asarray(features, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("non-finite feature values in the batch")
+    return x, None
 
 
 def forward(spec, params, features):
@@ -778,10 +790,9 @@ def input_gradient(spec, params, features, labels):
     """Gradient of the cross-entropy loss w.r.t. the input features: one
     example, a batch array or an EvalSet. No parameter gradient is formed."""
     _check_compatible(spec, params)
-    x, _ = batch_rows(spec, features)
-    single = x.shape == tuple(spec.input_shape)
+    single = not isinstance(features, EvalSet) and np.shape(features) == tuple(spec.input_shape)
     if single:
-        features, labels = x[None], np.asarray([labels])
+        features, labels = np.asarray(features)[None], np.asarray([labels])
     _, _, dx = loss_and_grads(spec, params, features, labels, _param_grads=False)
     return dx[0] if single else dx
 
@@ -799,8 +810,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigRangeError("learning rate must be >= 0")
+        if not (0.0 <= self.learning_rate < np.inf):
+            raise ConfigRangeError(f"learning rate {self.learning_rate} must be finite and >= 0")
         if self.epochs < 1:
             raise ConfigRangeError("epochs must be >= 1")
         if self.batch_size < 1:

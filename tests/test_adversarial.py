@@ -47,6 +47,14 @@ class TestFgsm:
         with pytest.raises(ConfigRangeError):
             fgsm(desk.spec, desk.base, desk.splits["val"].features[0], 0, -0.1)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, desk, eps):
+        val = desk.splits["val"]
+        with pytest.raises(ConfigRangeError):
+            fgsm_batch(desk.spec, desk.base, val.features, val.labels, eps)
+        with pytest.raises(ConfigRangeError):
+            robust_accuracy(desk.spec, desk.base, val, eps)
+
 
 class TestRobustAccuracy:
     def test_zero_eps_equals_clean_accuracy(self, desk):

@@ -103,6 +103,12 @@ class TestConfigValidation:
         assert cli.main(["--config", path, "train"]) == cli.EXIT_CONFIG
         assert named in error_lines(capsys, cli.EXIT_CONFIG)
 
+    def test_split_fractions_named(self, tmp_path, capsys):
+        splits = {"train": 0.8, "val": 0.5, "test": 0.2}
+        path = write_config(tmp_path, desk_config(tmp_path / "o", dataset={"splits": splits}))
+        assert cli.main(["--config", path, "train"]) == cli.EXIT_CONFIG
+        assert "dataset.splits: split 'val'" in error_lines(capsys, cli.EXIT_CONFIG)
+
     def test_empty_epsilons_rejected(self, pipeline, tmp_path, capsys):
         cfg = desk_config(tmp_path / "o", attack={"epsilons": []})
         path = write_config(tmp_path, cfg)
@@ -483,3 +489,33 @@ class TestReport:
         assert cli.main(["--config", pipeline["config"], "--out",
                          str(tmp_path / "o"), "report", "--pool", str(pool)]) == 0
         assert "empty" in capsys.readouterr().out
+
+    def test_history_report(self, pipeline, tmp_path, capsys):
+        hist = tmp_path / "history.csv"
+        hist.write_text("generation,max_f,mean_f,best_id\n0,1.5,1.25,3\n1,1.75,1.5,9\n")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "report", "--history", str(hist)]) == 0
+        printed = capsys.readouterr().out
+        assert "evolution history" in printed and "1.75" in printed
+
+    @pytest.mark.parametrize("content, why", [
+        (b"generation,max_f,best_id\n0,1.5,3\n", "mean_f"),
+        (b"", "mean_f"),
+        (b"generation,max_f,mean_f,best_id\n0,1.5\n", "row 1"),
+        (b"generation,max_f,mean_f,best_id\n0,1.5,\xff\xfe,3\n", "UTF-8"),
+    ], ids=["missing-column", "empty", "short-row", "not-utf8"])
+    def test_malformed_history_rejected(self, pipeline, tmp_path, capsys, content, why):
+        hist = tmp_path / "history.csv"
+        hist.write_bytes(content)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "report", "--history", str(hist)]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert line.startswith("ERROR code=3 input:") and str(hist) in line and why in line
+
+    @pytest.mark.parametrize("flag", ["--pool", "--history"])
+    def test_missing_path_rejected(self, pipeline, tmp_path, capsys, flag):
+        absent = str(tmp_path / "absent")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "report", flag, absent]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert line.startswith("ERROR code=3 input:") and absent in line

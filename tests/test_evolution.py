@@ -135,6 +135,11 @@ class TestFuse:
         with pytest.raises(ConfigRangeError):
             fuse([desk.base, desk.base], [-0.5, 1.5])
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, -np.inf], [0.5, np.nan]])
+    def test_non_finite_weights_rejected(self, desk, weights):
+        with pytest.raises(ConfigRangeError, match="weights"):
+            fuse([desk.base, desk.base], weights)
+
     def test_architecture_mismatch_rejected(self, desk):
         from mgepool.nn import init_params, mlp
         other = init_params(mlp([2, 8, 3]), np.random.default_rng(0))

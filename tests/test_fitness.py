@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mgepool import Criterion, FitnessConfig, robust_accuracy
@@ -13,6 +15,16 @@ class TestCriterion:
             Criterion("robust_accuracy", desk.splits["val"])
         with pytest.raises(ConfigRangeError):
             Criterion("robust_accuracy", desk.splits["val"], attack_eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_robust_eps_must_be_finite(self, desk, eps):
+        with pytest.raises(ConfigRangeError, match="attack_eps"):
+            Criterion("robust_accuracy", desk.splits["val"], attack_eps=eps)
+
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+    def test_gamma_must_be_finite_and_non_negative(self, desk, gamma):
+        with pytest.raises(ConfigRangeError, match="gamma"):
+            FitnessConfig(Criterion("accuracy", desk.splits["val"]), gamma=gamma)
 
     def test_unknown_kind_rejected(self, desk):
         with pytest.raises(ConfigRangeError):

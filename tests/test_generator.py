@@ -330,6 +330,11 @@ class TestZeroFillDecay:
         with pytest.raises(ConfigRangeError):
             zero_fill_decay(desk.base, desk.spec, desk.splits["test"], [0.5, 0.1])
 
+    @pytest.mark.parametrize("fractions", [[np.nan], [0.1, np.nan], [1.5], [-0.1]])
+    def test_fractions_outside_unit_range_rejected(self, desk, fractions):
+        with pytest.raises(ConfigRangeError):
+            zero_fill_decay(desk.base, desk.spec, desk.splits["test"], fractions)
+
 
 class TestBandSensitivity:
     def test_zero_scale_returns_base_accuracy(self, desk):
@@ -356,6 +361,11 @@ class TestConfigValidation:
     def test_threshold_range(self):
         with pytest.raises(ConfigRangeError):
             GeneratorConfig(t=1.5)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ConfigRangeError, match="tolerance"):
+            GeneratorConfig(epsilon=epsilon)
 
     def test_latent_bound_range(self):
         with pytest.raises(ConfigRangeError):

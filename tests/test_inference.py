@@ -1,10 +1,12 @@
-"""Property tests: the inference forward (no caches, max-pool as a maximum
-of strided views, shared first-layer im2col) gives logits bit-identical to
-the forward's cache mode that training uses (argmax max-pool); both move
-each ReLU that feeds a max-pool after it. FGSM (gradient-only backward,
-shared first-layer im2col) gives adversarial examples bit-identical to the
-full training backward's. Every output is the same, bit for bit, whatever
-the image stage's tile size and however many threads run the tiles."""
+"""Property tests: the inference forward (no caches, shared first-layer
+im2col) gives logits bit-identical to the forward's cache mode that training
+uses; both max-pool with a maximum of strided views and move each ReLU that
+feeds a max-pool after it. The max-pool backward routes each window's
+gradient to its first maximum in (i, j) order, as a per-window argmax does,
+tied windows included. FGSM (gradient-only backward, shared first-layer
+im2col) gives adversarial examples bit-identical to the full training
+backward's. Every output is the same, bit for bit, whatever the image
+stage's tile size and however many threads run the tiles."""
 
 import gc
 import multiprocessing
@@ -15,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgepool import adversarial, evolution, generator, nn
@@ -136,6 +138,65 @@ def test_fgsm_with_the_cache_matches_fgsm_without(spec, rows, seed, eps):
     if rows <= nn.EVAL_BATCH:
         assert ev.first_cols(spec) is not None
         assert np.array_equal(adversarial.fgsm_batch(spec, params, ev, y, eps), advs[0])
+
+
+def tied_features(spec, rows, seed):
+    """Features drawn from {0, 0.5, 1} in blocks of 2 x 2 pixels, each image
+    with one constant patch: equal input windows give equal conv outputs, so
+    many pool windows hold several equal maxima."""
+    rng = np.random.default_rng(seed)
+    c, h, w = spec.input_shape
+    blocks = rng.choice([0.0, 0.5, 1.0], (rows, c, (h + 1) // 2, (w + 1) // 2))
+    x = blocks.repeat(2, axis=2).repeat(2, axis=3)[:, :, :h, :w]
+    for img in x:
+        top, left = rng.integers(0, h - 1), rng.integers(0, w - 1)
+        img[:, top:top + rng.integers(2, h + 1), left:left + rng.integers(2, w + 1)] = \
+            rng.choice([0.0, 0.5, 1.0])
+    return x
+
+
+def first_max_pool_backward(inputs):
+    """A max-pool backward for ``nn._pool_backward``'s place: a loop over the
+    windows of the pool input that ``inputs`` recorded last (NHWC), giving
+    each window's dy to its first maximum in (i, j) order."""
+    def backward(dy, _cache, k):
+        x = inputs.pop().transpose(0, 3, 1, 2)
+        dx = np.zeros(x.shape)
+        for n, c, r, s in np.ndindex(dy.shape):
+            i, j = divmod(int(np.argmax(x[n, c, r * k:r * k + k, s * k:s * k + k])), k)
+            dx[n, c, r * k + i, s * k + j] = dy[n, c, r, s]
+        return dx
+    return backward
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=specs(conv_first=True), rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+@example(spec=NetworkSpec((Conv(1, 2, 3), Activation("relu"), MaxPool(2), Conv(2, 3, 1),
+                           Activation("tanh"), MaxPool(3), Flatten(), Dense(12, 2)),
+                          (1, 14, 14), 2), rows=4, seed=0)
+def test_pool_backward_routes_to_the_first_maximum(spec, rows, seed):
+    """Against a per-window loop, on features with many tied windows; the
+    one fixed example has a 2 x 2 and a 3 x 3 pool."""
+    params = random_params(spec, seed)
+    x = tied_features(spec, rows, seed)
+    y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
+    _, grads, dx = nn.loss_and_grads(spec, params, x, y)
+    inputs, pool = [], nn._pool_nhwc
+
+    def recording_pool(a, k):
+        inputs.append(a)
+        return pool(a, k)
+
+    # training's image stage is one tile on the calling thread: pools run in
+    # order in the forward and in reverse in the backward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "_pool_nhwc", recording_pool)
+        mp.setattr(nn, "_pool_backward", first_max_pool_backward(inputs))
+        _, ref_grads, ref_dx = nn.loss_and_grads(spec, params, x, y)
+    assert not inputs
+    assert np.array_equal(dx, ref_dx)
+    for got, expected in zip(grads, ref_grads, strict=True):
+        assert np.array_equal(got, expected)
 
 
 class CountingPool(ThreadPoolExecutor):

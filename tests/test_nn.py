@@ -153,6 +153,25 @@ class TestEmptyBatch:
             nn.input_gradient(spec, params, x, y)
 
 
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH_SPECS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(name, bad):
+    """A batch array with one non-finite feature is rejected before any layer
+    runs, so no NaN or inf can reach a max-pool, a logit or a gradient."""
+    spec = EMPTY_BATCH_SPECS[name]
+    params = nn.init_params(spec, np.random.default_rng(6))
+    x = np.random.default_rng(7).uniform(0.0, 1.0, (3, *spec.input_shape))
+    x.flat[x[0].size // 2] = bad  # in the first row
+    y = np.zeros(3, dtype=int)
+    calls = {"forward": lambda: nn.forward(spec, params, x),
+             "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
+             "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
+             "one example": lambda: nn.input_gradient(spec, params, x[0], 0)}
+    for call in calls.values():
+        with pytest.raises(InvalidInputError, match="non-finite feature"):
+            call()
+
+
 class TestGradients:
     def test_param_grads_match_finite_differences_mlp(self):
         spec = nn.mlp([3, 5, 4, 2], activation="tanh")
@@ -322,6 +341,11 @@ class TestSynthetic:
         with pytest.raises(ConfigRangeError, match="noise"):
             nn.make_synthetic("blobs", 10, 2, seed=0, noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ConfigRangeError, match="noise"):
+            nn.make_synthetic("blobs", 10, 2, seed=0, noise=noise)
+
 
 class TestIdx:
     def test_round_trip_single_image(self, tmp_path):
@@ -391,6 +415,28 @@ class TestValidation:
             nn.TrainConfig(optimizer="rmsprop")
         with pytest.raises(ConfigRangeError, match="batch size"):
             nn.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("rate", [-0.1, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ConfigRangeError, match="learning rate"):
+            nn.TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("fractions, bad", [
+        ({"train": -0.5, "val": 1.0}, "train"),
+        ({"train": 0.5, "val": np.nan}, "val"),
+        ({"train": 0.8, "val": 0.5, "test": 0.2}, "val"),
+        ({"train": 0.6, "val": 0.2, "test": 0.3}, "test"),
+    ])
+    def test_split_fractions_checked_and_named(self, fractions, bad):
+        ds = nn.make_synthetic("blobs", 60, 3, seed=0)
+        with pytest.raises(ConfigRangeError, match=f"split '{bad}'"):
+            nn.split_dataset(ds, fractions, seed=0)
+
+    def test_split_fractions_may_sum_to_one_in_floats(self):
+        ds = nn.make_synthetic("blobs", 60, 3, seed=0)
+        # 0.1 + 0.2 + 0.7 is 1.0000000000000002 in floats
+        parts = nn.split_dataset(ds, {"a": 0.1, "b": 0.2, "c": 0.7}, seed=0)
+        assert [len(p) for p in parts.values()] == [6, 12, 42]
 
 
 class TestFlatBuffer:
