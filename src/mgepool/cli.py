@@ -317,7 +317,7 @@ def cmd_generate(cfg, args):
         wall["ratio_time"] = store.time_ratio(pool.seconds, wall["time_trained"])
     doc = store.build_manifest(
         pool_id=f"pool-{gcfg.seed}-{args.count}",
-        base={"path": os.path.basename(args.model),
+        base={"path": os.path.relpath(args.model, out),
               "hash": store.file_hash(args.model),
               "accuracy": pool.base_accuracy},
         config={"generator": vars(gcfg)},
@@ -376,9 +376,8 @@ def cmd_attack(cfg, args):
     manifest = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
     pool = [(str(m["id"]), _load_model(os.path.join(args.pool, m["file"]), spec))
             for m in manifest["members"]]
-    # the base model sits in the pool directory's parent, as `generate` records it
-    base_path = os.path.join(os.path.dirname(os.path.abspath(args.pool)),
-                             manifest["base"]["path"])
+    # `generate` records the base's path relative to the pool directory
+    base_path = os.path.normpath(os.path.join(args.pool, manifest["base"]["path"]))
     if store.file_hash(base_path) != manifest["base"]["hash"]:
         raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
     base = _load_model(base_path, spec)

@@ -16,15 +16,15 @@ order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
 Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
 strided views ``x[:, i::k, j::k]``.
 
-- ``forward`` and ``evaluate_accuracy`` keep no caches.
-- ``loss_and_grads`` (training, FGSM) hands it a cache list, and each layer
-  keeps what the channels-first backward reads, as NCHW views. A max-pool
-  keeps where each strided view equals the output (k*k bool arrays), and
-  its backward gives each window's gradient to the first maximum in (i, j)
-  order, as an argmax would. For FGSM, ``input_gradient`` skips the
-  parameter gradients (dW, db), and its caches keep only what dx reads: a
-  conv keeps no im2col and a dense layer no input. The input gradient is
-  computed exactly as in training.
+- ``forward`` and ``evaluate_accuracy`` record nothing.
+- ``loss_and_grads`` (training, FGSM) records each layer's backward: a
+  function bound to what the channels-first backward reads, as NCHW views.
+  A max-pool keeps where each strided view equals the output (k*k bool
+  arrays), and its backward gives each window's gradient to the first
+  maximum in (i, j) order, as an argmax would. For FGSM, ``input_gradient``
+  skips the parameter gradients (dW, db), and each recorded backward keeps
+  only what dx reads: a conv keeps no im2col and a dense layer no input.
+  The input gradient is computed exactly as in training.
 - A batch array must be finite: a NaN equals no maximum.
 
 The forward and the backward split the net at its first ``Flatten``:
@@ -40,8 +40,8 @@ The forward and the backward split the net at its first ``Flatten``:
   run at once on a private thread pool with one thread per CPU the process
   may run on (made on first use, and made anew in a forked child), and
   their outputs are joined in tile order; a single tile runs on the
-  calling thread. In cache mode each tile keeps its own cache list, and
-  the backward runs tile by tile, on the same pool.
+  calling thread. When recording, each tile keeps its own layers'
+  backwards, and the backward runs tile by tile, on the same pool.
 - The **vector stage** (every Dense, its activations, the softmax and
   cross-entropy) runs on the whole batch, on the calling thread. BLAS
   rounds a dense GEMM by its row count: with OpenBLAS 0.3.31, the rows of
@@ -70,6 +70,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -440,17 +441,17 @@ def _pool_backward(dy, hits, k):
     return dx
 
 
-def _conv_backward(dy, cache, w, k, param_grads=True):
-    """(dx, dW, db); dW and db are None unless ``param_grads``."""
-    xshape, cols, h2, w2 = cache
-    n = dy.shape[0]
-    oc = dy.shape[1]
+def _conv_backward(xshape, cols, w, pidx, dy, grads):
+    """dx (C-order NCHW, shape ``xshape``) of a conv with weight ``w``, entry
+    ``pidx``; writes dW and db into ``grads`` unless it is None. Only dW reads
+    ``cols``, the forward's (n, h2*w2, ic*k*k) im2col."""
+    n, oc, h2, w2 = dy.shape
+    k = w.shape[-1]
     wmat = w.reshape(oc, -1)
     dy_mat = dy.reshape(n, oc, h2 * w2).transpose(0, 2, 1)  # (n, hw, oc)
-    dw = db = None
-    if param_grads:
-        db = dy_mat.sum(axis=(0, 1))
-        dw = np.einsum("npo,npc->oc", dy_mat, cols).reshape(w.shape)
+    if grads is not None:
+        grads[pidx + 1] = dy_mat.sum(axis=(0, 1))
+        grads[pidx] = np.einsum("npo,npc->oc", dy_mat, cols).ravel()
     dcols = dy_mat @ wmat  # (n, hw, ic*k*k)
     ic = xshape[1]
     d6 = dcols.reshape(n, h2, w2, ic, k, k).transpose(0, 3, 1, 2, 4, 5)
@@ -458,7 +459,16 @@ def _conv_backward(dy, cache, w, k, param_grads=True):
     for i in range(k):
         for j in range(k):
             dx[:, :, i:i + h2, j:j + w2] += d6[:, :, :, :, i, j]
-    return dx, dw, db
+    return dx
+
+
+def _dense_backward(x, w, pidx, d, grads):
+    """dx of a dense layer with weight ``w``, entry ``pidx``; writes dW and db
+    into ``grads`` unless it is None. Only dW reads ``x``, the layer's input."""
+    if grads is not None:
+        grads[pidx] = (x.T @ d).ravel()
+        grads[pidx + 1] = d.sum(axis=0)
+    return d @ w.T
 
 
 def _im2col_nhwc(x, k):
@@ -506,16 +516,19 @@ def _param_entries(layers):
     return 2 * sum(isinstance(l, (Dense, Conv)) for l in layers)
 
 
-def _layers_forward(layers, params, pidx, out, first_cols, caches, param_grads):
+def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
     """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
     see ``_forward``. ``first_cols`` replaces the im2col of a conv at
-    ``layers[0]``."""
-    keep = caches is not None
+    ``layers[0]``. Given a ``tape`` list, appends each layer's backward
+    ``back(d, grads)``, bound to what it reads when it is made: a closure
+    over the loop would see the last layer's values."""
+    keep = tape is not None
     for i, layer in enumerate(layers):
         if isinstance(layer, Dense):
+            w = params.entries[pidx].reshaped()
             if keep:
-                caches.append(out if param_grads else None)  # only dW reads it
-            out = out @ params.entries[pidx].reshaped() + params.entries[pidx + 1].values
+                tape.append(partial(_dense_backward, out if param_grads else None, w, pidx))
+            out = out @ w + params.entries[pidx + 1].values
             pidx += 2
         elif isinstance(layer, Conv):
             w = params.entries[pidx].reshaped()
@@ -524,27 +537,37 @@ def _layers_forward(layers, params, pidx, out, first_cols, caches, param_grads):
             cols = cols.reshape(n, h2 * w2, -1)
             y = cols @ w.reshape(layer.out_ch, -1).T
             y += params.entries[pidx + 1].values
-            if keep:  # only dW reads the im2col
-                caches.append((_nchw(out).shape, cols if param_grads else None, h2, w2))
+            if keep:
+                tape.append(partial(_conv_backward, _nchw(out).shape,
+                                    cols if param_grads else None, w, pidx))
             out = y.reshape(n, h2, w2, layer.out_ch)
             pidx += 2
         elif isinstance(layer, MaxPool):
             y = _pool_nhwc(out, layer.k)
             if keep:  # where each strided view holds its window's maximum
                 k = layer.k
-                caches.append([_nchw(out[:, i::k, j::k] == y) for i, j in np.ndindex(k, k)])
+                hits = [_nchw(out[:, i::k, j::k] == y) for i, j in np.ndindex(k, k)]
+                # looked up when it runs, so a test can stand in for it
+                tape.append(lambda d, grads, hits=hits, k=k: _pool_backward(d, hits, k))
             out = y
         elif isinstance(layer, Activation):
-            if keep and layer.kind == "relu":
-                caches.append(_nchw(out))
+            if keep and layer.kind == "relu":  # subgradient 0 at the kink
+                tape.append(lambda d, grads, x=_nchw(out): d * (x > 0))
             out = np.maximum(out, 0.0) if layer.kind == "relu" else np.tanh(out)
-            if keep and layer.kind == "tanh":
-                caches.append(_nchw(out))  # tanh's gradient needs its output
+            if keep and layer.kind == "tanh":  # tanh's gradient needs its output
+                tape.append(lambda d, grads, y=_nchw(out): d * (1.0 - y * y))
         elif isinstance(layer, Flatten):
             if keep:
-                caches.append(_nchw(out).shape)
+                tape.append(lambda d, grads, shape=_nchw(out).shape: d.reshape(shape))
             out = _nchw(out).reshape(out.shape[0], -1)
     return out
+
+
+def _run_tape(tape, d, grads):
+    """The gradient at the input of the layers that recorded ``tape``."""
+    for back in reversed(tape):
+        d = back(d, grads)
+    return d
 
 
 class _TilePool:
@@ -583,39 +606,51 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _forward(spec, params, x, first_cols, caches=None, param_grads=True):
+def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
     """Logits of a non-empty batch; image batches run channels-last (NHWC).
 
     It walks ``_inference_layers(spec)``. The image stage
     (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
-    tile order, and the vector stage on the whole batch. Given ``caches``, a
-    pair of lists ``(tiles, vector)``, it keeps what the backward in
-    ``loss_and_grads`` reads, image arrays as NCHW views: one ``(rows,
-    per-layer list)`` per tile in ``tiles``, one entry per vector-stage layer
-    in ``vector``. With ``param_grads`` the image stage is one tile and each
-    conv and dense layer also keeps the input that its dW reads.
+    tile order, and the vector stage on the whole batch. With ``tape`` it
+    returns ``(logits, back)``: every layer records its backward (see
+    ``_layers_forward``), and ``back(d, grads)`` runs them from ``d`` at the
+    logits, the vector stage's and then each tile's on the tile pool, and
+    returns the input gradient, NCHW for images. It fills ``grads``, a list
+    with one slot per parameter entry, unless that is None. With
+    ``param_grads`` the image stage is one tile and each conv and dense layer
+    also keeps the input that its dW reads.
     """
-    keep = caches is not None
     layers = _inference_layers(spec)
     cut = _image_stage_len(spec)
     out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
     if cut:
         # dW and db sum over the batch, so their image stage runs as one tile
-        step = len(x) if keep and param_grads else TILE_ROWS
+        step = len(x) if tape and param_grads else TILE_ROWS
         rows = [slice(s, s + step) for s in range(0, len(x), step)]
 
         def run(tile_rows):
-            tile = [] if keep else None
+            tile = [] if tape else None
             cols = None if first_cols is None else first_cols[tile_rows]
             return _layers_forward(layers[:cut], params, 0, out[tile_rows], cols, tile,
-                                   param_grads), tile
+                                   param_grads), (tile_rows, tile)
 
         parts = _tile_pool.map(run, rows)
-        if keep:
-            caches[0].extend((r, tile) for r, (_, tile) in zip(rows, parts))
         out = _join([part for part, _ in parts])
-    return _layers_forward(layers[cut:], params, _param_entries(layers[:cut]), out,
-                           None, caches[1] if keep else None, param_grads)
+        tiles = [tile for _, tile in parts]
+    vector = [] if tape else None
+    logits = _layers_forward(layers[cut:], params, _param_entries(layers[:cut]), out,
+                             None, vector, param_grads)
+    if not tape:
+        return logits
+
+    def back(d, grads):
+        d = _run_tape(vector, d, grads)
+        if cut:  # several tiles only without parameter gradients
+            dy = d
+            d = _join(_tile_pool.map(lambda t: _run_tape(t[1], dy[t[0]], grads), tiles))
+        return d
+
+    return logits, back
 
 
 def _check_batch(spec, x):
@@ -724,66 +759,21 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     is internal to ``input_gradient``: the forward then keeps only what dx
     reads, the backward skips every dW and db and returns None for the
     parameter gradients, and the image stage's forward and backward run on
-    tiles of ``TILE_ROWS`` rows on the tile pool, holding every tile's caches
-    until the backward. The input gradient is computed exactly as otherwise.
+    tiles of ``TILE_ROWS`` rows on the tile pool, holding every tile's
+    recorded backward until it runs. The input gradient is computed exactly
+    as otherwise.
     """
     x, cols = batch_rows(spec, features)
     if not len(x):
         raise InvalidInputError("empty batch: the loss is a mean over its rows")
     y = np.asarray(labels)
-    tiles, vector = [], []
-    logits = _forward(spec, params, x, cols, (tiles, vector), _param_grads)
+    logits, back = _forward(spec, params, x, cols, True, _param_grads)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(n), y] -= 1.0
-    d = probs / n
     grads = [None] * len(params.entries) if _param_grads else None
-    layers = _inference_layers(spec)
-    cut = _image_stage_len(spec)
-    d = _layers_backward(layers[cut:], params, _param_entries(layers[:cut]), d, vector, grads)
-    if cut:
-        dy = d
-
-        def back(tile):  # several tiles only without parameter gradients
-            rows, cache = tile
-            return _layers_backward(layers[:cut], params, 0, dy[rows], cache, grads)
-
-        d = _join(_tile_pool.map(back, tiles))
-    return loss, grads, d
-
-
-def _layers_backward(layers, params, pidx, d, caches, grads):
-    """Backward through ``layers``, whose parameters start at entry
-    ``pidx``, from ``d`` at their output, using the ``caches`` their forward
-    kept; returns the gradient at their input. Fills the layers' entries of
-    ``grads`` unless it is None."""
-    pidx += _param_entries(layers)
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        if isinstance(layer, Dense):
-            pidx -= 2
-            w = params.entries[pidx].reshaped()
-            if grads is not None:
-                grads[pidx] = (cache.T @ d).ravel()
-                grads[pidx + 1] = d.sum(axis=0)
-            d = d @ w.T
-        elif isinstance(layer, Conv):
-            pidx -= 2
-            w = params.entries[pidx].reshaped()
-            d, dw, db = _conv_backward(d, cache, w, layer.k, grads is not None)
-            if grads is not None:
-                grads[pidx] = dw.ravel()
-                grads[pidx + 1] = db
-        elif isinstance(layer, MaxPool):
-            d = _pool_backward(d, cache, layer.k)
-        elif isinstance(layer, Activation):
-            if layer.kind == "relu":
-                d = d * (cache > 0)  # subgradient 0 at the kink
-            else:
-                d = d * (1.0 - cache * cache)
-        elif isinstance(layer, Flatten):
-            d = d.reshape(cache)
-    return d
+    return loss, grads, back(probs / n, grads)
 
 
 def input_gradient(spec, params, features, labels):

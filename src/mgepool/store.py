@@ -107,8 +107,10 @@ def load_model(path) -> ParamSet:
             raise CorruptModelError(f"truncated header at offset {off}") from exc
         except UnicodeDecodeError as exc:
             raise CorruptModelError(f"layer name before offset {off} is not UTF-8") from exc
-        entries.append(ParamEntry(name, tuple(int(d) for d in dims),
-                                  np.frombuffer(payload, dtype="<f4")))
+        values = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
+            raise CorruptModelError(f"entry {name} contains non-finite values")
+        entries.append(ParamEntry(name, tuple(int(d) for d in dims), values))
     if off != len(body):
         raise CorruptModelError(f"{len(body) - off} trailing bytes")
     return ParamSet(entries)  # one float32 -> float64 cast, into its flat vector

@@ -194,6 +194,16 @@ class TestConfigValidation:
                          "generate", "--model", str(model)]) == cli.EXIT_INPUT
         assert "version 2" in error_lines(capsys, cli.EXIT_INPUT)
 
+    def test_non_finite_model_is_input_error(self, pipeline, tmp_path, capsys):
+        from mgepool.store import load_model, save_model
+        params = load_model(pipeline["out"] / "base.mgem")
+        params.flat[3] = np.nan  # save_model writes the value as it is
+        model = tmp_path / "nan.mgem"
+        save_model(params, model)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "analyze", "--model", str(model)]) == cli.EXIT_INPUT
+        assert "layer0.weight contains non-finite values" in error_lines(capsys, cli.EXIT_INPUT)
+
     def test_stamp_echoes_config_as_written(self, tmp_path):
         cfg = desk_config(tmp_path / "o", dataset={"n": "600"}, train={"epochs": 2})
         del cfg["attack"], cfg["fitness"]["extra"]
@@ -446,6 +456,21 @@ class TestAttack:
         transfer = (out / "transfer.tsv").read_text()
         assert transfer.startswith("model_id")
 
+
+    def test_base_stored_away_from_the_pool(self, pipeline, tmp_path):
+        """The manifest records the base's path relative to the pool
+        directory, so a base outside the pool's parent can be attacked."""
+        import shutil
+        base = tmp_path / "models" / "deep" / "base.mgem"
+        base.parent.mkdir(parents=True)
+        shutil.copy(pipeline["out"] / "base.mgem", base)
+        pool = tmp_path / "pools" / "p"
+        assert cli.main(["--config", pipeline["config"], "--out", str(pool), "generate",
+                         "--model", str(base), "--count", "2"]) == 0
+        recorded = read_manifest(pool / "manifest.json")["base"]["path"]
+        assert recorded == os.path.join("..", "..", "models", "deep", "base.mgem")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "atk"),
+                         "attack", "--pool", str(pool)]) == 0
 
     @pytest.mark.parametrize("swap", ["model_0000.mgem", "base"])
     def test_swapped_file_rejected(self, pipeline, tmp_path, capsys, swap):

@@ -1,12 +1,13 @@
-"""Property tests: the inference forward (no caches, shared first-layer
-im2col) gives logits bit-identical to the forward's cache mode that training
-uses; both max-pool with a maximum of strided views and move each ReLU that
+"""Property tests: the inference forward (nothing recorded, shared
+first-layer im2col) gives logits bit-identical to the recording forward that
+training uses; both max-pool with a maximum of strided views and move each ReLU that
 feeds a max-pool after it. The max-pool backward routes each window's
 gradient to its first maximum in (i, j) order, as a per-window argmax does,
 tied windows included. FGSM (gradient-only backward, shared first-layer
 im2col) gives adversarial examples bit-identical to the full training
 backward's. Every output is the same, bit for bit, whatever the image
-stage's tile size and however many threads run the tiles."""
+stage's tile size and however many threads run the tiles. The recorded
+backward's parameter gradients and dx match central differences."""
 
 import gc
 import multiprocessing
@@ -82,7 +83,7 @@ def random_features(spec, rows, seed):
 def test_forward_matches_training_forward(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected = nn._forward(spec, params, x, None, caches=([], []))
+    expected = nn._forward(spec, params, x, None, tape=True)[0]
     assert np.array_equal(nn.forward(spec, params, x), expected)
 
 
@@ -92,7 +93,7 @@ def test_forward_matches_training_forward(spec, rows, seed):
 def test_first_layer_cache_changes_nothing(spec, rows, seed):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
-    expected = nn._forward(spec, params, x, None, caches=([], []))
+    expected = nn._forward(spec, params, x, None, tape=True)[0]
     # labels are the reference predictions, so any wrong batch row shows as accuracy < 1
     data = Dataset(x, expected.argmax(axis=1), spec.classes)
     ev = nn.EvalSet(data)
@@ -197,6 +198,40 @@ def test_pool_backward_routes_to_the_first_maximum(spec, rows, seed):
     assert np.array_equal(dx, ref_dx)
     for got, expected in zip(grads, ref_grads, strict=True):
         assert np.array_equal(got, expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=st.one_of(specs(), specs(conv_first=True)), rows=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+@example(spec=NetworkSpec((Conv(1, 2, 3), Activation("relu"), MaxPool(2), Conv(2, 3, 1),
+                           Activation("tanh"), MaxPool(3), Flatten(), Dense(12, 2)),
+                          (1, 14, 14), 2), rows=2, seed=0)
+def test_recorded_backward_matches_central_differences(spec, rows, seed):
+    """Parameter gradients and dx against central differences of the
+    inference forward's loss, at a few sampled coordinates of every entry and
+    of the input. Comparing one mode with another cannot catch a recorded
+    backward bound to the wrong layer's values, since training and FGSM
+    would share it; the fixed example has two pools and a tanh."""
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
+    _, grads, dx = nn.loss_and_grads(spec, params, x, y)
+    rng = np.random.default_rng(seed + 3)
+    h = 1e-6
+
+    def central_difference(values, i):
+        orig = values[i]
+        losses = []
+        for step in (h, -h):
+            values[i] = orig + step
+            losses.append(nn.cross_entropy(nn.forward(spec, params, x), y))
+        values[i] = orig
+        return (losses[0] - losses[1]) / (2 * h)
+
+    for values, grad in [(e.values, g) for e, g in zip(params.entries, grads)] + \
+            [(x.reshape(-1), dx.reshape(-1))]:
+        for i in rng.choice(values.size, min(3, values.size), replace=False):
+            assert np.isclose(grad[i], central_difference(values, i), rtol=1e-4, atol=1e-7)
 
 
 class CountingPool(ThreadPoolExecutor):

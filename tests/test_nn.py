@@ -275,7 +275,8 @@ class TestTrain:
     def test_divergence_detected(self):
         ds = nn.make_synthetic("blobs", 60, 2, seed=16)
         spec = nn.mlp([2, 4, 2])
-        with pytest.raises(TrainingDivergedError):
+        # the step deliberately overflows, which numpy reports as it goes
+        with pytest.raises(TrainingDivergedError), pytest.warns(RuntimeWarning):
             nn.train(spec, ds, nn.TrainConfig(optimizer="sgd", learning_rate=1e308,
                                               epochs=50, seed=17))
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mgepool.errors import (
     UndefinedRatioError,
     UnsupportedVersionError,
 )
-from mgepool.nn import ParamEntry, ParamSet
+from mgepool.nn import ParamEntry, ParamSet, init_params, mlp
 from mgepool.store import build_manifest, file_hash, read_manifest, verify_manifest, write_manifest
 
 
@@ -32,7 +33,29 @@ def hand_assembled(name, values):
     body += struct.pack("<I", len(name)) + name
     body += struct.pack("<I", values.ndim) + struct.pack(f"<{values.ndim}I", *values.shape)
     body += values.tobytes()
-    return body + hashlib.sha256(body).digest()
+    return rehashed(body)
+
+
+def rehashed(body):
+    """``body`` followed by its SHA-256, as a model file ends."""
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+def truncations_and_bit_flips(data):
+    """(mutant, re-hashed) pairs: every truncation and every single-bit flip of
+    the model file ``data``, each as it is, then with a trailing hash that
+    matches its new body wherever the body is what changed."""
+    body = data[:-32]
+    for cut in range(len(data)):
+        yield data[:cut], False
+        if cut < len(body):
+            yield rehashed(body[:cut]), True
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped), False
+        if bit < 8 * len(body):
+            yield rehashed(flipped[:-32]), True
 
 
 class TestModelFile:
@@ -108,6 +131,38 @@ class TestModelFile:
         params.entries[0].name = ""
         with pytest.raises(StorageError):
             save_model(params, tmp_path / "e.mgem")
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000],
+                             ids=["nan", "signalling-nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, tmp_path, bits):
+        # the trailing hash is valid; only one payload value is bad
+        values = np.array([1.5, -2.25], dtype="<f4")
+        values.view("<u4")[1] = bits
+        path = tmp_path / "nan.mgem"
+        path.write_bytes(hand_assembled(b"layer0.weight", values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptModelError, match="layer0.weight contains non-finite"):
+                load_model(path)
+
+    def test_every_truncation_and_bit_flip_loads_or_is_rejected(self, tmp_path):
+        """A changed file either loads or raises CorruptModelError or
+        UnsupportedVersionError, with no other exception and no warning;
+        only a re-hashed one can load."""
+        path = tmp_path / "m.mgem"
+        save_model(init_params(mlp([2, 4, 3]), np.random.default_rng(5)), path)
+        loaded = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mutant, is_rehashed in truncations_and_bit_flips(path.read_bytes()):
+                path.write_bytes(mutant)
+                try:
+                    load_model(path)
+                except (CorruptModelError, UnsupportedVersionError):
+                    continue
+                assert is_rehashed
+                loaded += 1
+        assert loaded  # most payload bit flips still give a finite float32
 
     def test_many_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(4)
