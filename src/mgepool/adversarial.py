@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError
-from .nn import batch_rows, eval_batches, forward, input_gradient
+from .nn import batch_array, eval_batches, forward, input_gradient
 
 
 @dataclass
@@ -56,8 +56,9 @@ def fgsm_batch(spec, params, features, labels, eps, targets=None):
     """
     if not (0 <= eps < np.inf):
         raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
-    x, _ = batch_rows(spec, features)
+    # the gradient's forward checks that an array batch is finite
     g = input_gradient(spec, params, features, labels if targets is None else targets)
+    x = batch_array(features)
     perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
     return np.clip(perturbed, 0.0, 1.0)
 
@@ -74,10 +75,11 @@ def robust_accuracy(spec, params, dataset, eps) -> float:
     """Accuracy on white-box FGSM-perturbed examples at strength eps.
 
     ``dataset`` is a Dataset or an EvalSet; on an EvalSet the attack's
-    forward pass takes the first layer's im2col from its cache.
+    forward pass takes the first layer's im2col from its cache, and a
+    Recording of ``params`` gives the input gradient its recorded backward.
     """
     correct = 0
-    for features, labels in eval_batches(spec, dataset):
+    for features, labels in eval_batches(dataset):
         adv = fgsm_batch(spec, params, features, labels, eps)
         pred = forward(spec, params, adv).argmax(axis=1)
         correct += int((pred == labels).sum())

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, StructuralError
-from .fitness import FitnessConfig, criterion_score
+# generator.score calls evaluate_population; it is part of this module's API too
+from .fitness import FitnessConfig, evaluate_population  # noqa: F401
 from .generator import Candidate, GeneratorConfig, Spectrum, generate_pool, score
 from .nn import ParamSet, eval_set
 from .transforms import RngStream
@@ -69,24 +70,6 @@ def fuse(parents, weights) -> ParamSet:
     return ParamSet(parents[0]._named(sum(wi * p.flat for p, wi in zip(parents, w))))
 
 
-def evaluate_population(members, spec, fit: FitnessConfig, valset=None):
-    """Attach (f_q, f_d, f) to every member, scored on its float32 copy so
-    the numbers hold for the saved model; deterministic re-evaluation.
-
-    ``valset``, when given, is the set that ``generator.score`` measured
-    every member's ``accuracy`` on. A base criterion of plain accuracy on
-    that same object takes f_q from ``accuracy``: the same function on the
-    same float32 copy and rows, so the same number, without a second pass.
-    """
-    reuse = valset is not None and fit.base.kind == "accuracy" and fit.base.dataset is valset
-    for m in members:
-        p = m.params.as_float32()
-        m.f_q = m.accuracy if reuse else criterion_score(spec, p, fit.base)
-        m.f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
-        m.f = m.f_q + fit.gamma * m.f_d
-    return members
-
-
 def select(members, n):
     """Top n by combined fitness; ties broken by higher f_q, then lower id."""
     if len(members) < n:
@@ -108,22 +91,25 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
 
     ``valset`` (a Dataset or an EvalSet) is wrapped in one EvalSet for the
     whole run: generation, every ``score`` and every fitness criterion on
-    the same dataset share its first-layer cache, and an accuracy base
-    criterion on it reuses the accuracy ``score`` measured.
+    the same dataset share its first-layer cache. ``score`` assigns each
+    admitted model's fitness: an accuracy base criterion on the validation
+    set reuses the accuracy it measured, and FGSM on that set the backward
+    of its recorded forward (``nn.Recording``).
     """
     valset = eval_set(valset)
-    fit = fit.on(valset)
     spectrum = Spectrum(base, gcfg.t)
-    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, spectrum=spectrum)
+    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, spectrum=spectrum,
+                         fit=fit)
     parents, history = [], []
-    born = evaluate_population(pool.candidates, spec, fit, valset)
+    born = pool.candidates
     next_id = len(born)
     root = RngStream(ecfg.seed)
 
     def admit(params, lineage):
-        """``[candidate]`` with the next id if ``score`` admits it, else ``[]``."""
+        """``[candidate]`` with the next id and its fitness if ``score`` admits
+        it, else ``[]``."""
         nonlocal next_id
-        cand = score(params, spec, valset, pool.base_accuracy, gcfg, lineage=lineage)
+        cand = score(params, spec, valset, pool.base_accuracy, gcfg, fit=fit, lineage=lineage)
         if not cand.accepted:
             return []
         cand.cand_id, next_id = next_id, next_id + 1
@@ -138,7 +124,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
                 child = mutate(parents[i % len(parents)], spectrum, gcfg,
                                root.child(gen, i).child(0))
                 children += admit(child.params, child.lineage)
-            fusable = parents + evaluate_population(children, spec, fit, valset)
+            fusable = parents + children
             frng = root.child(gen, 1 << 20).generator()
             fused = []
             for _ in range(ecfg.fusions if len(fusable) > 1 else 0):
@@ -148,7 +134,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
                     wa = pa.f / (pa.f + pb.f)
                 fused += admit(fuse([pa.params, pb.params], [wa, 1.0 - wa]),
                                ("fuse", (pa.cand_id, pb.cand_id)))
-            born = children + evaluate_population(fused, spec, fit, valset)
+            born = children + fused
         members = parents + born
         parents = select(members, min(ecfg.parents, len(members)))
         history.append(GenerationStats(gen, parents[0].f,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, GenerationFailedError
-from .nn import ParamEntry, ParamSet, eval_set, evaluate_accuracy
+from .fitness import evaluate_population
+from .nn import ParamEntry, ParamSet, eval_set, evaluate_accuracy, record
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -138,17 +139,29 @@ def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
             or abs(candidate_accuracy - base_accuracy) < cfg.epsilon)
 
 
-def score(params, spec, valset, base_accuracy, cfg, **fields) -> Candidate:
+def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candidate:
     """The one admission test for generated, mutated and fused models.
 
     The candidate keeps full-precision parameters, but its accuracy is
     measured on the float32-rounded copy, so the accepted flag holds for
     the persisted form of the model. ``valset`` is a Dataset or an
     EvalSet. ``fields`` fill the other Candidate fields.
+
+    Given a FitnessConfig ``fit``, an admitted candidate also gets its
+    (f_q, f_d, f) from ``evaluate_population``. When a criterion of ``fit``
+    runs FGSM on ``valset``'s rows, the float32 copy is scored through one
+    ``nn.record`` of it on ``valset``: admission reads the recorded logits,
+    and that criterion's input gradient runs the recorded backward. The
+    recording is dropped when this returns.
     """
-    acc = evaluate_accuracy(spec, params.as_float32(), valset)
-    return Candidate(params=params, accuracy=acc,
+    p = params.as_float32()
+    rows = record(spec, p, valset) if fit is not None and fit.attacks(valset) else valset
+    acc = evaluate_accuracy(spec, p, rows)
+    cand = Candidate(params=params, accuracy=acc,
                      accepted=accept(acc, base_accuracy, cfg), **fields)
+    if fit is not None and cand.accepted:
+        evaluate_population([cand], spec, fit, rows)
+    return cand
 
 
 def _base_spectrum(base, cfg, spectrum=None) -> Spectrum:
@@ -162,28 +175,30 @@ def _base_spectrum(base, cfg, spectrum=None) -> Spectrum:
 
 
 def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
-                   spectrum=None, z=None, seed=-1) -> Candidate:
+                   spectrum=None, z=None, seed=-1, fit=None) -> Candidate:
     """One full generation attempt: sample ``spectrum`` (``_base_spectrum``),
-    then ``score``."""
+    then ``score`` (with ``fit``, if given)."""
     if base_accuracy is None:
         base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
     if rng is None:
         rng = RngStream(cfg.seed).generator()
     spectrum = _base_spectrum(base, cfg, spectrum)
     t0 = time.perf_counter()
-    cand = score(spectrum.sample(cfg, rng, z=z), spec, valset, base_accuracy, cfg, seed=seed)
+    cand = score(spectrum.sample(cfg, rng, z=z), spec, valset, base_accuracy, cfg, fit=fit,
+                 seed=seed)
     cand.seconds = time.perf_counter() - t0
     return cand
 
 
-def generate_pool(base, spec, cfg, valset, count, spectrum=None) -> PoolResult:
+def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> PoolResult:
     """Collect `count` accepted candidates within cfg.attempts * count tries.
 
     ``valset`` is a Dataset or an EvalSet. A Dataset is wrapped in an
     EvalSet for the length of this call, so the first layer's im2col of the
     validation set is built once and shared by every evaluation. Every
     attempt samples ``spectrum`` (``_base_spectrum``), which the result does
-    not keep.
+    not keep. With a FitnessConfig ``fit``, every accepted candidate carries
+    its fitness (``score``).
     """
     if count < 1:
         raise ConfigRangeError("count must be >= 1")
@@ -197,7 +212,7 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None) -> PoolResult:
     while len(accepted) < count and attempts < budget:
         rng = root.child(attempts).generator()
         cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=rng, spectrum=spectrum, z=z, seed=attempts)
+                              rng=rng, spectrum=spectrum, z=z, seed=attempts, fit=fit)
         attempts += 1
         if cand.accepted:
             cand.cand_id = len(accepted)

@@ -60,6 +60,22 @@ on one set share a single copy. It is built only for a set that fits in
 one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
 ~115 KB per image, and it lives as long as its EvalSet:
 ``generate_pool`` and ``evolve`` hold theirs for the length of one call.
+
+A ``Recording`` holds one parameter set's recording forward over every row
+of such an EvalSet (``_forward(..., tape=True, param_grads=False)``): its
+logits and its backward. It stands in for its EvalSet. For parameters equal
+to the recorded ones by value (spec, layout and ``flat`` bytes, never object
+identity), ``forward`` returns the logits, and the first gradient-only
+``loss_and_grads`` runs the recorded backward instead of a forward of its
+own. The recording lets go of the backward as it hands it over, so the tape
+is freed once that input gradient is formed, before the adversarial
+forward. Other parameters, and any later backward, run on the EvalSet as
+without it. ``generator.score`` records (``record``) when a fitness
+criterion runs FGSM on the set it admits on, and drops the recording when
+it returns: admission reads the logits and the FGSM fitness the backward,
+so an admitted model gets one clean forward over the set, not two. Outputs
+are the same, bit for bit: the recording's logits are inference's, and its
+tape is FGSM's.
 """
 
 from __future__ import annotations
@@ -705,34 +721,91 @@ def eval_set(data):
     return data if isinstance(data, EvalSet) else EvalSet(data)
 
 
-def eval_batches(spec, data):
+class Recording(EvalSet):
+    """One parameter set's recording forward over every row of an EvalSet of
+    at most ``EVAL_BATCH`` rows (module docstring): ``logits``, and the
+    recorded backward until one gradient-only ``loss_and_grads`` takes it.
+    It serves as that EvalSet, first-layer cache included, wherever an
+    EvalSet is taken."""
+
+    def __init__(self, spec, params, rows):
+        _check_compatible(spec, params)
+        self.dataset, self._rows = rows.dataset, rows
+        self._key = (spec, params.layout, params.flat.tobytes())
+        x, cols = batch_rows(spec, rows)
+        _check_batch(spec, x)
+        self.logits, self._back = _forward(spec, params, x, cols, tape=True, param_grads=False)
+
+    def first_cols(self, spec):
+        return self._rows.first_cols(spec)
+
+    def of(self, spec, params):
+        """Whether this records ``params`` under ``spec``, by value."""
+        return self._key == (spec, params.layout, params.flat.tobytes())
+
+    def take(self, spec, params):
+        """``(logits, backward)`` if this records ``params`` and its backward
+        was not taken yet, else None. The backward is given once, so its tape
+        is freed when that backward is done with it."""
+        if self._back is None or not self.of(spec, params):
+            return None
+        back, self._back = self._back, None
+        return self.logits, back
+
+
+def record(spec, params, data):
+    """A Recording of ``params`` on ``data`` if ``data`` is an EvalSet of at
+    most ``EVAL_BATCH`` rows, else ``data`` itself: a larger set is scored
+    batch by batch as it always was."""
+    if isinstance(data, EvalSet) and len(data) <= EVAL_BATCH:
+        return Recording(spec, params, data)
+    return data
+
+
+def eval_batches(data):
     """(features, labels) pairs of at most ``EVAL_BATCH`` rows of a Dataset
-    or an EvalSet. An EvalSet with a cache is a single batch whose features
-    are the EvalSet itself, so the forward passes find the cache; a bare
-    Dataset builds and drops its im2col batch by batch."""
-    if isinstance(data, EvalSet) and data.first_cols(spec) is not None:
+    or an EvalSet. An EvalSet of at most that many rows is a single batch
+    whose features are the EvalSet itself, so the forward passes find its
+    cache (and a Recording's forward); any other set goes batch by batch,
+    each building and dropping its own im2col."""
+    if isinstance(data, EvalSet) and len(data) <= EVAL_BATCH:
         return [(data, data.dataset.labels)]
     ds = data.dataset if isinstance(data, EvalSet) else data
     return [(ds.features[s:s + EVAL_BATCH], ds.labels[s:s + EVAL_BATCH])
             for s in range(0, len(ds), EVAL_BATCH)]
 
 
+def batch_array(features):
+    """The float64 rows of a batch given as an array or as an EvalSet,
+    unchecked."""
+    if isinstance(features, EvalSet):
+        features = features.dataset.features
+    return np.asarray(features, dtype=np.float64)
+
+
+def _check_finite(x):
+    if not np.isfinite(x).all():
+        raise InvalidInputError("non-finite feature values in the batch")
+
+
 def batch_rows(spec, features):
     """(float64 rows, first-layer im2col or None) of a batch given as an
     array or as an EvalSet. An array must be finite; an EvalSet's Dataset
     was checked when it was made."""
+    x = batch_array(features)
     if isinstance(features, EvalSet):
-        return np.asarray(features.dataset.features, dtype=np.float64), features.first_cols(spec)
-    x = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise InvalidInputError("non-finite feature values in the batch")
+        return x, features.first_cols(spec)
+    _check_finite(x)
     return x, None
 
 
 def forward(spec, params, features):
-    """Logits for a batch of examples (an array or an EvalSet), one row per
-    example."""
+    """Logits for a batch of examples (an array, an EvalSet or a Recording),
+    one row per example. A Recording of ``params`` gives its recorded
+    logits."""
     _check_compatible(spec, params)
+    if isinstance(features, Recording) and features.of(spec, params):
+        return features.logits.copy()
     x, cols = batch_rows(spec, features)
     _check_batch(spec, x)
     if not len(x):
@@ -755,19 +828,22 @@ def cross_entropy(logits, labels):
 def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
 
-    ``features`` is a non-empty batch array or an EvalSet. ``_param_grads=False``
-    is internal to ``input_gradient``: the forward then keeps only what dx
-    reads, the backward skips every dW and db and returns None for the
-    parameter gradients, and the image stage's forward and backward run on
-    tiles of ``TILE_ROWS`` rows on the tile pool, holding every tile's
-    recorded backward until it runs. The input gradient is computed exactly
-    as otherwise.
+    ``features`` is a non-empty batch array, an EvalSet or a Recording.
+    ``_param_grads=False`` is internal to ``input_gradient``: the forward
+    then keeps only what dx reads, the backward skips every dW and db and
+    returns None for the parameter gradients, and the image stage's forward
+    and backward run on tiles of ``TILE_ROWS`` rows on the tile pool, holding
+    every tile's recorded backward until it runs. A Recording of ``params``
+    stands in for that forward once (``Recording.take``). The input gradient
+    is computed exactly as otherwise.
     """
     x, cols = batch_rows(spec, features)
     if not len(x):
         raise InvalidInputError("empty batch: the loss is a mean over its rows")
     y = np.asarray(labels)
-    logits, back = _forward(spec, params, x, cols, True, _param_grads)
+    recorded = (not _param_grads and isinstance(features, Recording)
+                and features.take(spec, params))
+    logits, back = recorded or _forward(spec, params, x, cols, True, _param_grads)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
@@ -845,12 +921,13 @@ def train(spec, dataset, cfg: TrainConfig):
 def evaluate_accuracy(spec, params, dataset):
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
-    ``dataset`` is a Dataset or an EvalSet; a caller that scores many
-    parameter sets on one dataset passes an EvalSet, so that the first
-    layer's im2col is built once for all of them.
+    ``dataset`` is a Dataset or an EvalSet (a Recording of ``params``
+    gives its recorded logits); a caller that scores many parameter sets on
+    one dataset passes an EvalSet, so that the first layer's im2col is built
+    once for all of them.
     """
     correct = 0
-    for features, labels in eval_batches(spec, dataset):
+    for features, labels in eval_batches(dataset):
         pred = forward(spec, params, features).argmax(axis=1)  # argmax breaks ties low
         correct += int((pred == labels).sum())
     return correct / len(dataset)

@@ -52,12 +52,18 @@ def _encode(params: ParamSet) -> bytes:
         buf += name
         buf += struct.pack("<I", len(e.shape))
         buf += struct.pack(f"<{len(e.shape)}I", *e.shape)
-        buf += e.values.astype("<f4").tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
+            payload = e.values.astype("<f4")
+        if not np.isfinite(payload).all():  # load_model rejects it
+            raise StorageError(f"entry {e.name} has a value that is not finite in float32")
+        buf += payload.tobytes()
     return bytes(buf)
 
 
 def save_model(params: ParamSet, path) -> ModelFileInfo:
-    """Write a model file; parameters are rounded to float32 on disk."""
+    """Write a model file; parameters are rounded to float32 on disk. A
+    value that is NaN, infinite or beyond float32's range raises
+    StorageError before anything is written."""
     body = _encode(params)
     digest = hashlib.sha256(body).digest()
     tmp = f"{path}.tmp"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mgepool import evaluate_accuracy, fgsm, robust_accuracy, transfer_matrix
+from mgepool import nn
 from mgepool.adversarial import fgsm_batch
-from mgepool.errors import ConfigRangeError
-from mgepool.nn import Dataset, Dense, NetworkSpec, init_params
+from mgepool.errors import ConfigRangeError, InvalidInputError
+from mgepool.nn import Dataset, Dense, NetworkSpec, init_params, lenet_like
 
 
 def first_n(ds, n):
@@ -12,6 +13,29 @@ def first_n(ds, n):
 
 
 class TestFgsm:
+    @pytest.mark.parametrize("spec", [NetworkSpec((Dense(3, 2),), (3,), 2), lenet_like(10)],
+                             ids=["dense", "lenet"])
+    def test_array_batch_is_scanned_once(self, spec, monkeypatch):
+        """One finiteness scan per call on an array, none on an EvalSet (its
+        Dataset was checked when it was made); a NaN or inf is still refused."""
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (4, *spec.input_shape))
+        y = np.arange(4) % 2
+        scans = []
+        check = nn._check_finite
+        monkeypatch.setattr(nn, "_check_finite", lambda a: scans.append(a) or check(a))
+        fgsm_batch(spec, params, x, y, 0.1)
+        assert len(scans) == 1
+        fgsm_batch(spec, params, x, y, 0.1, targets=1 - y)
+        fgsm(spec, params, x[0], y[0], 0.1)
+        assert len(scans) == 3
+        fgsm_batch(spec, params, nn.EvalSet(Dataset(x, y, spec.classes)), y, 0.1)
+        assert len(scans) == 3
+        for bad in (np.nan, np.inf, -np.inf):
+            x.flat[5] = bad
+            with pytest.raises(InvalidInputError, match="non-finite feature"):
+                fgsm_batch(spec, params, x, y, 0.1)
+
     def test_zero_eps_is_noop(self, desk):
         x = desk.splits["val"].features[0]
         y = int(desk.splits["val"].labels[0])

@@ -195,11 +195,18 @@ class TestConfigValidation:
         assert "version 2" in error_lines(capsys, cli.EXIT_INPUT)
 
     def test_non_finite_model_is_input_error(self, pipeline, tmp_path, capsys):
-        from mgepool.store import load_model, save_model
-        params = load_model(pipeline["out"] / "base.mgem")
-        params.flat[3] = np.nan  # save_model writes the value as it is
+        import hashlib
+        import struct
+        # save_model refuses a NaN, so write one into a copy of the base
+        # file's first entry and re-hash it
+        body = bytearray((pipeline["out"] / "base.mgem").read_bytes()[:-32])
+        name = b"layer0.weight"
+        assert body[16:16 + len(name)] == name
+        (rank,) = struct.unpack_from("<I", body, 16 + len(name))
+        at = 16 + len(name) + 4 + 4 * rank + 4 * 3  # flat index 3 of that entry
+        body[at:at + 4] = struct.pack("<f", np.nan)
         model = tmp_path / "nan.mgem"
-        save_model(params, model)
+        model.write_bytes(bytes(body) + hashlib.sha256(body).digest())
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
                          "analyze", "--model", str(model)]) == cli.EXIT_INPUT
         assert "layer0.weight contains non-finite values" in error_lines(capsys, cli.EXIT_INPUT)

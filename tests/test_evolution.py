@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,15 +207,15 @@ class TestEvaluatePopulation:
             assert (m.f_q, m.f_d, m.f) == (fq, fd, fq + fit.gamma * fd)
 
     def test_criteria_see_float32_exact_params(self, desk, monkeypatch):
-        from mgepool import evolution
+        from mgepool import fitness
         seen = []
-        original = evolution.criterion_score
+        original = fitness.criterion_score
 
         def recording(spec, params, crit):
             seen.append(params.flat.copy())
             return original(spec, params, crit)
 
-        monkeypatch.setattr(evolution, "criterion_score", recording)
+        monkeypatch.setattr(fitness, "criterion_score", recording)
         members = [Candidate(params=c.params, cand_id=c.cand_id)
                    for c in desk.pool.candidates[:3]]
         evaluate_population(members, desk.spec, fitness_config(desk))
@@ -350,7 +352,7 @@ class TestEvolve:
         """An accuracy criterion on the validation set itself reuses the
         accuracy ``score`` measured; on an equal copy of that set it is
         measured again. Every output is the same, bit for bit."""
-        from mgepool import evolution, fitness
+        from mgepool import fitness
         from mgepool.nn import Dataset
         val = desk.splits["val"]
         copy = Dataset(val.features, val.labels, val.classes, val.split)
@@ -365,8 +367,8 @@ class TestEvolve:
         for module in (generator, fitness):
             monkeypatch.setattr(module, "evaluate_accuracy",
                                 spy(module.evaluate_accuracy, evaluations.append))
-        monkeypatch.setattr(evolution, "evaluate_population",
-                            spy(evolution.evaluate_population, lambda a: admitted.extend(a[0])))
+        monkeypatch.setattr(generator, "evaluate_population",
+                            spy(generator.evaluate_population, lambda a: admitted.extend(a[0])))
         ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
         runs = []
         for data in (val, copy):
@@ -386,6 +388,50 @@ class TestEvolve:
         assert f32[0] == f32[1]
         assert n == n2 > ecfg.parents
         assert calls2 - calls == n
+
+    def test_robust_fitness_reuses_the_admission_forward(self, desk, monkeypatch):
+        """With FGSM fitness on the validation set, each admitted model gets
+        one clean pass over the validation rows, where admission and the
+        attack used to make one each. The run is the same, bit for bit: the
+        values below were recorded before the change (69 passes then)."""
+        from mgepool import evolution, nn
+        val = desk.splits["val"]
+        passes = []
+        original = nn._forward
+
+        def spy(spec, params, x, *args, **kwargs):
+            if x.shape == val.features.shape and np.array_equal(x, val.features):
+                passes.append(1)
+            return original(spec, params, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "_forward", spy)
+        scored = []
+        score = generator.score
+
+        def scoring(*args, **kwargs):
+            scored.append(score(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(generator, "score", scoring)
+        monkeypatch.setattr(evolution, "score", scoring)
+        fit = FitnessConfig(Criterion("accuracy", val),
+                            Criterion("robust_accuracy", val, attack_eps=0.1), 1.5)
+        ecfg = EvolutionConfig(generations=3, parents=4, mutations=4, fusions=6, seed=21)
+        best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=66), ecfg, fit, val)
+        assert [(h.max_f.hex(), h.mean_f.hex(), h.best_id) for h in history] == [
+            (2.270833333333333.hex(), 2.220833333333333.hex(), 3),
+            (2.270833333333333.hex(), 2.2416666666666667.hex(), 3),
+            (2.270833333333333.hex(), 2.24375.hex(), 3),
+            (2.275.hex(), 2.2614583333333327.hex(), 24)]
+        assert best.cand_id == 24
+        assert (best.f_q.hex(), best.f_d.hex(), best.f.hex()) == (
+            "0x1.f333333333333p-1", "0x1.bbbbbbbbbbbbcp-1", "0x1.2333333333333p+1")
+        assert hashlib.sha256(best.params.flat.astype("<f4").tobytes()).hexdigest() == \
+            "e53689cdeda1ac855bfa74e4f4fedfe718e3a1c56be49e863da6e9704b3052d6"
+        # every model scored here is admitted: 4 seeds, 12 children, 18 fusions
+        assert len(scored) == sum(c.accepted for c in scored) == 34
+        # the base's accuracy, then one pass per scored model
+        assert len(passes) == 1 + len(scored) == 69 - len(scored)
 
     def test_fitness_proportional_fusion(self, desk, monkeypatch):
         fit = fitness_config(desk)

@@ -90,15 +90,15 @@ class TestQualityFitness:
         assert a == b
 
     def test_other_dataset_is_scored_again(self, desk, monkeypatch):
-        from mgepool import evolution
+        from mgepool import fitness
         calls = []
-        original = evolution.criterion_score
+        original = fitness.criterion_score
 
         def recording(spec, params, crit):
             calls.append(crit)
             return original(spec, params, crit)
 
-        monkeypatch.setattr(evolution, "criterion_score", recording)
+        monkeypatch.setattr(fitness, "criterion_score", recording)
         crit = Criterion("accuracy", desk.splits["test"])
         cands = desk.pool.candidates[:3]
         members = scored(desk, cands, FitnessConfig(crit))

@@ -132,6 +132,36 @@ class TestModelFile:
         with pytest.raises(StorageError):
             save_model(params, tmp_path / "e.mgem")
 
+    @pytest.mark.parametrize("bad", ["overflow", "-overflow", "nan", "inf", "-inf"])
+    def test_value_that_float32_cannot_hold_is_refused(self, tmp_path, bad):
+        """What ``load_model`` would reject is not written: a typed error that
+        names the entry, no file, and no RuntimeWarning from the cast."""
+        params = ParamSet([ParamEntry("layer0.weight", (2,), np.array([1.0, 2.0])),
+                           ParamEntry("layer0.bias", (2,), np.array([0.5, -0.5]))])
+        value = {"overflow": 1e39, "-overflow": -1e39, "nan": np.nan,
+                 "inf": np.inf, "-inf": -np.inf}[bad]
+        if bad.endswith("overflow"):  # finite, so the entry itself accepts it
+            params = ParamSet([params.entries[0],
+                               ParamEntry("layer0.bias", (2,), np.array([0.5, value]))])
+        else:  # written through ``flat`` after construction
+            params.flat[3] = value
+        path = tmp_path / "bad.mgem"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StorageError, match="layer0.bias"):
+                save_model(params, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_float32_values_are_written(self, tmp_path):
+        """Values that round to float32's largest finite one are kept."""
+        top = float(np.finfo(np.float32).max)
+        values = np.array([top, -top, top * (1 + 2.0**-26)])
+        path = tmp_path / "top.mgem"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_model(ParamSet([ParamEntry("layer0.weight", (3,), values)]), path)
+        assert np.array_equal(load_model(path).flat, [top, -top, top])
+
     @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000],
                              ids=["nan", "signalling-nan", "inf", "-inf"])
     def test_non_finite_payload_rejected(self, tmp_path, bits):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mgepool.errors import ConfigRangeError, DegenerateSpectrumError, InvalidInputError
@@ -78,6 +80,24 @@ class TestDct:
         for n in (1, 10, 1000, 100_000):
             x = rng.normal(size=n)
             assert abs(np.linalg.norm(dct2(x)) - np.linalg.norm(x)) <= 1e-9 * np.linalg.norm(x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 4096), seed=st.integers(0, 2**32 - 1),
+           top=st.integers(-150, 150), decades=st.integers(0, 300))
+    @example(n=4096, seed=0, top=150, decades=0)
+    @example(n=1, seed=0, top=150, decades=0)
+    @example(n=4096, seed=1, top=150, decades=300)
+    def test_round_trip_and_parseval_properties(self, n, seed, top, decades):
+        """Both round trips give the vector back, and both transforms keep
+        its 2-norm, to a relative 1e-12 of that norm; entries are spread
+        over ``decades`` decades below 10**top, so up to ~1e150 in size."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) * 10.0 ** (top - rng.uniform(0, decades, n))
+        norm = np.linalg.norm(x)
+        for forth, back in ((dct2, idct2), (idct2, dct2)):
+            y = forth(x)
+            assert abs(np.linalg.norm(y) - norm) <= 1e-12 * norm
+            assert np.linalg.norm(back(y) - x) <= 1e-12 * norm
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
