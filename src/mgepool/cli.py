@@ -218,6 +218,43 @@ def _entry(entry):
     return "no entry" if entry is None else "{} {}".format(*entry)
 
 
+_KINDS = {"a number": (int, float), "a string": str, "an integer or a string": (int, str),
+          "an object": dict}
+
+
+def _field(obj, key, kind, where):
+    """``obj[key]``, which must be of ``kind`` (a key of ``_KINDS``; never a
+    bool), else a FormatError naming it as ``where + key``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise FormatError(f"{where}{key} is missing or not {kind}")
+    return value
+
+
+def _pool_manifest(pool):
+    """(path, document) of the verified manifest of the pool directory
+    ``pool``; each member must also have an id and a numeric accuracy."""
+    path = os.path.join(pool, "manifest.json")
+    doc = store.verify_manifest(path)
+    for i, member in enumerate(doc["members"]):
+        _field(member, "id", "an integer or a string", f"{path}: members[{i}].")
+        _field(member, "accuracy", "a number", f"{path}: members[{i}].")
+    return path, doc
+
+
+def _train_seconds(model):
+    """wall_clock.train_seconds of the train.json beside the model file
+    ``model``, or None if there is no such file."""
+    path = os.path.join(os.path.dirname(os.path.abspath(model)), "train.json")
+    if not os.path.exists(path):
+        return None
+    wall = _field(store.read_manifest(path), "wall_clock", "an object", f"{path}: ")
+    seconds = _field(wall, "train_seconds", "a number", f"{path}: wall_clock.")
+    if not 0 < seconds < float("inf"):
+        raise FormatError(f"{path}: wall_clock.train_seconds {seconds} must be finite and > 0")
+    return seconds
+
+
 def _write_stamp(out, cfg, seeds, artifacts):
     store.write_manifest(store.stamp(cfg, seeds, artifacts),
                          os.path.join(out, "stamp.json"))
@@ -300,6 +337,7 @@ def cmd_generate(cfg, args):
     out, splits, spec = _inputs(cfg, args)
     base = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
+    t_train_one = _train_seconds(args.model)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
     members = []
     for cand in pool.candidates:
@@ -310,9 +348,7 @@ def cmd_generate(cfg, args):
         "time_generated": pool.seconds,
         "member_seconds": [c.seconds for c in pool.candidates],
     }
-    train_json = os.path.join(os.path.dirname(os.path.abspath(args.model)), "train.json")
-    if os.path.exists(train_json):
-        t_train_one = store.read_manifest(train_json)["wall_clock"]["train_seconds"]
+    if t_train_one is not None:
         wall["time_trained"] = t_train_one * args.count
         wall["ratio_time"] = store.time_ratio(pool.seconds, wall["time_trained"])
     doc = store.build_manifest(
@@ -373,12 +409,15 @@ def cmd_attack(cfg, args):
     atk = _section(cfg, "attack")
     epsilons = atk["epsilons"]
     n_examples = {"n_examples": atk["examples"]} if "examples" in atk else {}
-    manifest = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
+    path, manifest = _pool_manifest(args.pool)
+    recorded = manifest.get("base")
+    # `generate` records the base's path relative to the pool directory
+    base_path = os.path.normpath(os.path.join(
+        args.pool, _field(recorded, "path", "a string", f"{path}: base.")))
+    base_hash = _field(recorded, "hash", "a string", f"{path}: base.")
     pool = [(str(m["id"]), _load_model(os.path.join(args.pool, m["file"]), spec))
             for m in manifest["members"]]
-    # `generate` records the base's path relative to the pool directory
-    base_path = os.path.normpath(os.path.join(args.pool, manifest["base"]["path"]))
-    if store.file_hash(base_path) != manifest["base"]["hash"]:
+    if store.file_hash(base_path) != base_hash:
         raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
     base = _load_model(base_path, spec)
     # the transfer experiment checks its settings first, so it runs before the sweep
@@ -431,24 +470,25 @@ def cmd_report(cfg, args):
     out = _out_dir(cfg, args)
     sections = []
     if args.pool:
-        doc = store.verify_manifest(os.path.join(args.pool, "manifest.json"))
+        path, doc = _pool_manifest(args.pool)
         if not doc["members"]:
             print("pool is empty")
             return EXIT_OK
-        base_acc = doc["base"]["accuracy"]
+        base_acc = _field(doc.get("base"), "accuracy", "a number", f"{path}: base.")
         rows = [[m["id"], f"{m['accuracy']:.4f}", f"{base_acc:.4f}",
                  f"{m['accuracy'] - base_acc:+.4f}"] for m in doc["members"]]
         mean_acc = sum(m["accuracy"] for m in doc["members"]) / len(doc["members"])
         sections.append("== accuracy parity (generated vs base) ==")
         sections.append(_aligned(rows, ["id", "generated", "base", "delta"]))
         sections.append(f"mean generated accuracy: {mean_acc:.4f}")
-        wall = doc.get("wall_clock", {})
-        if "ratio_time" in wall:
+        wall = doc.get("wall_clock")
+        if isinstance(wall, dict) and "ratio_time" in wall:
+            generated, trained, ratio = (
+                _field(wall, key, "a number", f"{path}: wall_clock.")
+                for key in ("time_generated", "time_trained", "ratio_time"))
             sections.append("== time ==")
-            sections.append(_aligned(
-                [[f"{wall['time_generated']:.2f}", f"{wall['time_trained']:.2f}",
-                  f"{wall['ratio_time']:.2%}"]],
-                ["generated_s", "trained_s", "ratio"]))
+            sections.append(_aligned([[f"{generated:.2f}", f"{trained:.2f}", f"{ratio:.2%}"]],
+                                     ["generated_s", "trained_s", "ratio"]))
         with open(os.path.join(out, "report_accuracy.csv"), "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["id", "generated", "base"])

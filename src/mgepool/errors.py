@@ -26,7 +26,7 @@ class TrainingDivergedError(MgeError, RuntimeError):
 
 
 class FormatError(MgeError, ValueError):
-    """Malformed input file (an IDX file, an evolve history).
+    """Malformed input file (an IDX file, an evolve history, a JSON record).
 
     offset is the byte position where parsing failed.
     """

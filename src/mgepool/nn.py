@@ -32,9 +32,14 @@ The forward and the backward split the net at its first ``Flatten``:
 - The **image stage** is every layer up to and including that Flatten
   (conv, max-pool, activations). Each of its ops works image by image: a
   conv's GEMM is a stacked matmul (one BLAS call per image), im2col is a
-  copy, pooling and activations are elementwise, and col2im adds in a
-  fixed (i, j) order. So it runs on row tiles of ``TILE_ROWS`` (32) rows
-  and every output byte is the same as on the whole batch, while each
+  copy, pooling and activations are elementwise, and col2im adds k*k
+  contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
+  the input width and takes one weight-left product per image. The pad
+  adds only +-0.0 into sums that are never -0.0, so every byte is that of
+  the per-window product and strided col2im it replaced. A 1 x 1 output
+  keeps that per-window product, a gemv.) So it runs on row tiles of
+  ``TILE_ROWS`` (32) rows and every output byte is the same as on the
+  whole batch, while each
   tile's temporaries stay near the size of a core's L2 cache instead of
   streaming tens of MB per layer. Tiles are independent, so several tiles
   run at once on a private thread pool with one thread per CPU the process
@@ -460,7 +465,24 @@ def _pool_backward(dy, hits, k):
 def _conv_backward(xshape, cols, w, pidx, dy, grads):
     """dx (C-order NCHW, shape ``xshape``) of a conv with weight ``w``, entry
     ``pidx``; writes dW and db into ``grads`` unless it is None. Only dW reads
-    ``cols``, the forward's (n, h2*w2, ic*k*k) im2col."""
+    ``cols``, the forward's (n, h2*w2, ic*k*k) im2col.
+
+    col2im reads contiguous memory. ``dy``'s rows are padded with zeros from
+    w2 to the input width W = w2 + k - 1, so that one weight-left product per
+    image, ``wmat.T @ dyp``, gives for each weight column (c, i, j) a slab of
+    h2*W values laid out like rows i.. of channel c of dx, shifted by j. dx
+    is then k*k slab adds, in (i, j) order, into one flat buffer over the
+    tile: slab (i, j) of every channel starts at offset i*W + j of that
+    channel. The bytes are those of the per-window product and strided adds
+    this replaced (for a C-order ``dy``, as every recorded backward passes):
+    each real product is the same dot product over oc in BLAS's K-order, each
+    dx element gets its real adds in the same (i, j) order, and a pad column
+    adds a +-0.0 product into a sum that started at +0.0 and so is never
+    -0.0, which changes nothing. That also covers the pad tail of a
+    channel's last slabs, which lands on the first row of the next channel
+    (or image) and past the buffer's dx part. A 1 x 1 output (h2 = w2 = 1)
+    keeps the old per-image vector-matrix product: numpy sends it to gemv,
+    whose sum order differs from the padded GEMM's."""
     n, oc, h2, w2 = dy.shape
     k = w.shape[-1]
     wmat = w.reshape(oc, -1)
@@ -468,14 +490,18 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     if grads is not None:
         grads[pidx + 1] = dy_mat.sum(axis=(0, 1))
         grads[pidx] = np.einsum("npo,npc->oc", dy_mat, cols).ravel()
-    dcols = dy_mat @ wmat  # (n, hw, ic*k*k)
-    ic = xshape[1]
-    d6 = dcols.reshape(n, h2, w2, ic, k, k).transpose(0, 3, 1, 2, 4, 5)
-    dx = np.zeros(xshape)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i:i + h2, j:j + w2] += d6[:, :, :, :, i, j]
-    return dx
+    if h2 == w2 == 1:  # each dx element is one product; + 0.0 is the add into zeros
+        return (dy_mat @ wmat).reshape(xshape) + 0.0
+    _, ic, hi, wi = xshape
+    dyp = np.zeros((n, oc, h2, wi))
+    dyp[..., :w2] = dy
+    slabs = (wmat.T @ dyp.reshape(n, oc, h2 * wi)).reshape(n, ic, k * k, h2 * wi)
+    size = n * ic * hi * wi
+    flat = np.zeros(size + (k - 1) * (wi + 1))  # room for the last slab's pad tail
+    for t, (i, j) in enumerate(np.ndindex(k, k)):
+        at = i * wi + j
+        flat[at:at + size].reshape(n, ic, hi * wi)[:, :, :h2 * wi] += slabs[:, :, t]
+    return flat[:size].reshape(xshape)
 
 
 def _dense_backward(x, w, pidx, d, grads):

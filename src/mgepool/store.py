@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CorruptModelError,
+    FormatError,
     StorageError,
     UndefinedRatioError,
     UnsupportedVersionError,
@@ -80,7 +81,12 @@ def save_model(params: ParamSet, path) -> ModelFileInfo:
 def load_model(path) -> ParamSet:
     """Exact inverse of save_model (values come back as float32-exact floats)."""
     with open(path, "rb") as f:
-        data = f.read()
+        return _decode(f.read())
+
+
+def _decode(data) -> ParamSet:
+    """The ParamSet that a model file's bytes ``data`` hold, after checking its
+    magic, version, trailing hash and structure."""
     if len(data) < 12 + HASH_BYTES:
         raise CorruptModelError(f"file too short ({len(data)} bytes)")
     if data[:4] != MAGIC:
@@ -166,22 +172,36 @@ def write_manifest(doc, path):
 
 
 def read_manifest(path):
-    with open(path) as f:
-        return json.load(f)
+    """The JSON document at ``path``; FormatError, naming the file, if it is
+    not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path} is not a UTF-8 JSON file ({exc})") from None
 
 
 def verify_manifest(path):
-    """Check referential integrity: member files exist and hash-verify."""
+    """Check referential integrity: the manifest's ``members`` is a list of
+    objects with a string ``file`` and ``hash`` (else FormatError), and each
+    member file exists, decodes and carries that hash. Each file is read
+    once."""
     doc = read_manifest(path)
+    members = doc.get("members") if isinstance(doc, dict) else None
+    if not isinstance(members, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("file"), str)
+            and isinstance(m.get("hash"), str) for m in members):
+        raise FormatError(f"{path}: members is not a list of objects with a file and a hash")
     root = os.path.dirname(os.path.abspath(path))
-    for member in doc["members"]:
+    for member in members:
         fpath = os.path.join(root, member["file"])
         if not os.path.exists(fpath):
             raise CorruptModelError(f"missing member file {member['file']}")
-        params = load_model(fpath)  # raises on hash mismatch
-        if file_hash(fpath) != member["hash"]:
+        with open(fpath, "rb") as f:
+            data = f.read()
+        _decode(data)  # raises on a corrupt file, its own hash included
+        if data[-HASH_BYTES:].hex() != member["hash"]:
             raise CorruptModelError(f"hash mismatch for {member['file']}")
-        del params
     return doc
 
 

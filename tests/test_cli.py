@@ -551,3 +551,86 @@ class TestReport:
                          "report", flag, absent]) == cli.EXIT_INPUT
         line = error_lines(capsys, cli.EXIT_INPUT)
         assert line.startswith("ERROR code=3 input:") and absent in line
+
+
+def _edited_manifest(pipeline, tmp_path, edit):
+    """A copy of the pipeline's pool whose manifest.json ``edit`` rewrote:
+    ``edit`` takes the parsed document and returns the file's new bytes."""
+    import shutil
+    pool = tmp_path / "pool"
+    shutil.copytree(pipeline["pool"], pool)
+    path = pool / "manifest.json"
+    path.write_bytes(edit(read_manifest(path)))
+    return pool
+
+
+def _json(change):
+    def edit(doc):
+        change(doc)
+        return json.dumps(doc).encode()
+    return edit
+
+
+# (command, what is wrong, how the manifest is edited, what the error names)
+_BROKEN_MANIFESTS = [
+    *[(command, why, edit, named) for command in ("attack", "report") for why, edit, named in [
+        ("not-json", lambda doc: b'{"members": [', "JSON"),
+        ("not-utf8", lambda doc: b'{"pool_id": "\xff"}', "JSON"),
+        ("not-an-object", lambda doc: b"[]", "members"),
+        ("no-members", _json(lambda doc: doc.pop("members")), "members"),
+        ("member-not-an-object", _json(lambda doc: doc["members"].append(3)), "members"),
+        ("member-without-hash", _json(lambda doc: doc["members"][2].pop("hash")), "members"),
+        ("member-without-id", _json(lambda doc: doc["members"][1].pop("id")), "members[1].id"),
+        ("accuracy-not-a-number",
+         _json(lambda doc: doc["members"][0].update(accuracy="high")), "members[0].accuracy"),
+    ]],
+    ("attack", "base-without-path", _json(lambda doc: doc["base"].pop("path")), "base.path"),
+    ("attack", "base-hash-not-a-string",
+     _json(lambda doc: doc["base"].update(hash=5)), "base.hash"),
+    ("report", "base-without-accuracy",
+     _json(lambda doc: doc["base"].pop("accuracy")), "base.accuracy"),
+    ("report", "ratio-without-generated-time",
+     _json(lambda doc: doc["wall_clock"].pop("time_generated")), "wall_clock.time_generated"),
+]
+
+
+class TestInputFiles:
+    """A pool manifest, or the train.json beside a model, that is not what its
+    command reads is an input error: one ERROR code=3 line naming the file."""
+
+    @pytest.mark.parametrize("command, edit, named", [
+        pytest.param(command, edit, named, id=f"{command}-{why}")
+        for command, why, edit, named in _BROKEN_MANIFESTS])
+    def test_broken_pool_manifest(self, pipeline, tmp_path, capsys, command, edit, named):
+        pool = _edited_manifest(pipeline, tmp_path, edit)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         command, "--pool", str(pool)]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert line.startswith("ERROR code=3 input:")
+        assert str(pool / "manifest.json") in line and named in line
+
+    @pytest.mark.parametrize("content, named", [
+        (b'{"wall_clock": {"train_seconds": ', "JSON"),
+        (b'{"wall_clock": {}}', "train_seconds"),
+        (b'{"model": "base.mgem"}', "wall_clock"),
+        (b"[1]", "wall_clock"),
+        (b'{"wall_clock": {"train_seconds": "12"}}', "train_seconds"),
+        (b'{"wall_clock": {"train_seconds": 0}}', "train_seconds"),
+        (b'{"wall_clock": {"train_seconds": NaN}}', "train_seconds"),
+        (b'{"wall_clock": {"train_seconds": true}}', "train_seconds"),
+    ], ids=["not-json", "no-train-seconds", "no-wall-clock", "not-an-object", "a-string",
+            "zero", "nan", "a-bool"])
+    def test_broken_train_json_rejected_before_generating(self, pipeline, tmp_path, capsys,
+                                                           content, named):
+        import shutil
+        model = tmp_path / "m" / "base.mgem"
+        model.parent.mkdir()
+        shutil.copy(pipeline["out"] / "base.mgem", model)
+        (model.parent / "train.json").write_bytes(content)
+        path = write_config(tmp_path, desk_config(tmp_path / "o"))
+        assert cli.main(["--config", path, "generate", "--model", str(model),
+                         "--count", "2"]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert line.startswith("ERROR code=3 input:")
+        assert str(model.parent / "train.json") in line and named in line
+        assert sorted(os.listdir(tmp_path / "o")) == []

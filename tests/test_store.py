@@ -8,6 +8,7 @@ import pytest
 from mgepool import load_model, save_model, time_ratio
 from mgepool.errors import (
     CorruptModelError,
+    FormatError,
     StorageError,
     UndefinedRatioError,
     UnsupportedVersionError,
@@ -253,6 +254,46 @@ class TestManifest:
                              [{"id": 0, "file": "m.mgem", "hash": "0" * 64}], {})
         write_manifest(bad, tmp_path / "manifest.json")
         with pytest.raises(CorruptModelError):
+            verify_manifest(tmp_path / "manifest.json")
+
+    def test_verify_reads_each_member_once(self, tmp_path, monkeypatch):
+        from mgepool import store
+        members = []
+        for i in range(3):
+            info = save_model(random_params(np.random.default_rng(i)), tmp_path / f"m{i}.mgem")
+            members.append({"id": i, "file": f"m{i}.mgem", "hash": info.sha256})
+        write_manifest(build_manifest("pool-5", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        verify_manifest(tmp_path / "manifest.json")
+        assert sorted(opened) == sorted(str(tmp_path / f) for f in
+                                        ["manifest.json", "m0.mgem", "m1.mgem", "m2.mgem"])
+
+    def test_verify_checks_the_file_against_its_own_hash(self, tmp_path):
+        """A member whose trailing hash is the manifest's but whose content
+        changed fails the file's own hash check."""
+        info = save_model(random_params(np.random.default_rng(7)), tmp_path / "m.mgem")
+        data = bytearray((tmp_path / "m.mgem").read_bytes())
+        data[20] ^= 1
+        (tmp_path / "m.mgem").write_bytes(bytes(data))
+        write_manifest(build_manifest("pool-6", {}, {},
+                                      [{"id": 0, "file": "m.mgem", "hash": info.sha256}], {}),
+                       tmp_path / "manifest.json")
+        with pytest.raises(CorruptModelError, match="content hash mismatch"):
+            verify_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("content", [b'{"members": [', b"\xff", b"[]", b"{}",
+                                         b'{"members": [{"file": "m.mgem"}]}'],
+                             ids=["not-json", "not-utf8", "a-list", "no-members", "no-hash"])
+    def test_verify_rejects_a_malformed_manifest(self, tmp_path, content):
+        (tmp_path / "manifest.json").write_bytes(content)
+        with pytest.raises(FormatError, match="manifest.json"):
             verify_manifest(tmp_path / "manifest.json")
 
     def test_file_hash_matches_save_info(self, tmp_path):
