@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError
-from .nn import batch_array, eval_batches, forward, input_gradient
+from .nn import batch_array, eval_batches, forward, input_gradient, n_correct
 
 
 @dataclass
@@ -47,17 +47,19 @@ class TransferReport:
         return "\n".join(lines) + "\n"
 
 
-def fgsm_batch(spec, params, features, labels, eps, targets=None):
+def fgsm_batch(spec, params, features, labels, eps, targets=None, *, taped=None):
     """Signed-gradient step on a batch (an array or an EvalSet); clipped to
     [0, 1].
 
     Untargeted: ascend the loss at the true label. Targeted: descend the
-    loss at the target label.
+    loss at the target label. ``taped``, the batch's ``nn.forward(...,
+    tape=True)``, gives the same input gradient with no forward of its own.
     """
     if not (0 <= eps < np.inf):
         raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
     # the gradient's forward checks that an array batch is finite
-    g = input_gradient(spec, params, features, labels if targets is None else targets)
+    g = input_gradient(spec, params, features, labels if targets is None else targets,
+                       taped=taped)
     x = batch_array(features)
     perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
     return np.clip(perturbed, 0.0, 1.0)
@@ -71,18 +73,18 @@ def fgsm(spec, params, example, label, eps, target=None, source_id="base") -> Ad
     return AdvExample(x, perturbed, int(label), eps, source_id, target)
 
 
-def robust_accuracy(spec, params, dataset, eps) -> float:
+def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
     """Accuracy on white-box FGSM-perturbed examples at strength eps.
 
     ``dataset`` is a Dataset or an EvalSet; on an EvalSet the attack's
-    forward pass takes the first layer's im2col from its cache, and a
-    Recording of ``params`` gives the input gradient its recorded backward.
+    forward pass takes the first layer's im2col from its cache. ``taped``,
+    the ``nn.forward(..., tape=True)`` of ``params`` on all of ``dataset``'s
+    rows (at most ``EVAL_BATCH``, so one batch), goes to ``fgsm_batch``.
     """
     correct = 0
     for features, labels in eval_batches(dataset):
-        adv = fgsm_batch(spec, params, features, labels, eps)
-        pred = forward(spec, params, adv).argmax(axis=1)
-        correct += int((pred == labels).sum())
+        adv = fgsm_batch(spec, params, features, labels, eps, taped=taped)
+        correct += n_correct(forward(spec, params, adv), labels)
     return correct / len(dataset)
 
 

@@ -201,10 +201,15 @@ def _inputs(cfg, args):
     return out, splits, spec
 
 
-def _load_model(path, spec):
-    """The model at ``path``, checked against ``network.layers`` right after
-    loading."""
-    params = store.load_model(path)
+def _load_model(path, spec, sha256=None):
+    """The model at ``path`` (which must carry ``sha256``, if given), checked
+    against ``network.layers`` right after loading."""
+    return _check_layout(store.load_model(path, sha256), spec, path)
+
+
+def _check_layout(params, spec, path):
+    """``params``, read from ``path``, if their entries are the ones
+    ``network.layers`` makes, else LayoutMismatchError."""
     pairs = itertools.zip_longest(params.layout, nn.param_layout(spec))
     for i, (got, want) in enumerate(pairs):
         if got != want:
@@ -231,15 +236,17 @@ def _field(obj, key, kind, where):
     return value
 
 
-def _pool_manifest(pool):
-    """(path, document) of the verified manifest of the pool directory
-    ``pool``; each member must also have an id and a numeric accuracy."""
+def _pool_manifest(pool, load=False):
+    """(path, document, members' ParamSets if ``load``) of the verified
+    manifest of the pool directory ``pool``, from one read of each file
+    (``store.verify_manifest``); each member must also have an id and a
+    numeric accuracy."""
     path = os.path.join(pool, "manifest.json")
-    doc = store.verify_manifest(path)
+    doc, models = store.verify_manifest(path, load)
     for i, member in enumerate(doc["members"]):
         _field(member, "id", "an integer or a string", f"{path}: members[{i}].")
         _field(member, "accuracy", "a number", f"{path}: members[{i}].")
-    return path, doc
+    return path, doc, models
 
 
 def _train_seconds(model):
@@ -409,17 +416,15 @@ def cmd_attack(cfg, args):
     atk = _section(cfg, "attack")
     epsilons = atk["epsilons"]
     n_examples = {"n_examples": atk["examples"]} if "examples" in atk else {}
-    path, manifest = _pool_manifest(args.pool)
+    path, manifest, models = _pool_manifest(args.pool, load=True)
     recorded = manifest.get("base")
     # `generate` records the base's path relative to the pool directory
     base_path = os.path.normpath(os.path.join(
         args.pool, _field(recorded, "path", "a string", f"{path}: base.")))
     base_hash = _field(recorded, "hash", "a string", f"{path}: base.")
-    pool = [(str(m["id"]), _load_model(os.path.join(args.pool, m["file"]), spec))
-            for m in manifest["members"]]
-    if store.file_hash(base_path) != base_hash:
-        raise CorruptModelError(f"base model {base_path} does not match the pool manifest")
-    base = _load_model(base_path, spec)
+    pool = [(str(m["id"]), _check_layout(p, spec, os.path.join(args.pool, m["file"])))
+            for m, p in zip(manifest["members"], models)]
+    base = _load_model(base_path, spec, base_hash)
     # the transfer experiment checks its settings first, so it runs before the sweep
     report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
                                          eps=epsilons[-1], **n_examples)
@@ -470,7 +475,7 @@ def cmd_report(cfg, args):
     out = _out_dir(cfg, args)
     sections = []
     if args.pool:
-        path, doc = _pool_manifest(args.pool)
+        path, doc, _ = _pool_manifest(args.pool)
         if not doc["members"]:
             print("pool is empty")
             return EXIT_OK

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+
+import numbers
 
 
 class MgeError(Exception):
@@ -15,6 +17,16 @@ class DegenerateSpectrumError(MgeError, ValueError):
 
 class ConfigRangeError(MgeError, ValueError):
     """A configuration value is outside its allowed range."""
+
+
+def check_count(name, value, least=1):
+    """``value``, an integer or integral float of at least ``least``, as an
+    int; else (a bool too) ConfigRangeError naming the field ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < least):
+        raise ConfigRangeError(
+            f"{name.replace('_', ' ')} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class StructuralError(MgeError, ValueError):

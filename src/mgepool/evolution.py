@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigRangeError, StructuralError
+from .errors import ConfigRangeError, StructuralError, check_count
 # generator.score calls evaluate_population; it is part of this module's API too
 from .fitness import FitnessConfig, evaluate_population  # noqa: F401
 from .generator import Candidate, GeneratorConfig, Spectrum, generate_pool, score
@@ -31,10 +31,9 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generations < 0:
-            raise ConfigRangeError("generations must be >= 0")
-        if self.parents < 1 or self.mutations < 1 or self.fusions < 1:
-            raise ConfigRangeError("parents, mutations, fusions must be >= 1")
+        self.generations = check_count("generations", self.generations, least=0)
+        for name in ("parents", "mutations", "fusions"):
+            setattr(self, name, check_count(name, getattr(self, name)))
         if self.fusion_weights not in ("uniform", "fitness_proportional"):
             raise ConfigRangeError(f"unknown fusion rule {self.fusion_weights!r}")
 
@@ -92,9 +91,10 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     ``valset`` (a Dataset or an EvalSet) is wrapped in one EvalSet for the
     whole run: generation, every ``score`` and every fitness criterion on
     the same dataset share its first-layer cache. ``score`` assigns each
-    admitted model's fitness: an accuracy base criterion on the validation
-    set reuses the accuracy it measured, and FGSM on that set the backward
-    of its recorded forward (``nn.Recording``).
+    admitted model's fitness: an accuracy criterion on the validation set
+    reuses the accuracy it measured, and FGSM on that set the backward of
+    its taped forward (``nn.forward(..., tape=True)``), handed over as
+    ``taped``.
     """
     valset = eval_set(valset)
     spectrum = Spectrum(base, gcfg.t)

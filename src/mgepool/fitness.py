@@ -5,7 +5,7 @@ admitted member (``generator.score`` calls it when given a FitnessConfig)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import adversarial
 from .errors import ConfigRangeError
@@ -42,53 +42,48 @@ class FitnessConfig:
         if not (0 <= self.gamma < math.inf):
             raise ConfigRangeError(f"gamma {self.gamma} must be finite and >= 0")
 
-    def on(self, ev):
-        """This config with every criterion on ``ev``'s rows (its Dataset, or
-        an EvalSet over it) moved onto ``ev``, an EvalSet or a Recording, so
-        that they share its first-layer cache and recorded forward."""
-        def moved(crit):
-            on_ev = crit is not None and _rows(crit.dataset) is ev.dataset
-            return replace(crit, dataset=ev) if on_ev else crit
-        return replace(self, base=moved(self.base), extra=moved(self.extra))
 
-    def attacks(self, data):
-        """Whether a robust-accuracy criterion runs on ``data``'s rows."""
-        return any(c is not None and c.kind == "robust_accuracy"
-                   and _rows(c.dataset) is _rows(data) for c in (self.base, self.extra))
+def on_rows(crit, data):
+    """Whether the criterion ``crit`` (or None) runs on ``data``'s rows: one
+    Dataset, given bare or in an EvalSet."""
+    def rows(d):
+        return d.dataset if isinstance(d, EvalSet) else d
+    return crit is not None and rows(crit.dataset) is rows(data)
 
 
-def _rows(data):
-    """The Dataset of a Dataset, an EvalSet or a Recording."""
-    return data.dataset if isinstance(data, EvalSet) else data
-
-
-def criterion_score(spec, params, crit: Criterion) -> float:
+def criterion_score(spec, params, crit: Criterion, *, taped=None) -> float:
+    """``crit``'s score of ``params``; ``taped`` goes to ``robust_accuracy``."""
     if crit.kind == "robust_accuracy":
-        return adversarial.robust_accuracy(spec, params, crit.dataset, crit.attack_eps)
+        return adversarial.robust_accuracy(spec, params, crit.dataset, crit.attack_eps,
+                                           taped=taped)
     return evaluate_accuracy(spec, params, crit.dataset)
 
 
-def evaluate_population(members, spec, fit: FitnessConfig, valset=None):
+def evaluate_population(members, spec, fit: FitnessConfig, valset=None, *, taped=None):
     """Attach (f_q, f_d, f) to every member, scored on its float32 copy so
     the numbers hold for the saved model; deterministic re-evaluation.
 
-    ``valset``, when given, is the set that ``generator.score`` measured
-    every member's ``accuracy`` on: a Dataset, an EvalSet, or a Recording of
-    the one member's float32 copy. A base criterion of plain accuracy on its
-    rows takes f_q from ``accuracy``: the same function on the same float32
-    copy and rows, so the same number, without a second pass. Every other
-    criterion on an EvalSet's rows runs on ``valset`` itself
-    (``FitnessConfig.on``), so FGSM on a Recording takes its recorded
-    backward.
+    ``valset``, when given, is the set (a Dataset or an EvalSet) that
+    ``generator.score`` measured every member's ``accuracy`` on. A criterion
+    of plain accuracy on its rows (``on_rows``) takes ``accuracy``: the same
+    function on the same float32 copy and rows, so the same number, without
+    a second pass. ``taped``, given with one member, is the
+    ``nn.forward(..., tape=True)`` of its float32 copy on ``valset``'s rows;
+    every FGSM criterion on those rows forms its input gradient from it
+    (``adversarial.fgsm_batch``) instead of running a forward of its own.
     """
-    if isinstance(valset, EvalSet):
-        fit = fit.on(valset)
-    reuse = (valset is not None and fit.base.kind == "accuracy"
-             and _rows(fit.base.dataset) is _rows(valset))
+    def value(m, p, crit):
+        if crit is None:
+            return 0.0
+        here = on_rows(crit, valset)
+        if here and crit.kind == "accuracy":
+            return m.accuracy
+        if here and taped is not None:  # FGSM on the taped rows
+            return criterion_score(spec, p, crit, taped=taped)
+        return criterion_score(spec, p, crit)
+
     for m in members:
         p = m.params.as_float32()
-        m.f_q = m.accuracy if reuse else criterion_score(spec, p, fit.base)
-        m.f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
+        m.f_q, m.f_d = value(m, p, fit.base), value(m, p, fit.extra)
         m.f = m.f_q + fit.gamma * m.f_d
     return members
-

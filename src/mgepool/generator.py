@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigRangeError, GenerationFailedError
-from .fitness import evaluate_population
-from .nn import ParamEntry, ParamSet, eval_set, evaluate_accuracy, record
+from .errors import ConfigRangeError, GenerationFailedError, check_count
+from .fitness import evaluate_population, on_rows
+from .nn import (EVAL_BATCH, ParamEntry, ParamSet, eval_batches, eval_set, evaluate_accuracy,
+                 forward, n_correct)
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -43,8 +44,7 @@ class GeneratorConfig:
             raise ConfigRangeError(f"energy threshold t={self.t} outside [0, 1]")
         if not (0.0 < self.z <= MAX_LATENT_BOUND):
             raise ConfigRangeError(f"latent bound z={self.z} outside (0, {MAX_LATENT_BOUND}]")
-        if self.attempts < 1:
-            raise ConfigRangeError("attempt budget must be >= 1")
+        self.attempts = check_count("attempts", self.attempts)
         if not (0.0 < self.epsilon < np.inf):
             raise ConfigRangeError(f"acceptance tolerance {self.epsilon} must be finite and > 0")
 
@@ -149,18 +149,24 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
 
     Given a FitnessConfig ``fit``, an admitted candidate also gets its
     (f_q, f_d, f) from ``evaluate_population``. When a criterion of ``fit``
-    runs FGSM on ``valset``'s rows, the float32 copy is scored through one
-    ``nn.record`` of it on ``valset``: admission reads the recorded logits,
-    and that criterion's input gradient runs the recorded backward. The
-    recording is dropped when this returns.
+    runs FGSM on ``valset``'s rows (``fitness.on_rows``) and they fit one
+    batch, the float32 copy's forward is taped (``nn.forward(...,
+    tape=True)``): its logits give the accuracy, and the FGSM criteria take
+    the ``(logits, back)`` as ``taped``. It is dropped when this returns.
     """
     p = params.as_float32()
-    rows = record(spec, p, valset) if fit is not None and fit.attacks(valset) else valset
-    acc = evaluate_accuracy(spec, p, rows)
+    taped = None
+    if fit is not None and len(valset) <= EVAL_BATCH and any(
+            on_rows(c, valset) and c.kind == "robust_accuracy" for c in (fit.base, fit.extra)):
+        [(features, labels)] = eval_batches(valset)
+        taped = forward(spec, p, features, tape=True)
+        acc = n_correct(taped[0], labels) / len(valset)  # evaluate_accuracy's rule
+    else:
+        acc = evaluate_accuracy(spec, p, valset)
     cand = Candidate(params=params, accuracy=acc,
                      accepted=accept(acc, base_accuracy, cfg), **fields)
     if fit is not None and cand.accepted:
-        evaluate_population([cand], spec, fit, rows)
+        evaluate_population([cand], spec, fit, valset, taped=taped)
     return cand
 
 
@@ -200,8 +206,7 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
     not keep. With a FitnessConfig ``fit``, every accepted candidate carries
     its fitness (``score``).
     """
-    if count < 1:
-        raise ConfigRangeError("count must be >= 1")
+    count = check_count("count", count)
     spectrum = _base_spectrum(base, cfg, spectrum)
     valset = eval_set(valset)
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)

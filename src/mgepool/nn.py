@@ -16,7 +16,7 @@ order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
 Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
 strided views ``x[:, i::k, j::k]``.
 
-- ``forward`` and ``evaluate_accuracy`` record nothing.
+- ``forward`` (unless taped) and ``evaluate_accuracy`` record nothing.
 - ``loss_and_grads`` (training, FGSM) records each layer's backward: a
   function bound to what the channels-first backward reads, as NCHW views.
   A max-pool keeps where each strided view equals the output (k*k bool
@@ -66,21 +66,14 @@ one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
 ~115 KB per image, and it lives as long as its EvalSet:
 ``generate_pool`` and ``evolve`` hold theirs for the length of one call.
 
-A ``Recording`` holds one parameter set's recording forward over every row
-of such an EvalSet (``_forward(..., tape=True, param_grads=False)``): its
-logits and its backward. It stands in for its EvalSet. For parameters equal
-to the recorded ones by value (spec, layout and ``flat`` bytes, never object
-identity), ``forward`` returns the logits, and the first gradient-only
-``loss_and_grads`` runs the recorded backward instead of a forward of its
-own. The recording lets go of the backward as it hands it over, so the tape
-is freed once that input gradient is formed, before the adversarial
-forward. Other parameters, and any later backward, run on the EvalSet as
-without it. ``generator.score`` records (``record``) when a fitness
-criterion runs FGSM on the set it admits on, and drops the recording when
-it returns: admission reads the logits and the FGSM fitness the backward,
-so an admitted model gets one clean forward over the set, not two. Outputs
-are the same, bit for bit: the recording's logits are inference's, and its
-tape is FGSM's.
+``forward(..., tape=True)`` runs ``input_gradient``'s forward and returns
+its logits with its gradient-only backward ``back``; handed back as
+``input_gradient(..., taped=(logits, back))``, the pair gives the same
+input gradient, byte for byte, with no forward, as often as asked.
+``generator.score`` tapes its admission forward when a fitness criterion
+runs FGSM on the set it admits on, so an admitted model gets one clean
+pass over that set, not two: the logits decide admission, and the FGSM
+fitness takes the pair.
 """
 
 from __future__ import annotations
@@ -102,6 +95,7 @@ from .errors import (
     InvalidInputError,
     StructuralError,
     TrainingDivergedError,
+    check_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -289,12 +283,6 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParamSet:
             values = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).ravel()
         entries.append(ParamEntry(name, shape, values))
     return ParamSet(entries)
-
-
-def zero_params(spec: NetworkSpec) -> ParamSet:
-    ps = init_params(spec, np.random.default_rng(0))
-    ps.flat[:] = 0.0
-    return ps
 
 
 def param_layout(spec: NetworkSpec):
@@ -553,11 +541,6 @@ def _image_stage_len(spec):
     return cut + 1 if cut else 0
 
 
-def _param_entries(layers):
-    """How many ParamSet entries (weight and bias) ``layers`` own."""
-    return 2 * sum(isinstance(l, (Dense, Conv)) for l in layers)
-
-
 def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
     """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
     see ``_forward``. ``first_cols`` replaces the im2col of a conv at
@@ -680,16 +663,15 @@ def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
         out = _join([part for part, _ in parts])
         tiles = [tile for _, tile in parts]
     vector = [] if tape else None
-    logits = _layers_forward(layers[cut:], params, _param_entries(layers[:cut]), out,
-                             None, vector, param_grads)
+    pidx = 2 * sum(isinstance(l, (Dense, Conv)) for l in layers[:cut])  # weight, bias each
+    logits = _layers_forward(layers[cut:], params, pidx, out, None, vector, param_grads)
     if not tape:
         return logits
 
     def back(d, grads):
         d = _run_tape(vector, d, grads)
         if cut:  # several tiles only without parameter gradients
-            dy = d
-            d = _join(_tile_pool.map(lambda t: _run_tape(t[1], dy[t[0]], grads), tiles))
+            d = _join(_tile_pool.map(lambda t, dy=d: _run_tape(t[1], dy[t[0]], grads), tiles))
         return d
 
     return logits, back
@@ -747,52 +729,11 @@ def eval_set(data):
     return data if isinstance(data, EvalSet) else EvalSet(data)
 
 
-class Recording(EvalSet):
-    """One parameter set's recording forward over every row of an EvalSet of
-    at most ``EVAL_BATCH`` rows (module docstring): ``logits``, and the
-    recorded backward until one gradient-only ``loss_and_grads`` takes it.
-    It serves as that EvalSet, first-layer cache included, wherever an
-    EvalSet is taken."""
-
-    def __init__(self, spec, params, rows):
-        _check_compatible(spec, params)
-        self.dataset, self._rows = rows.dataset, rows
-        self._key = (spec, params.layout, params.flat.tobytes())
-        x, cols = batch_rows(spec, rows)
-        _check_batch(spec, x)
-        self.logits, self._back = _forward(spec, params, x, cols, tape=True, param_grads=False)
-
-    def first_cols(self, spec):
-        return self._rows.first_cols(spec)
-
-    def of(self, spec, params):
-        """Whether this records ``params`` under ``spec``, by value."""
-        return self._key == (spec, params.layout, params.flat.tobytes())
-
-    def take(self, spec, params):
-        """``(logits, backward)`` if this records ``params`` and its backward
-        was not taken yet, else None. The backward is given once, so its tape
-        is freed when that backward is done with it."""
-        if self._back is None or not self.of(spec, params):
-            return None
-        back, self._back = self._back, None
-        return self.logits, back
-
-
-def record(spec, params, data):
-    """A Recording of ``params`` on ``data`` if ``data`` is an EvalSet of at
-    most ``EVAL_BATCH`` rows, else ``data`` itself: a larger set is scored
-    batch by batch as it always was."""
-    if isinstance(data, EvalSet) and len(data) <= EVAL_BATCH:
-        return Recording(spec, params, data)
-    return data
-
-
 def eval_batches(data):
     """(features, labels) pairs of at most ``EVAL_BATCH`` rows of a Dataset
     or an EvalSet. An EvalSet of at most that many rows is a single batch
     whose features are the EvalSet itself, so the forward passes find its
-    cache (and a Recording's forward); any other set goes batch by batch,
+    cache; any other set goes batch by batch,
     each building and dropping its own im2col."""
     if isinstance(data, EvalSet) and len(data) <= EVAL_BATCH:
         return [(data, data.dataset.labels)]
@@ -825,18 +766,18 @@ def batch_rows(spec, features):
     return x, None
 
 
-def forward(spec, params, features):
-    """Logits for a batch of examples (an array, an EvalSet or a Recording),
-    one row per example. A Recording of ``params`` gives its recorded
-    logits."""
+def forward(spec, params, features, *, tape=False):
+    """Logits for a batch of examples (an array or an EvalSet), one row per
+    example. With ``tape``, ``(logits, back)`` of a non-empty batch, as
+    ``input_gradient`` records it: ``back(d, None)`` is dx from ``d``."""
     _check_compatible(spec, params)
-    if isinstance(features, Recording) and features.of(spec, params):
-        return features.logits.copy()
     x, cols = batch_rows(spec, features)
     _check_batch(spec, x)
-    if not len(x):
-        return np.zeros((0, spec.classes))
-    return _forward(spec, params, x, cols)
+    if len(x):
+        return _forward(spec, params, x, cols, tape, param_grads=False)
+    if tape:
+        raise InvalidInputError("empty batch: there is no gradient to tape")
+    return np.zeros((0, spec.classes))
 
 
 def softmax(logits):
@@ -851,25 +792,23 @@ def cross_entropy(logits, labels):
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
-def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
+def loss_and_grads(spec, params, features, labels, *, _param_grads=True, _taped=None):
     """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
 
-    ``features`` is a non-empty batch array, an EvalSet or a Recording.
-    ``_param_grads=False`` is internal to ``input_gradient``: the forward
-    then keeps only what dx reads, the backward skips every dW and db and
-    returns None for the parameter gradients, and the image stage's forward
-    and backward run on tiles of ``TILE_ROWS`` rows on the tile pool, holding
-    every tile's recorded backward until it runs. A Recording of ``params``
-    stands in for that forward once (``Recording.take``). The input gradient
-    is computed exactly as otherwise.
+    ``features`` is a non-empty batch array or an EvalSet.
+    ``_param_grads=False`` is internal to ``input_gradient``: it skips every
+    dW and db, returns None for them and runs the image stage on tiles
+    (module docstring); the input gradient is computed exactly as otherwise.
+    With it, ``_taped``, the ``forward(..., tape=True)`` of ``features``,
+    stands in for the forward.
     """
-    x, cols = batch_rows(spec, features)
-    if not len(x):
-        raise InvalidInputError("empty batch: the loss is a mean over its rows")
+    if _taped is None:
+        x, cols = batch_rows(spec, features)
+        if not len(x):
+            raise InvalidInputError("empty batch: the loss is a mean over its rows")
+        _taped = _forward(spec, params, x, cols, True, _param_grads)
+    logits, back = _taped
     y = np.asarray(labels)
-    recorded = (not _param_grads and isinstance(features, Recording)
-                and features.take(spec, params))
-    logits, back = recorded or _forward(spec, params, x, cols, True, _param_grads)
     n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
@@ -878,14 +817,16 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True):
     return loss, grads, back(probs / n, grads)
 
 
-def input_gradient(spec, params, features, labels):
+def input_gradient(spec, params, features, labels, *, taped=None):
     """Gradient of the cross-entropy loss w.r.t. the input features: one
-    example, a batch array or an EvalSet. No parameter gradient is formed."""
+    example, a batch array or an EvalSet. No parameter gradient is formed.
+    ``taped``, the ``forward(spec, params, features, tape=True)`` of a batch,
+    stands in for the forward."""
     _check_compatible(spec, params)
     single = not isinstance(features, EvalSet) and np.shape(features) == tuple(spec.input_shape)
     if single:
         features, labels = np.asarray(features)[None], np.asarray([labels])
-    _, _, dx = loss_and_grads(spec, params, features, labels, _param_grads=False)
+    _, _, dx = loss_and_grads(spec, params, features, labels, _param_grads=False, _taped=taped)
     return dx[0] if single else dx
 
 
@@ -904,10 +845,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.learning_rate < np.inf):
             raise ConfigRangeError(f"learning rate {self.learning_rate} must be finite and >= 0")
-        if self.epochs < 1:
-            raise ConfigRangeError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigRangeError("batch size must be >= 1")
+        self.epochs = check_count("epochs", self.epochs)
+        self.batch_size = check_count("batch_size", self.batch_size)
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigRangeError(f"unknown optimizer {self.optimizer!r}")
 
@@ -947,13 +886,14 @@ def train(spec, dataset, cfg: TrainConfig):
 def evaluate_accuracy(spec, params, dataset):
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
-    ``dataset`` is a Dataset or an EvalSet (a Recording of ``params``
-    gives its recorded logits); a caller that scores many parameter sets on
-    one dataset passes an EvalSet, so that the first layer's im2col is built
-    once for all of them.
+    ``dataset`` is a Dataset or an EvalSet; a caller that scores many
+    parameter sets on one dataset passes an EvalSet, so that the first
+    layer's im2col is built once for all of them.
     """
-    correct = 0
-    for features, labels in eval_batches(dataset):
-        pred = forward(spec, params, features).argmax(axis=1)  # argmax breaks ties low
-        correct += int((pred == labels).sum())
-    return correct / len(dataset)
+    return sum(n_correct(forward(spec, params, features), labels)
+               for features, labels in eval_batches(dataset)) / len(dataset)
+
+
+def n_correct(logits, labels):
+    """How many rows' argmax, ties going to the lowest class, is their label."""
+    return int((logits.argmax(axis=1) == labels).sum())

@@ -78,15 +78,17 @@ def save_model(params: ParamSet, path) -> ModelFileInfo:
                          len(body) + HASH_BYTES)
 
 
-def load_model(path) -> ParamSet:
-    """Exact inverse of save_model (values come back as float32-exact floats)."""
+def load_model(path, sha256=None) -> ParamSet:
+    """Exact inverse of save_model (values come back as float32-exact floats).
+    Given ``sha256``, the file must carry that hash, checked on the same read."""
     with open(path, "rb") as f:
-        return _decode(f.read())
+        return _decode(f.read(), sha256, path)
 
 
-def _decode(data) -> ParamSet:
+def _decode(data, sha256=None, name="the file") -> ParamSet:
     """The ParamSet that a model file's bytes ``data`` hold, after checking its
-    magic, version, trailing hash and structure."""
+    magic, version, trailing hash (against the content and ``sha256``, if
+    given; an error names the file as ``name``) and structure."""
     if len(data) < 12 + HASH_BYTES:
         raise CorruptModelError(f"file too short ({len(data)} bytes)")
     if data[:4] != MAGIC:
@@ -97,6 +99,8 @@ def _decode(data) -> ParamSet:
     body, digest = data[:-HASH_BYTES], data[-HASH_BYTES:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptModelError("content hash mismatch")
+    if sha256 is not None and digest.hex() != sha256:
+        raise CorruptModelError(f"hash mismatch for {name}: the manifest records another")
     n_layers = struct.unpack_from("<I", data, 8)[0]
     off = 12
     entries = []
@@ -181,11 +185,12 @@ def read_manifest(path):
         raise FormatError(f"{path} is not a UTF-8 JSON file ({exc})") from None
 
 
-def verify_manifest(path):
+def verify_manifest(path, load=False):
     """Check referential integrity: the manifest's ``members`` is a list of
     objects with a string ``file`` and ``hash`` (else FormatError), and each
     member file exists, decodes and carries that hash. Each file is read
-    once."""
+    once. Returns (manifest, each member's ParamSet in order if ``load``,
+    else [], so that no decoded member outlives its check)."""
     doc = read_manifest(path)
     members = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members, list) or not all(
@@ -193,16 +198,16 @@ def verify_manifest(path):
             and isinstance(m.get("hash"), str) for m in members):
         raise FormatError(f"{path}: members is not a list of objects with a file and a hash")
     root = os.path.dirname(os.path.abspath(path))
+    models = []
     for member in members:
         fpath = os.path.join(root, member["file"])
         if not os.path.exists(fpath):
             raise CorruptModelError(f"missing member file {member['file']}")
         with open(fpath, "rb") as f:
-            data = f.read()
-        _decode(data)  # raises on a corrupt file, its own hash included
-        if data[-HASH_BYTES:].hex() != member["hash"]:
-            raise CorruptModelError(f"hash mismatch for {member['file']}")
-    return doc
+            params = _decode(f.read(), member["hash"], member["file"])
+        if load:
+            models.append(params)
+    return doc, models
 
 
 def stamp(config_echo, seeds, artifact_hashes):

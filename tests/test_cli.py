@@ -479,6 +479,25 @@ class TestAttack:
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "atk"),
                          "attack", "--pool", str(pool)]) == 0
 
+    def test_reads_each_model_file_once(self, pipeline, tmp_path, monkeypatch):
+        import builtins
+        opened, real_open = [], builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and str(path).endswith(".mgem"):
+                opened.append(os.path.abspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "atk"),
+                         "attack", "--pool", str(pipeline["pool"])]) == 0
+        monkeypatch.undo()
+        members = read_manifest(pipeline["pool"] / "manifest.json")["members"]
+        assert len(members) == 10
+        assert sorted(opened) == sorted(
+            [os.path.abspath(pipeline["pool"] / m["file"]) for m in members]
+            + [os.path.abspath(pipeline["out"] / "base.mgem")])
+
     @pytest.mark.parametrize("swap", ["model_0000.mgem", "base"])
     def test_swapped_file_rejected(self, pipeline, tmp_path, capsys, swap):
         # the swapped-in file is itself a valid model; only the manifest hash tells

@@ -350,36 +350,38 @@ class TestEvolve:
 
     def test_accuracy_is_scored_once_per_admitted_model(self, desk, monkeypatch):
         """An accuracy criterion on the validation set itself reuses the
-        accuracy ``score`` measured; on an equal copy of that set it is
-        measured again. Every output is the same, bit for bit."""
-        from mgepool import fitness
+        accuracy ``score`` measured, and an FGSM criterion on it the taped
+        admission pass; on an equal copy of that set each runs a pass of its
+        own over the rows. Every output is the same, bit for bit."""
+        from mgepool import nn
         from mgepool.nn import Dataset
         val = desk.splits["val"]
         copy = Dataset(val.features, val.labels, val.classes, val.split)
-        evaluations, admitted = [], []
+        passes, admitted = [], []
+        forward, population = nn._forward, generator.evaluate_population
 
-        def spy(fn, record):
-            def wrapper(*args):
-                record(args)
-                return fn(*args)
-            return wrapper
+        def counting_forward(spec, params, x, *args, **kwargs):
+            if x.shape == val.features.shape and np.array_equal(x, val.features):
+                passes.append(1)
+            return forward(spec, params, x, *args, **kwargs)
 
-        for module in (generator, fitness):
-            monkeypatch.setattr(module, "evaluate_accuracy",
-                                spy(module.evaluate_accuracy, evaluations.append))
-        monkeypatch.setattr(generator, "evaluate_population",
-                            spy(generator.evaluate_population, lambda a: admitted.extend(a[0])))
+        def counting_population(members, *args, **kwargs):
+            admitted.extend(members)
+            return population(members, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "_forward", counting_forward)
+        monkeypatch.setattr(generator, "evaluate_population", counting_population)
         ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
         runs = []
         for data in (val, copy):
-            evaluations.clear()
+            passes.clear()
             admitted.clear()
             fit = FitnessConfig(Criterion("accuracy", data),
                                 Criterion("robust_accuracy", data, attack_eps=0.1))
             best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
                                    fit, val)
             runs.append((best, [h.to_record() for h in history],
-                         len(evaluations), len(admitted)))
+                         len(passes), len(admitted)))
         (best, history, calls, n), (best2, history2, calls2, n2) = runs
         assert history == history2
         assert (best.cand_id, best.accuracy, best.f_q, best.f_d, best.f) == \
@@ -387,7 +389,8 @@ class TestEvolve:
         f32 = [b.params.flat.astype("<f4").tobytes() for b in (best, best2)]
         assert f32[0] == f32[1]
         assert n == n2 > ecfg.parents
-        assert calls2 - calls == n
+        # on the copy, each admitted model's accuracy and FGSM forward run again
+        assert calls2 - calls == 2 * n
 
     def test_robust_fitness_reuses_the_admission_forward(self, desk, monkeypatch):
         """With FGSM fitness on the validation set, each admitted model gets
@@ -452,6 +455,19 @@ class TestEvolve:
         best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit, desk.splits["val"])
         assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
         assert np.array_equal(best1.params.flat, best2.params.flat)
+
+    @pytest.mark.parametrize("field, value", [
+        ("generations", 1.5), ("generations", np.nan), ("generations", True),
+        ("parents", True), ("parents", 2.5), ("mutations", np.nan), ("fusions", False),
+        ("fusions", "4")])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigRangeError, match=field):
+            EvolutionConfig(**{field: value})
+
+    def test_integral_counts_are_taken_as_ints(self):
+        cfg = EvolutionConfig(generations=0.0, parents=np.int32(3), mutations=2.0, fusions=1)
+        assert [(v, type(v)) for v in (cfg.generations, cfg.parents, cfg.mutations)] == [
+            (0, int), (3, int), (2, int)]
 
     def test_config_validation(self):
         with pytest.raises(ConfigRangeError):

@@ -65,7 +65,7 @@ class TestQualityFitness:
     def test_mean_of_two(self, desk):
         """A good model and a constant one each get their own accuracy."""
         from mgepool.generator import score
-        from mgepool.nn import zero_params
+        from test_nn import zero_params
         crit = Criterion("accuracy", desk.splits["val"])
         good = score(desk.base, desk.spec, desk.splits["val"], desk.base_accuracy, desk.gcfg)
         const = score(zero_params(desk.spec), desk.spec, desk.splits["val"],

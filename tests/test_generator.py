@@ -358,6 +358,22 @@ class TestBandSensitivity:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("attempts", [np.nan, 2.5, True, np.inf, "5"])
+    def test_attempts_must_be_an_integer(self, attempts):
+        with pytest.raises(ConfigRangeError, match="attempts"):
+            GeneratorConfig(attempts=attempts)
+
+    @pytest.mark.parametrize("count", [2.5, np.nan, True, 0])
+    def test_pool_count_must_be_an_integer(self, desk, count):
+        with pytest.raises(ConfigRangeError, match="count"):
+            generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], count)
+
+    def test_integral_numbers_are_taken_as_ints(self, desk):
+        assert GeneratorConfig(attempts=np.float64(3)).attempts == 3
+        gcfg = GeneratorConfig(attempts=30, seed=desk.gcfg.seed)
+        pool = generate_pool(desk.base, desk.spec, gcfg, desk.splits["val"], 2.0)
+        assert len(pool.candidates) == 2
+
     def test_threshold_range(self):
         with pytest.raises(ConfigRangeError):
             GeneratorConfig(t=1.5)

@@ -25,6 +25,13 @@ def write_idx_labels(path, labels):
         f.write(np.asarray(labels, dtype=np.uint8).tobytes())
 
 
+def zero_params(spec):
+    """A ParamSet for ``spec`` whose every weight and bias is zero."""
+    params = nn.init_params(spec, np.random.default_rng(0))
+    params.flat[:] = 0.0
+    return params
+
+
 def numeric_param_grads(spec, params, x, y, h=1e-6):
     """Central finite differences of the loss over every parameter."""
     grads = []
@@ -67,13 +74,13 @@ def train_linear_oracle(features, labels, classes, steps=2000, lr=0.5):
 class TestForward:
     def test_zero_params_zero_logits(self):
         spec = nn.mlp([4, 6, 3])
-        params = nn.zero_params(spec)
+        params = zero_params(spec)
         x = np.random.default_rng(0).uniform(size=(5, 4))
         assert np.all(nn.forward(spec, params, x) == 0.0)
 
     def test_identity_dense_layer(self):
         spec = nn.NetworkSpec((nn.Dense(3, 3),), (3,), 3)
-        params = nn.zero_params(spec)
+        params = zero_params(spec)
         params.get("layer0.weight").values[:] = np.eye(3).ravel()
         x = np.random.default_rng(1).uniform(size=(4, 3))
         assert np.allclose(nn.forward(spec, params, x), x)
@@ -111,7 +118,7 @@ class TestForward:
 
     def test_shape_mismatch_rejected(self):
         spec = nn.mlp([2, 4, 2])
-        params = nn.zero_params(spec)
+        params = zero_params(spec)
         with pytest.raises(StructuralError):
             nn.forward(spec, params, np.zeros((3, 5)))
 
@@ -151,6 +158,12 @@ class TestEmptyBatch:
             nn.loss_and_grads(spec, params, x, y)
         with pytest.raises(InvalidInputError, match="empty batch"):
             nn.input_gradient(spec, params, x, y)
+
+    def test_taped_forward_rejected(self, name):
+        spec = EMPTY_BATCH_SPECS[name]
+        params = nn.init_params(spec, self.rng)
+        with pytest.raises(InvalidInputError, match="empty batch"):
+            nn.forward(spec, params, np.zeros((0, *spec.input_shape)), tape=True)
 
 
 @pytest.mark.parametrize("name", sorted(EMPTY_BATCH_SPECS))
@@ -202,7 +215,7 @@ class TestGradients:
 
     def test_input_gradient_zero_weight_net(self):
         spec = nn.mlp([3, 4, 2])
-        params = nn.zero_params(spec)
+        params = zero_params(spec)
         g = nn.input_gradient(spec, params, np.ones(3), 0)
         assert np.all(g == 0.0)
 
@@ -284,7 +297,7 @@ class TestTrain:
 class TestEvaluate:
     def test_constant_logits_tie_break_to_class_zero(self):
         spec = nn.mlp([2, 4, 3])
-        params = nn.zero_params(spec)
+        params = zero_params(spec)
         ds = nn.make_synthetic("blobs", 90, 3, seed=18)
         freq0 = float((ds.labels == 0).mean())
         assert nn.evaluate_accuracy(spec, params, ds) == freq0
@@ -416,6 +429,21 @@ class TestValidation:
             nn.TrainConfig(optimizer="rmsprop")
         with pytest.raises(ConfigRangeError, match="batch size"):
             nn.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", np.nan), ("epochs", "3"),
+        ("batch_size", np.nan), ("batch_size", 0.5), ("batch_size", False),
+        ("batch_size", np.inf)])
+    def test_integer_fields_reject_other_values(self, field, value):
+        with pytest.raises(ConfigRangeError, match=field.replace("_", " ")):
+            nn.TrainConfig(**{field: value})
+
+    def test_integral_numbers_are_taken_as_ints(self):
+        cfg = nn.TrainConfig(epochs=2.0, batch_size=np.int64(8))
+        assert (cfg.epochs, cfg.batch_size) == (2, 8)
+        assert type(cfg.epochs) is type(cfg.batch_size) is int
+        ds = nn.make_synthetic("blobs", 24, 3, seed=1)
+        nn.train(nn.mlp([2, 4, 3]), ds, cfg)
 
     @pytest.mark.parametrize("rate", [-0.1, np.nan, np.inf])
     def test_learning_rate_must_be_finite_and_non_negative(self, rate):

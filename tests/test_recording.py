@@ -1,11 +1,12 @@
-"""Property tests: a Recording, one parameter set's recording forward over an
-EvalSet, changes no number. Admission's accuracy and the fitness that
-``generator.score`` assigns from it equal ``criterion_score`` on the float32
-parameters; FGSM from its recorded backward gives the same adversarial
-examples, byte for byte, as on the plain EvalSet and on a bare array; it
-serves only parameters equal to the recorded ones by value, and gives any
-other parameters their own result; a set of more than ``EVAL_BATCH`` rows is
-not recorded and scores as it always did."""
+"""Property tests: the taped admission pass changes no number.
+``generator.score`` tapes the float32 copy's forward over the validation
+rows (``nn.forward(..., tape=True)``) when a fitness criterion runs FGSM on
+them, and hands the ``(logits, back)`` to that criterion. Admission's
+accuracy and the fitness it assigns equal ``criterion_score`` on the float32
+parameters; FGSM from a handed-over pass gives the same adversarial examples,
+byte for byte, as on the plain EvalSet and on a bare array; each candidate is
+scored on its own pass; a set of more than ``EVAL_BATCH`` rows is not taped
+and scores as it always did."""
 
 import numpy as np
 import pytest
@@ -28,8 +29,7 @@ def mlps(draw):
 
 any_spec = st.one_of(specs(), specs(conv_first=True), mlps())
 
-# (base, extra) criterion kinds; the last runs FGSM twice, so the second
-# attack finds the recorded backward taken and runs its own
+# (base, extra) criterion kinds; the last runs FGSM twice, both from one pass
 FITS = [("accuracy", "robust_accuracy"), ("robust_accuracy", None),
         ("robust_accuracy", "accuracy"), ("robust_accuracy", "robust_accuracy")]
 
@@ -67,6 +67,14 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_scored_as_criterion_score(cand, spec, params, data, fit):
+    p = params.as_float32()
+    assert cand.accuracy == nn.evaluate_accuracy(spec, p, data)
+    f_q = criterion_score(spec, p, fit.base)
+    f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
+    assert (cand.f_q, cand.f_d, cand.f) == (f_q, f_d, f_q + fit.gamma * f_d)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(spec=any_spec, rows=st.integers(1, 40), seed=st.integers(0, 2**16),
        eps=st.sampled_from([0.01, 0.1, 0.3]), kinds=st.sampled_from(FITS))
@@ -79,13 +87,32 @@ def test_fitness_from_a_recording_is_criterion_score(spec, rows, seed, eps, kind
         passes = clean_passes(mp, data.features)
         cand = generator.score(params, spec, nn.EvalSet(data), -1.0, GeneratorConfig(), fit=fit)
     assert cand.accepted
-    # one recording forward; only a second attack runs a forward of its own
-    assert passes == [True] * (1 + (kinds == FITS[-1]))
-    p = params.as_float32()
-    assert cand.accuracy == nn.evaluate_accuracy(spec, p, data)
-    f_q = criterion_score(spec, p, fit.base)
-    f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
-    assert (cand.f_q, cand.f_d, cand.f) == (f_q, f_d, f_q + fit.gamma * f_d)
+    # one taped pass, which every FGSM criterion on the rows reuses
+    assert passes == [True]
+    assert_scored_as_criterion_score(cand, spec, params, data, fit)
+    # a bare Dataset is taped on its one batch, with the same numbers
+    bare = generator.score(params, spec, data, -1.0, GeneratorConfig(), fit=fit)
+    assert (bare.accuracy, bare.f_q, bare.f_d, bare.f) == \
+        (cand.accuracy, cand.f_q, cand.f_d, cand.f)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=any_spec, rows=st.integers(1, 40), seed=st.integers(0, 2**16),
+       eps=st.sampled_from([0.01, 0.1, 0.3]), kind=st.sampled_from(FITS[0] + FITS[1][:1]))
+def test_a_criterion_on_other_rows_runs_its_own_pass(spec, rows, seed, eps, kind):
+    """With FGSM on the validation rows, a criterion on other rows of the
+    same shape still scores those rows, with its own pass."""
+    params = random_params(spec, seed)
+    data = Dataset(*labelled(spec, rows, seed), spec.classes)
+    other = Dataset(*labelled(spec, rows, seed + 1), spec.classes)
+    fit = FitnessConfig(Criterion("robust_accuracy", data, eps),
+                        Criterion(kind, nn.EvalSet(other),
+                                  eps if kind == "robust_accuracy" else None))
+    with pytest.MonkeyPatch.context() as mp:
+        passes = clean_passes(mp, other.features)
+        cand = generator.score(params, spec, nn.EvalSet(data), -1.0, GeneratorConfig(), fit=fit)
+    assert passes == [kind == "robust_accuracy"]  # FGSM's is taped, accuracy's is not
+    assert_scored_as_criterion_score(cand, spec, params, data, fit)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -99,41 +126,37 @@ def test_fgsm_from_a_recording_is_fgsm(spec, rows, seed, eps):
     expected = [adversarial.fgsm_batch(spec, params, x, y, eps),
                 adversarial.fgsm_batch(spec, params, x, y, eps, targets=targets)]
     assert same_bytes(adversarial.fgsm_batch(spec, params, ev, y, eps), expected[0])
-    for i, t in enumerate((None, targets)):
-        rec = nn.Recording(spec, params, ev)
-        assert same_bytes(nn.forward(spec, params, rec), nn.forward(spec, params, x))
-        with pytest.MonkeyPatch.context() as mp:
-            passes = clean_passes(mp, ev.dataset.features)
-            assert same_bytes(adversarial.fgsm_batch(spec, params, rec, y, eps, targets=t),
-                              expected[i])
-        assert passes == []  # the recorded backward, no forward of its own
-        # taken once; a second attack runs its own forward and agrees
-        assert rec.take(spec, params) is None
-        assert same_bytes(adversarial.fgsm_batch(spec, params, rec, y, eps, targets=t),
-                          expected[i])
+    logits, back = nn.forward(spec, params, ev, tape=True)
+    assert same_bytes(logits, nn.forward(spec, params, x))
+    for _ in range(2):  # ``back`` changes nothing it reads, so it serves again
+        for t, want in zip((None, targets), expected):
+            with pytest.MonkeyPatch.context() as mp:
+                passes = clean_passes(mp, ev.dataset.features)
+                got = adversarial.fgsm_batch(spec, params, ev, y, eps, targets=t,
+                                             taped=(logits, back))
+            assert passes == []  # the handed-over backward, no forward of its own
+            assert same_bytes(got, want)
+    assert same_bytes(adversarial.fgsm_batch(spec, params, x, y, eps, taped=(logits, back)),
+                      expected[0])
+    assert adversarial.robust_accuracy(spec, params, ev, eps, taped=(logits, back)) == \
+        adversarial.robust_accuracy(spec, params, ev.dataset, eps)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(spec=any_spec, rows=st.integers(1, 40), seed=st.integers(0, 2**16),
-       eps=st.sampled_from([0.01, 0.1, 0.3]))
-def test_a_recording_serves_only_its_own_parameters(spec, rows, seed, eps):
-    a, b = random_params(spec, seed), random_params(spec, seed + 7)
+       eps=st.sampled_from([0.01, 0.1, 0.3]), kinds=st.sampled_from(FITS))
+def test_a_recording_serves_only_its_own_parameters(spec, rows, seed, eps, kinds):
+    """Candidates scored one after another on one EvalSet each get their own
+    numbers, down to a change of one ulp in the last parameter."""
+    a = random_params(spec, seed)
+    off = a.copy()
+    off.flat[-1] = np.nextafter(np.float32(off.flat[-1]), np.float32(np.inf))
     x, y = labelled(spec, rows, seed)
     data = Dataset(x, y, spec.classes)
-    rec = nn.Recording(spec, a, nn.EvalSet(data))
-    assert same_bytes(nn.forward(spec, b, rec), nn.forward(spec, b, x))
-    assert nn.evaluate_accuracy(spec, b, rec) == nn.evaluate_accuracy(spec, b, data)
-    assert adversarial.robust_accuracy(spec, b, rec, eps) == \
-        adversarial.robust_accuracy(spec, b, data, eps)
-    assert same_bytes(adversarial.fgsm_batch(spec, b, rec, y, eps),
-                      adversarial.fgsm_batch(spec, b, x, y, eps))
-    # equal by value, not by identity: a copy is served, a changed set is not
-    off = a.copy()
-    off.flat[-1] = np.nextafter(off.flat[-1], np.inf)
-    assert rec.of(spec, a.copy()) and not rec.of(spec, off)
-    a.flat[0] += 1.0
-    assert not rec.of(spec, a)
-    assert same_bytes(nn.forward(spec, a, rec), nn.forward(spec, a, x))
+    ev, fit = nn.EvalSet(data), fitness(kinds, data, eps)
+    for params in (a, random_params(spec, seed + 7), off, a.copy()):
+        cand = generator.score(params, spec, ev, -1.0, GeneratorConfig(), fit=fit)
+        assert_scored_as_criterion_score(cand, spec, params, data, fit)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -144,12 +167,11 @@ def test_a_set_of_more_than_one_batch_is_not_recorded(spec, seed, eps, kinds):
     params = random_params(spec, seed)
     x, y = labelled(spec, rows, seed)
     data = Dataset(x, y, spec.classes)
-    ev = nn.EvalSet(data)
-    p = params.as_float32()
-    assert nn.record(spec, p, ev) is ev
     fit = fitness(kinds, data, eps)
-    cand = generator.score(params, spec, ev, -1.0, GeneratorConfig(), fit=fit)
-    assert cand.accuracy == nn.evaluate_accuracy(spec, p, data)
-    f_q = criterion_score(spec, p, fit.base)
-    f_d = 0.0 if fit.extra is None else criterion_score(spec, p, fit.extra)
-    assert (cand.f_q, cand.f_d, cand.f) == (f_q, f_d, f_q + fit.gamma * f_d)
+    taped = []
+    with pytest.MonkeyPatch.context() as mp:
+        forward = generator.forward
+        mp.setattr(generator, "forward", lambda *a, **k: taped.append(k) or forward(*a, **k))
+        cand = generator.score(params, spec, nn.EvalSet(data), -1.0, GeneratorConfig(), fit=fit)
+    assert taped == []
+    assert_scored_as_criterion_score(cand, spec, params, data, fit)

@@ -275,6 +275,26 @@ class TestManifest:
         assert sorted(opened) == sorted(str(tmp_path / f) for f in
                                         ["manifest.json", "m0.mgem", "m1.mgem", "m2.mgem"])
 
+    def test_verify_returns_the_members_it_read(self, tmp_path):
+        """With ``load``, the decoded members come back from the checking read,
+        equal to ``load_model``; ``load_model`` with a hash checks it too."""
+        members, infos = [], []
+        for i in range(2):
+            infos.append(save_model(random_params(np.random.default_rng(i)),
+                                    tmp_path / f"m{i}.mgem"))
+            members.append({"id": i, "file": f"m{i}.mgem", "hash": infos[-1].sha256})
+        write_manifest(build_manifest("pool-7", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        assert verify_manifest(tmp_path / "manifest.json")[1] == []
+        doc, models = verify_manifest(tmp_path / "manifest.json", load=True)
+        assert doc["members"] == members
+        for i, params in enumerate(models):
+            loaded = load_model(tmp_path / f"m{i}.mgem", infos[i].sha256)
+            assert params.layout == loaded.layout
+            assert params.flat.tobytes() == loaded.flat.tobytes()
+        with pytest.raises(CorruptModelError, match="m0.mgem"):
+            load_model(tmp_path / "m0.mgem", infos[1].sha256)
+
     def test_verify_checks_the_file_against_its_own_hash(self, tmp_path):
         """A member whose trailing hash is the manifest's but whose content
         changed fails the file's own hash check."""
