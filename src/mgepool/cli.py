@@ -342,7 +342,8 @@ def cmd_analyze(cfg, args):
 
 def cmd_generate(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base = _load_model(args.model, spec)
+    base, base_hash = store.read_model(args.model)
+    _check_layout(base, spec, args.model)
     gcfg = build_section_config(cfg, "generator", args.seed)
     t_train_one = _train_seconds(args.model)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
@@ -361,7 +362,7 @@ def cmd_generate(cfg, args):
     doc = store.build_manifest(
         pool_id=f"pool-{gcfg.seed}-{args.count}",
         base={"path": os.path.relpath(args.model, out),
-              "hash": store.file_hash(args.model),
+              "hash": base_hash,
               "accuracy": pool.base_accuracy},
         config={"generator": vars(gcfg)},
         members=members,

@@ -10,14 +10,15 @@ generation and evolution's mutation draw from it.
 from __future__ import annotations
 
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigRangeError, GenerationFailedError, check_count
 from .fitness import evaluate_population, on_rows
-from .nn import (EVAL_BATCH, ParamEntry, ParamSet, eval_batches, eval_set, evaluate_accuracy,
-                 forward, n_correct)
+from .nn import (EVAL_BATCH, ParamEntry, ParamSet, _tile_pool, eval_batches, eval_set,
+                 evaluate_accuracy, forward, n_correct)
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -99,18 +100,27 @@ def importance_mask(coeffs, t) -> MaskRow:
     if t >= 1.0 or total == 0.0:
         keep[:] = True
         return MaskRow(keep, 1.0, c)
-    order = np.argsort(-energy, kind="stable")
-    frac = np.cumsum(energy[order]) / total
+    # the energies in descending order, as a stable descending argsort would
+    # rank them, so the cumsum is the same bytes; that argsort's tie rule
+    # (lower index first) is applied at the floor, the last kept value
+    ranked = np.sort(energy)[::-1]
+    frac = np.cumsum(ranked) / total
     count = min(int(np.searchsorted(frac, t, side="left")) + 1, c.size)
-    keep[order[:count]] = True
+    floor = ranked[count - 1]
+    np.greater(energy, floor, out=keep)
+    ties = np.flatnonzero(energy == floor)  # ascending index: the stable order
+    keep[ties[:count - int(np.count_nonzero(keep))]] = True
     return MaskRow(keep, float(frac[count - 1]), c)
 
 
-def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarray:
+def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None,
+                   replace=None) -> np.ndarray:
     """Splice the mask's retained coefficients with fresh bounded-normal
-    draws and return the inverse DCT."""
+    draws and return the inverse DCT. ``replace``, the positions that
+    ``mask`` does not keep, is computed here unless given."""
     merged = mask.coeffs.copy()
-    replace = np.flatnonzero(~mask.keep)  # indexing by position beats a bool mask
+    if replace is None:
+        replace = np.flatnonzero(~mask.keep)  # indexing by position beats a bool mask
     if replace.size:
         merged[replace] = sample_bounded_normal(z if z is not None else cfg.z,
                                                 replace.size, rng)
@@ -120,17 +130,19 @@ def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None) -> np.ndarr
 class Spectrum:
     """The base model's spectrum at energy threshold ``t``, computed once:
     ``rows`` holds each entry's MaskRow (DCT coefficients and keep-mask),
+    ``replaced`` each row's positions that the mask does not keep, and
     ``layout`` the entries' names and shapes."""
 
     def __init__(self, base: ParamSet, t: float):
         self.t = t
         self.layout = base.layout
         self.rows = [importance_mask(dct2(e.values), t) for e in base.entries]
+        self.replaced = [np.flatnonzero(~row.keep) for row in self.rows]
 
     def sample(self, cfg: GeneratorConfig, rng, z=None) -> ParamSet:
         """A new ParamSet, each layer drawn from its row with ``rng`` in order."""
-        return ParamSet([ParamEntry(name, shape, generate_layer(row, cfg, rng, z=z))
-                         for (name, shape), row in zip(self.layout, self.rows)])
+        return ParamSet([ParamEntry(name, shape, generate_layer(row, cfg, rng, z=z, replace=r))
+                         for (name, shape), row, r in zip(self.layout, self.rows, self.replaced)])
 
 
 def accept(candidate_accuracy, base_accuracy, cfg: GeneratorConfig) -> bool:
@@ -203,8 +215,16 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
     EvalSet for the length of this call, so the first layer's im2col of the
     validation set is built once and shared by every evaluation. Every
     attempt samples ``spectrum`` (``_base_spectrum``), which the result does
-    not keep. With a FitnessConfig ``fit``, every accepted candidate carries
-    its fitness (``score``).
+    not keep, then is scored (``score``, with ``fit`` if given, so that
+    every accepted candidate carries its fitness).
+
+    While attempt i is scored on the calling thread, attempt i + 1 is drawn
+    on the tile pool (``nn._tile_pool``) if it will run, with a z already
+    known, whatever attempt i decides. So each attempt draws once, in
+    attempt order, from its own stream ``root.child(i)``, and the pool is
+    the one a plain loop of ``generate_model`` gives, byte for byte. A
+    candidate's ``seconds`` is the wait for its draw plus its scoring. No
+    draw outlives the call.
     """
     count = check_count("count", count)
     spectrum = _base_spectrum(base, cfg, spectrum)
@@ -213,20 +233,35 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
     accepted, attempts, consecutive, z = [], 0, 0, cfg.z
+    draw = None  # the Future of attempt `attempts`'s sample, when it was drawn ahead
     t0 = time.perf_counter()
-    while len(accepted) < count and attempts < budget:
-        rng = root.child(attempts).generator()
-        cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=rng, spectrum=spectrum, z=z, seed=attempts, fit=fit)
-        attempts += 1
-        if cand.accepted:
-            cand.cand_id = len(accepted)
-            accepted.append(cand)
-            consecutive = 0
-        else:
-            consecutive += 1
-            if cfg.adaptive_z and consecutive % 10 == 0:
-                z = max(z / 2.0, 1e-6)
+    try:
+        while len(accepted) < count and attempts < budget:
+            t1 = time.perf_counter()
+            if draw is None:
+                params = spectrum.sample(cfg, root.child(attempts).generator(), z=z)
+            else:
+                params, draw = draw.result(), None
+            # the next attempt happens, with this z, unless this one fills the
+            # pool or the budget, or its rejection halves z
+            if (len(accepted) + 1 < count and attempts + 1 < budget
+                    and not (cfg.adaptive_z and consecutive % 10 == 9)):
+                draw = _tile_pool.submit(spectrum.sample, cfg,
+                                         root.child(attempts + 1).generator(), z=z)
+            cand = score(params, spec, valset, base_acc, cfg, fit=fit, seed=attempts)
+            cand.seconds = time.perf_counter() - t1
+            attempts += 1
+            if cand.accepted:
+                cand.cand_id = len(accepted)
+                accepted.append(cand)
+                consecutive = 0
+            else:
+                consecutive += 1
+                if cfg.adaptive_z and consecutive % 10 == 0:
+                    z = max(z / 2.0, 1e-6)
+    finally:
+        if draw is not None:  # an attempt raised: let the draw ahead finish
+            wait([draw])
     elapsed = time.perf_counter() - t0
     if not accepted:
         raise GenerationFailedError(

@@ -47,6 +47,10 @@ The forward and the backward split the net at its first ``Flatten``:
   their outputs are joined in tile order; a single tile runs on the
   calling thread. When recording, each tile keeps its own layers'
   backwards, and the backward runs tile by tile, on the same pool.
+  The pool also runs work that is not a tile (``_tile_pool.submit``):
+  ``generator.generate_pool`` draws its next attempt on it while the
+  current one is scored, and ``store.verify_manifest`` checks its member
+  files on it. With one CPU, that work and the tiles queue on one worker.
 - The **vector stage** (every Dense, its activations, the softmax and
   cross-entropy) runs on the whole batch, on the calling thread. BLAS
   rounds a dense GEMM by its row count: with OpenBLAS 0.3.31, the rows of
@@ -82,7 +86,7 @@ import os
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -596,9 +600,11 @@ def _run_tape(tape, d, grads):
 
 
 class _TilePool:
-    """The image stage's thread pool: one worker per CPU this process may
-    run on, made on first use. A forked child has none of its parent's
-    threads, so it drops the pool and makes its own."""
+    """The image stage's thread pool, which also draws ``generate_pool``'s
+    next attempt and checks ``verify_manifest``'s members: one worker per
+    CPU this process may run on, made on first use. A forked child has none
+    of its parent's threads, so it drops the pool and makes its own. No task
+    on it waits for another, so one worker cannot deadlock."""
 
     def __init__(self):
         self._forget()
@@ -608,11 +614,7 @@ class _TilePool:
     def _forget(self):
         self._lock, self.executor = threading.Lock(), None
 
-    def map(self, fn, tiles):
-        """``[fn(t) for t in tiles]``, in tile order. Several tiles run on the
-        pool; a single tile runs on the calling thread."""
-        if len(tiles) == 1:
-            return [fn(tiles[0])]
+    def _executor(self):
         with self._lock:
             if self.executor is None:
                 try:
@@ -620,8 +622,21 @@ class _TilePool:
                 except AttributeError:  # a platform without CPU affinity
                     workers = os.cpu_count() or 1
                 self.executor = ThreadPoolExecutor(workers, thread_name_prefix="mgepool-tile")
-            executor = self.executor
-        return list(executor.map(fn, tiles))
+            return self.executor
+
+    def submit(self, fn, *args, **kwargs):
+        """A Future of ``fn(*args, **kwargs)``, run on the pool."""
+        return self._executor().submit(fn, *args, **kwargs)
+
+    def map(self, fn, tiles):
+        """``[fn(t) for t in tiles]``, in tile order. Several tiles run on the
+        pool, and all of them finish before the first error, in tile order,
+        is raised; a single tile runs on the calling thread."""
+        if len(tiles) == 1:
+            return [fn(tiles[0])]
+        futures = [self.submit(fn, t) for t in tiles]
+        wait(futures)
+        return [f.result() for f in futures]
 
 
 _tile_pool = _TilePool()
@@ -795,7 +810,8 @@ def cross_entropy(logits, labels):
 def loss_and_grads(spec, params, features, labels, *, _param_grads=True, _taped=None):
     """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
 
-    ``features`` is a non-empty batch array or an EvalSet.
+    ``features`` is a non-empty batch array or an EvalSet whose rows have
+    the network's input shape (else StructuralError, as in ``forward``).
     ``_param_grads=False`` is internal to ``input_gradient``: it skips every
     dW and db, returns None for them and runs the image stage on tiles
     (module docstring); the input gradient is computed exactly as otherwise.
@@ -804,6 +820,7 @@ def loss_and_grads(spec, params, features, labels, *, _param_grads=True, _taped=
     """
     if _taped is None:
         x, cols = batch_rows(spec, features)
+        _check_batch(spec, x)
         if not len(x):
             raise InvalidInputError("empty batch: the loss is a mean over its rows")
         _taped = _forward(spec, params, x, cols, True, _param_grads)

@@ -25,7 +25,7 @@ from .errors import (
     UndefinedRatioError,
     UnsupportedVersionError,
 )
-from .nn import ParamEntry, ParamSet
+from .nn import ParamEntry, ParamSet, _tile_pool
 
 MAGIC = b"MGEM"
 VERSION = 1
@@ -81,8 +81,15 @@ def save_model(params: ParamSet, path) -> ModelFileInfo:
 def load_model(path, sha256=None) -> ParamSet:
     """Exact inverse of save_model (values come back as float32-exact floats).
     Given ``sha256``, the file must carry that hash, checked on the same read."""
+    return read_model(path, sha256)[0]
+
+
+def read_model(path, sha256=None):
+    """(``load_model(path, sha256)``, the file's SHA-256 as ``file_hash``
+    gives it), from one read of the file."""
     with open(path, "rb") as f:
-        return _decode(f.read(), sha256, path)
+        data = f.read()
+    return _decode(data, sha256, path), data[-HASH_BYTES:].hex()
 
 
 def _decode(data, sha256=None, name="the file") -> ParamSet:
@@ -190,7 +197,9 @@ def verify_manifest(path, load=False):
     objects with a string ``file`` and ``hash`` (else FormatError), and each
     member file exists, decodes and carries that hash. Each file is read
     once. Returns (manifest, each member's ParamSet in order if ``load``,
-    else [], so that no decoded member outlives its check)."""
+    else [], so that no decoded member outlives its check). The members are
+    checked on the tile pool (``nn._tile_pool``); a bad one raises the error
+    of the first in manifest order."""
     doc = read_manifest(path)
     members = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members, list) or not all(
@@ -198,16 +207,17 @@ def verify_manifest(path, load=False):
             and isinstance(m.get("hash"), str) for m in members):
         raise FormatError(f"{path}: members is not a list of objects with a file and a hash")
     root = os.path.dirname(os.path.abspath(path))
-    models = []
-    for member in members:
+
+    def check(member):
         fpath = os.path.join(root, member["file"])
         if not os.path.exists(fpath):
             raise CorruptModelError(f"missing member file {member['file']}")
         with open(fpath, "rb") as f:
             params = _decode(f.read(), member["hash"], member["file"])
-        if load:
-            models.append(params)
-    return doc, models
+        return params if load else None
+
+    models = _tile_pool.map(check, members)
+    return doc, models if load else []
 
 
 def stamp(config_echo, seeds, artifact_hashes):

@@ -400,6 +400,25 @@ class TestGenerate:
         assert len(doc["members"]) == 1
         assert doc["members"][0]["accuracy"] == doc["base"]["accuracy"]
 
+    def test_reads_the_base_model_file_once(self, pipeline, tmp_path, monkeypatch):
+        import builtins
+        from mgepool.store import file_hash
+        opened, real_open = [], builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and str(path).endswith(".mgem"):
+                opened.append(os.path.abspath(path))
+            return real_open(path, *args, **kwargs)
+
+        base = pipeline["out"] / "base.mgem"
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "pool"),
+                         "generate", "--model", str(base), "--count", "2"]) == 0
+        monkeypatch.undo()
+        assert opened == [os.path.abspath(base)]
+        doc = read_manifest(tmp_path / "pool" / "manifest.json")
+        assert doc["base"]["hash"] == file_hash(base)
+
 
 class TestAnalyze:
     def test_report_written(self, pipeline, tmp_path):

@@ -29,6 +29,42 @@ from mgepool.transforms import sample_bounded_normal
 from test_transforms import naive_idct2
 
 
+def stable_argsort_mask(coeffs, t):
+    """(keep, energy_fraction) of ``importance_mask`` as it ranked by a stable
+    descending argsort, verbatim."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    energy = c * c
+    total = energy.sum()
+    keep = np.zeros(c.size, dtype=bool)
+    if t == 0.0 and total > 0.0:
+        return keep, 0.0
+    if t >= 1.0 or total == 0.0:
+        keep[:] = True
+        return keep, 1.0
+    order = np.argsort(-energy, kind="stable")
+    frac = np.cumsum(energy[order]) / total
+    count = min(int(np.searchsorted(frac, t, side="left")) + 1, c.size)
+    keep[order[:count]] = True
+    return keep, float(frac[count - 1])
+
+
+# coefficient vectors with many ties: rounded values and exact zeros,
+# all-equal vectors (length 1 among them), and magnitudes whose squares
+# overflow to inf
+mask_coefficients = st.one_of(
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60).map(
+        lambda v: np.round(np.asarray(v), 1)),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=60).map(
+        lambda v: np.asarray(v, dtype=np.float64) * 0.5),
+    st.tuples(st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e200]), st.integers(1, 20)).map(
+        lambda a: np.full(a[1], a[0])),
+    st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e150, -1e160, 1e200, 1.5e154]),
+             min_size=1, max_size=30).map(np.asarray),
+    st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=30).map(
+        np.asarray),
+)
+
+
 class TestImportanceMask:
     def test_full_retention(self):
         c = np.array([3.0, -1.0, 0.5, 0.0])
@@ -75,6 +111,18 @@ class TestImportanceMask:
         assert kept.sum() / total >= t and row.energy_fraction >= t
         for e in kept:
             assert (kept.sum() - e) / total < t
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(c=mask_coefficients,
+           t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1e-12]), st.floats(0.0, 1.0)))
+    def test_value_sort_equals_stable_argsort(self, c, t):
+        """The keep-mask and energy fraction, byte for byte, of the stable
+        descending argsort ranking that the value sort replaced."""
+        with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow
+            row = importance_mask(c, t)
+            keep, fraction = stable_argsort_mask(c, t)
+        assert row.keep.tobytes() == keep.tobytes()
+        assert np.float64(row.energy_fraction).tobytes() == np.float64(fraction).tobytes()
 
     def test_tie_break_lower_index(self):
         row = importance_mask(np.array([1.0, 1.0, 1.0, 1.0]), 0.5)

@@ -122,6 +122,24 @@ class TestForward:
         with pytest.raises(StructuralError):
             nn.forward(spec, params, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("path", ["loss_and_grads", "input_gradient", "fgsm_batch",
+                                      "robust_accuracy"])
+    def test_gradient_paths_reject_a_wrong_shape_as_forward_does(self, path):
+        from mgepool.adversarial import fgsm_batch, robust_accuracy
+        spec = nn.mlp([4, 3])
+        params = nn.init_params(spec, np.random.default_rng(0))
+        x, y = np.zeros((2, 5)), np.array([0, 1])
+        calls = {
+            "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
+            "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
+            "fgsm_batch": lambda: fgsm_batch(spec, params, x, y, 0.1),
+            "robust_accuracy": lambda: robust_accuracy(spec, params, nn.Dataset(x, y, 3), 0.1),
+        }
+        with pytest.raises(StructuralError, match=r"batch shape \(5,\) != input \(4,\)"):
+            nn.forward(spec, params, x)
+        with pytest.raises(StructuralError, match=r"batch shape \(5,\) != input \(4,\)"):
+            calls[path]()
+
     def test_deterministic(self):
         spec = nn.mlp([3, 8, 2])
         params = nn.init_params(spec, np.random.default_rng(4))

@@ -295,6 +295,32 @@ class TestManifest:
         with pytest.raises(CorruptModelError, match="m0.mgem"):
             load_model(tmp_path / "m0.mgem", infos[1].sha256)
 
+    def test_parallel_verify_keeps_manifest_order(self, tmp_path):
+        """Members are checked on the tile pool, but the error raised is the
+        first bad member's in manifest order, and ``load`` returns the
+        members in that order."""
+        members = []
+        for i in range(7):
+            info = save_model(random_params(np.random.default_rng(i)), tmp_path / f"m{i}.mgem")
+            members.append({"id": i, "file": f"m{i}.mgem", "hash": info.sha256})
+        write_manifest(build_manifest("pool-8", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        doc, models = verify_manifest(tmp_path / "manifest.json", load=True)
+        assert len(models) == 7
+        for i, params in enumerate(models):
+            loaded = load_model(tmp_path / f"m{i}.mgem")
+            assert params.layout == loaded.layout
+            assert params.flat.tobytes() == loaded.flat.tobytes()
+        # member 2 records another file's hash; member 5, which fails faster
+        # (before any read), is missing
+        members[2]["hash"] = members[3]["hash"]
+        (tmp_path / "m5.mgem").unlink()
+        write_manifest(build_manifest("pool-8", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        for load in (False, True):
+            with pytest.raises(CorruptModelError, match="m2.mgem"):
+                verify_manifest(tmp_path / "manifest.json", load=load)
+
     def test_verify_checks_the_file_against_its_own_hash(self, tmp_path):
         """A member whose trailing hash is the manifest's but whose content
         changed fails the file's own hash check."""
