@@ -18,7 +18,6 @@ from .generator import (
     accept,
     band_sensitivity,
     generate_layer,
-    generate_model,
     generate_pool,
     importance_mask,
     unimportant_mask_spatial,

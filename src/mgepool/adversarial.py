@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigRangeError
+from .errors import ConfigRangeError, check_count
 from .nn import batch_array, eval_batches, forward, input_gradient, n_correct
 
 
@@ -98,9 +98,7 @@ def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100,
     """
     if not pool:
         raise ConfigRangeError("pool is empty")
-    if n_examples < 1:
-        raise ConfigRangeError("n_examples must be >= 1")
-    n = min(n_examples, len(dataset))
+    n = min(check_count("n_examples", n_examples), len(dataset))
     x = dataset.features[:n]
     y = dataset.labels[:n]
     adv_u = fgsm_batch(spec, source_params, x, y, eps)

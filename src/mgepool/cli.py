@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -202,9 +202,11 @@ def _inputs(cfg, args):
 
 
 def _load_model(path, spec, sha256=None):
-    """The model at ``path`` (which must carry ``sha256``, if given), checked
-    against ``network.layers`` right after loading."""
-    return _check_layout(store.load_model(path, sha256), spec, path)
+    """(the model at ``path``, checked against ``network.layers`` right after
+    loading, the file's hash), from one read (``store.read_model``); the file
+    must carry ``sha256``, if given."""
+    params, digest = store.read_model(path, sha256)
+    return _check_layout(params, spec, path), digest
 
 
 def _check_layout(params, spec, path):
@@ -223,8 +225,8 @@ def _entry(entry):
     return "no entry" if entry is None else "{} {}".format(*entry)
 
 
-_KINDS = {"a number": (int, float), "a string": str, "an integer or a string": (int, str),
-          "an object": dict}
+_KINDS = {"a number": (int, float), "an integer": int, "a string": str,
+          "an integer or a string": (int, str), "an object": dict, "a list": list}
 
 
 def _field(obj, key, kind, where):
@@ -281,6 +283,23 @@ def _member_record(cand, fname, fhash):
     }
 
 
+def _write_pool(out, cfg, model, base_hash, base_accuracy, candidates, **manifest):
+    """Save each of ``candidates`` as ``model_<id>.mgem`` in ``out``, then write
+    the pool's manifest.json (``store.build_manifest``, with the base file
+    ``model`` recorded relative to ``out``; ``manifest`` gives the other
+    fields) and its stamp. Returns the member records."""
+    members = []
+    for cand in candidates:
+        fname = f"model_{cand.cand_id:04d}.mgem"
+        info = store.save_model(cand.params, os.path.join(out, fname))
+        members.append(_member_record(cand, fname, info.sha256))
+    base = {"path": os.path.relpath(model, out), "hash": base_hash, "accuracy": base_accuracy}
+    store.write_manifest(store.build_manifest(base=base, members=members, **manifest),
+                         os.path.join(out, "manifest.json"))
+    _write_stamp(out, cfg, manifest["seeds"], {m["file"]: m["hash"] for m in members})
+    return members
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -308,7 +327,7 @@ def cmd_train(cfg, args):
 
 def cmd_analyze(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base = _load_model(args.model, spec)
+    base = _load_model(args.model, spec)[0]
     report = {"layers": {}}
     from .transforms import cumulative_energy, dct2
     for e in base.entries:
@@ -342,16 +361,10 @@ def cmd_analyze(cfg, args):
 
 def cmd_generate(cfg, args):
     out, splits, spec = _inputs(cfg, args)
-    base, base_hash = store.read_model(args.model)
-    _check_layout(base, spec, args.model)
+    base, base_hash = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
     t_train_one = _train_seconds(args.model)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
-    members = []
-    for cand in pool.candidates:
-        fname = f"model_{cand.cand_id:04d}.mgem"
-        info = store.save_model(cand.params, os.path.join(out, fname))
-        members.append(_member_record(cand, fname, info.sha256))
     wall = {
         "time_generated": pool.seconds,
         "member_seconds": [c.seconds for c in pool.candidates],
@@ -359,20 +372,10 @@ def cmd_generate(cfg, args):
     if t_train_one is not None:
         wall["time_trained"] = t_train_one * args.count
         wall["ratio_time"] = store.time_ratio(pool.seconds, wall["time_trained"])
-    doc = store.build_manifest(
-        pool_id=f"pool-{gcfg.seed}-{args.count}",
-        base={"path": os.path.relpath(args.model, out),
-              "hash": base_hash,
-              "accuracy": pool.base_accuracy},
-        config={"generator": vars(gcfg)},
-        members=members,
-        wall_clock=wall,
-        attempts=pool.attempts,
-        seeds={"generator": gcfg.seed},
-    )
-    store.write_manifest(doc, os.path.join(out, "manifest.json"))
-    _write_stamp(out, cfg, {"generator": gcfg.seed},
-                 {m["file"]: m["hash"] for m in members})
+    members = _write_pool(out, cfg, args.model, base_hash, pool.base_accuracy, pool.candidates,
+                          pool_id=f"pool-{gcfg.seed}-{args.count}",
+                          config={"generator": vars(gcfg)}, wall_clock=wall,
+                          attempts=pool.attempts, seeds={"generator": gcfg.seed})
     msg = (f"pool of {len(members)} accepted models in {pool.attempts} attempts "
            f"({pool.seconds:.1f}s)")
     if "ratio_time" in wall:
@@ -381,34 +384,23 @@ def cmd_generate(cfg, args):
     return EXIT_OK
 
 
-HISTORY_COLUMNS = ["generation", "max_f", "mean_f", "best_id"]  # of history.csv
-
-
 def cmd_evolve(cfg, args):
+    """A pool of one member, the best model evolved; its manifest also holds
+    the per-generation history and the evolution config."""
     out, splits, spec = _inputs(cfg, args)
-    base = _load_model(args.model, spec)
+    base, base_hash = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
     ecfg = build_section_config(cfg, "evolution")
     fit = build_fitness_config(cfg, splits)
     best, history = evolution.evolve(base, spec, gcfg, ecfg, fit, splits["val"])
-    info = store.save_model(best.params, os.path.join(out, "best.mgem"))
-    with open(os.path.join(out, "history.csv"), "w", newline="") as f:
-        writer = csv.DictWriter(f, HISTORY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(row.to_record() for row in history)
-    record = {
-        "best": {"file": "best.mgem", "hash": info.sha256, "id": best.cand_id,
-                 "accuracy": best.accuracy, "f_q": best.f_q, "f_d": best.f_d,
-                 "f": best.f},
-        "config": {"generator": vars(gcfg), "evolution": vars(ecfg),
-                   "gamma": fit.gamma},
-        "history": [row.to_record() for row in history],
-    }
-    store.write_manifest(record, os.path.join(out, "evolution.json"))
-    _write_stamp(out, cfg, {"generator": gcfg.seed, "evolution": ecfg.seed},
-                 {"best.mgem": info.sha256})
+    base_acc = nn.evaluate_accuracy(spec, base.as_float32(), splits["val"])
+    _write_pool(out, cfg, args.model, base_hash, base_acc, [best],
+                pool_id=f"evolve-{gcfg.seed}-{ecfg.seed}",
+                config={"generator": vars(gcfg), "evolution": vars(ecfg), "gamma": fit.gamma},
+                wall_clock={}, seeds={"generator": gcfg.seed, "evolution": ecfg.seed},
+                history=[asdict(row) for row in history])
     print(f"evolved {ecfg.generations} generations: best F={best.f:.4f} "
-          f"(id {best.cand_id}) -> {info.path}")
+          f"(id {best.cand_id}) -> {out}")
     return EXIT_OK
 
 
@@ -425,7 +417,7 @@ def cmd_attack(cfg, args):
     base_hash = _field(recorded, "hash", "a string", f"{path}: base.")
     pool = [(str(m["id"]), _check_layout(p, spec, os.path.join(args.pool, m["file"])))
             for m, p in zip(manifest["members"], models)]
-    base = _load_model(base_path, spec, base_hash)
+    base = _load_model(base_path, spec, base_hash)[0]
     # the transfer experiment checks its settings first, so it runs before the sweep
     report = adversarial.transfer_matrix(spec, base, pool, splits["test"],
                                          eps=epsilons[-1], **n_examples)
@@ -455,56 +447,42 @@ def _aligned(rows, headers):
     return "\n".join(lines)
 
 
-def _read_history(path):
-    """The rows of an evolve run's history.csv, in HISTORY_COLUMNS order."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            missing = [c for c in HISTORY_COLUMNS if c not in (reader.fieldnames or [])]
-            if missing:
-                raise FormatError(f"history file {path} lacks the columns {', '.join(missing)}")
-            rows = [[row[c] for c in HISTORY_COLUMNS] for row in reader]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"history file {path} is not a UTF-8 CSV file ({exc})") from None
-    for i, row in enumerate(rows, 1):
-        if None in row:
-            raise FormatError(f"history file {path}: row {i} has fewer fields than the header")
-    return rows
+# the keys of each row of an evolved pool's history, and their kinds
+_HISTORY = {"generation": "an integer", "max_f": "a number", "mean_f": "a number",
+            "best_id": "an integer"}
 
 
 def cmd_report(cfg, args):
     out = _out_dir(cfg, args)
-    sections = []
-    if args.pool:
-        path, doc, _ = _pool_manifest(args.pool)
-        if not doc["members"]:
-            print("pool is empty")
-            return EXIT_OK
-        base_acc = _field(doc.get("base"), "accuracy", "a number", f"{path}: base.")
-        rows = [[m["id"], f"{m['accuracy']:.4f}", f"{base_acc:.4f}",
-                 f"{m['accuracy'] - base_acc:+.4f}"] for m in doc["members"]]
-        mean_acc = sum(m["accuracy"] for m in doc["members"]) / len(doc["members"])
-        sections.append("== accuracy parity (generated vs base) ==")
-        sections.append(_aligned(rows, ["id", "generated", "base", "delta"]))
-        sections.append(f"mean generated accuracy: {mean_acc:.4f}")
-        wall = doc.get("wall_clock")
-        if isinstance(wall, dict) and "ratio_time" in wall:
-            generated, trained, ratio = (
-                _field(wall, key, "a number", f"{path}: wall_clock.")
-                for key in ("time_generated", "time_trained", "ratio_time"))
-            sections.append("== time ==")
-            sections.append(_aligned([[f"{generated:.2f}", f"{trained:.2f}", f"{ratio:.2%}"]],
-                                     ["generated_s", "trained_s", "ratio"]))
-        with open(os.path.join(out, "report_accuracy.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["id", "generated", "base"])
-            writer.writerows([m["id"], m["accuracy"], base_acc] for m in doc["members"])
-    if args.history:
-        sections.append("== evolution history ==")
-        sections.append(_aligned(_read_history(args.history), HISTORY_COLUMNS))
-    if not sections:
-        print("nothing to report (neither --pool nor --history given)")
+    path, doc, _ = _pool_manifest(args.pool)
+    if not doc["members"]:
+        print("pool is empty")
         return EXIT_OK
+    base_acc = _field(doc.get("base"), "accuracy", "a number", f"{path}: base.")
+    rows = [[m["id"], f"{m['accuracy']:.4f}", f"{base_acc:.4f}",
+             f"{m['accuracy'] - base_acc:+.4f}"] for m in doc["members"]]
+    mean_acc = sum(m["accuracy"] for m in doc["members"]) / len(doc["members"])
+    sections = ["== accuracy parity (generated vs base) ==",
+                _aligned(rows, ["id", "generated", "base", "delta"]),
+                f"mean generated accuracy: {mean_acc:.4f}"]
+    wall = doc.get("wall_clock")
+    if isinstance(wall, dict) and "ratio_time" in wall:
+        generated, trained, ratio = (
+            _field(wall, key, "a number", f"{path}: wall_clock.")
+            for key in ("time_generated", "time_trained", "ratio_time"))
+        sections.append("== time ==")
+        sections.append(_aligned([[f"{generated:.2f}", f"{trained:.2f}", f"{ratio:.2%}"]],
+                                 ["generated_s", "trained_s", "ratio"]))
+    if "history" in doc:  # an evolved pool
+        history = _field(doc, "history", "a list", f"{path}: ")
+        sections.append("== evolution history ==")
+        sections.append(_aligned(
+            [[_field(row, key, kind, f"{path}: history[{i}].") for key, kind in _HISTORY.items()]
+             for i, row in enumerate(history)], list(_HISTORY)))
+    with open(os.path.join(out, "report_accuracy.csv"), "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id", "generated", "base"])
+        writer.writerows([m["id"], m["accuracy"], base_acc] for m in doc["members"])
     text = "\n".join(sections)
     print(text)
     with open(os.path.join(out, "report.txt"), "w") as f:
@@ -528,10 +506,8 @@ def make_parser():
     for name in ("analyze", "generate", "evolve"):
         sub.add_parser(name).add_argument("--model", required=True)
     sub.choices["generate"].add_argument("--count", type=int, default=10)
-    sub.add_parser("attack").add_argument("--pool", required=True)
-    pr = sub.add_parser("report")
-    pr.add_argument("--pool")
-    pr.add_argument("--history")
+    for name in ("attack", "report"):
+        sub.add_parser(name).add_argument("--pool", required=True)
     return p
 
 

@@ -24,8 +24,7 @@ def check_count(name, value, least=1):
     int; else (a bool too) ConfigRangeError naming the field ``name``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not float(value).is_integer() or value < least):
-        raise ConfigRangeError(
-            f"{name.replace('_', ' ')} must be an integer >= {least}, got {value!r}")
+        raise ConfigRangeError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

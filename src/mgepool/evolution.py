@@ -9,7 +9,7 @@ the per-generation max fitness exactly non-decreasing.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class GenerationStats:
     max_f: float
     mean_f: float
     best_id: int
-
-    def to_record(self):
-        return asdict(self)
 
 
 def mutate(parent: Candidate, spectrum: Spectrum, gcfg: GeneratorConfig,

@@ -182,52 +182,30 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
     return cand
 
 
-def _base_spectrum(base, cfg, spectrum=None) -> Spectrum:
-    """``spectrum``, which must be ``Spectrum(base, cfg.t)``, or that
-    spectrum built now when none is given."""
-    if spectrum is None:
-        return Spectrum(base, cfg.t)
-    if spectrum.layout != base.layout or spectrum.t != cfg.t:
-        raise ConfigRangeError("spectrum was not built from this base at this t")
-    return spectrum
-
-
-def generate_model(base, spec, cfg, valset, base_accuracy=None, rng=None,
-                   spectrum=None, z=None, seed=-1, fit=None) -> Candidate:
-    """One full generation attempt: sample ``spectrum`` (``_base_spectrum``),
-    then ``score`` (with ``fit``, if given)."""
-    if base_accuracy is None:
-        base_accuracy = evaluate_accuracy(spec, base.as_float32(), valset)
-    if rng is None:
-        rng = RngStream(cfg.seed).generator()
-    spectrum = _base_spectrum(base, cfg, spectrum)
-    t0 = time.perf_counter()
-    cand = score(spectrum.sample(cfg, rng, z=z), spec, valset, base_accuracy, cfg, fit=fit,
-                 seed=seed)
-    cand.seconds = time.perf_counter() - t0
-    return cand
-
-
 def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> PoolResult:
     """Collect `count` accepted candidates within cfg.attempts * count tries.
 
     ``valset`` is a Dataset or an EvalSet. A Dataset is wrapped in an
     EvalSet for the length of this call, so the first layer's im2col of the
     validation set is built once and shared by every evaluation. Every
-    attempt samples ``spectrum`` (``_base_spectrum``), which the result does
-    not keep, then is scored (``score``, with ``fit`` if given, so that
-    every accepted candidate carries its fitness).
+    attempt samples ``spectrum`` (built here unless given; it must be
+    ``Spectrum(base, cfg.t)``), which the result does not keep, then is
+    scored (``score``, with ``fit`` if given, so that every accepted
+    candidate carries its fitness).
 
     While attempt i is scored on the calling thread, attempt i + 1 is drawn
     on the tile pool (``nn._tile_pool``) if it will run, with a z already
     known, whatever attempt i decides. So each attempt draws once, in
     attempt order, from its own stream ``root.child(i)``, and the pool is
-    the one a plain loop of ``generate_model`` gives, byte for byte. A
-    candidate's ``seconds`` is the wait for its draw plus its scoring. No
-    draw outlives the call.
+    the one a plain loop of ``score(spectrum.sample(...))`` gives, byte for
+    byte. A candidate's ``seconds`` is the wait for its draw plus its
+    scoring. No draw outlives the call.
     """
     count = check_count("count", count)
-    spectrum = _base_spectrum(base, cfg, spectrum)
+    if spectrum is None:
+        spectrum = Spectrum(base, cfg.t)
+    elif spectrum.layout != base.layout or spectrum.t != cfg.t:
+        raise ConfigRangeError("spectrum was not built from this base at this t")
     valset = eval_set(valset)
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
     root = RngStream(cfg.seed)

@@ -338,12 +338,8 @@ class Dataset:
 
 def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
     """Deterministic class-balanced toy dataset with features in [0, 1]."""
-    if classes < 1:
-        raise ConfigRangeError("classes must be >= 1")
-    if dim < 1:
-        raise ConfigRangeError("dim must be >= 1")
-    if n < classes:
-        raise ConfigRangeError("n must be >= classes")
+    classes, dim = check_count("classes", classes), check_count("dim", dim)
+    n = check_count("n", n, least=classes)
     if not (0 <= noise < np.inf):
         raise ConfigRangeError(f"noise {noise} must be finite and >= 0")
     rng = np.random.default_rng(seed)
@@ -863,7 +859,7 @@ class TrainConfig:
         if not (0.0 <= self.learning_rate < np.inf):
             raise ConfigRangeError(f"learning rate {self.learning_rate} must be finite and >= 0")
         self.epochs = check_count("epochs", self.epochs)
-        self.batch_size = check_count("batch_size", self.batch_size)
+        self.batch_size = check_count("batch size", self.batch_size)
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigRangeError(f"unknown optimizer {self.optimizer!r}")
 

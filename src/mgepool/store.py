@@ -85,29 +85,29 @@ def load_model(path, sha256=None) -> ParamSet:
 
 
 def read_model(path, sha256=None):
-    """(``load_model(path, sha256)``, the file's SHA-256 as ``file_hash``
-    gives it), from one read of the file."""
+    """(``load_model(path, sha256)``, the file's SHA-256: its trailing 32
+    bytes), from one read of the file."""
     with open(path, "rb") as f:
         data = f.read()
     return _decode(data, sha256, path), data[-HASH_BYTES:].hex()
 
 
-def _decode(data, sha256=None, name="the file") -> ParamSet:
+def _decode(data, sha256, name) -> ParamSet:
     """The ParamSet that a model file's bytes ``data`` hold, after checking its
     magic, version, trailing hash (against the content and ``sha256``, if
-    given; an error names the file as ``name``) and structure."""
+    given) and structure. Every error names the file as ``name``."""
     if len(data) < 12 + HASH_BYTES:
-        raise CorruptModelError(f"file too short ({len(data)} bytes)")
+        raise CorruptModelError(f"{name}: file too short ({len(data)} bytes)")
     if data[:4] != MAGIC:
-        raise CorruptModelError("bad magic bytes")
+        raise CorruptModelError(f"{name}: bad magic bytes")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version}")
+        raise UnsupportedVersionError(f"{name}: unsupported format version {version}")
     body, digest = data[:-HASH_BYTES], data[-HASH_BYTES:]
     if hashlib.sha256(body).digest() != digest:
-        raise CorruptModelError("content hash mismatch")
+        raise CorruptModelError(f"{name}: content hash mismatch")
     if sha256 is not None and digest.hex() != sha256:
-        raise CorruptModelError(f"hash mismatch for {name}: the manifest records another")
+        raise CorruptModelError(f"{name}: hash mismatch, the manifest records another")
     n_layers = struct.unpack_from("<I", data, 8)[0]
     off = 12
     entries = []
@@ -115,7 +115,7 @@ def _decode(data, sha256=None, name="the file") -> ParamSet:
         try:
             (name_len,) = struct.unpack_from("<I", body, off)
             off += 4
-            name = body[off:off + name_len].decode("utf-8")
+            entry = body[off:off + name_len].decode("utf-8")
             off += name_len
             (rank,) = struct.unpack_from("<I", body, off)
             off += 4
@@ -124,27 +124,20 @@ def _decode(data, sha256=None, name="the file") -> ParamSet:
             count = int(np.prod(dims)) if rank else 1
             payload = body[off:off + 4 * count]
             if len(payload) != 4 * count:
-                raise CorruptModelError(f"truncated payload at offset {off}")
+                raise CorruptModelError(f"{name}: truncated payload at offset {off}")
             off += 4 * count
         except struct.error as exc:
-            raise CorruptModelError(f"truncated header at offset {off}") from exc
+            raise CorruptModelError(f"{name}: truncated header at offset {off}") from exc
         except UnicodeDecodeError as exc:
-            raise CorruptModelError(f"layer name before offset {off} is not UTF-8") from exc
+            raise CorruptModelError(
+                f"{name}: layer name before offset {off} is not UTF-8") from exc
         values = np.frombuffer(payload, dtype="<f4")
         if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
-            raise CorruptModelError(f"entry {name} contains non-finite values")
-        entries.append(ParamEntry(name, tuple(int(d) for d in dims), values))
+            raise CorruptModelError(f"{name}: entry {entry} contains non-finite values")
+        entries.append(ParamEntry(entry, tuple(int(d) for d in dims), values))
     if off != len(body):
-        raise CorruptModelError(f"{len(body) - off} trailing bytes")
+        raise CorruptModelError(f"{name}: {len(body) - off} trailing bytes")
     return ParamSet(entries)  # one float32 -> float64 cast, into its flat vector
-
-
-def file_hash(path) -> str:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < HASH_BYTES:
-        raise CorruptModelError("file too short for trailing hash")
-    return data[-HASH_BYTES:].hex()
 
 
 def time_ratio(t_gen, t_train) -> float:
@@ -159,9 +152,10 @@ def time_ratio(t_gen, t_train) -> float:
 
 
 def build_manifest(pool_id, base, config, members, wall_clock, attempts=None,
-                   seeds=None):
+                   seeds=None, history=None):
     """Structured manifest; every wall-clock quantity lives under 'wall_clock'
-    so determinism checks can drop that one key."""
+    so determinism checks can drop that one key. An evolved pool's manifest
+    also holds its per-generation ``history``."""
     doc = {
         "pool_id": pool_id,
         "base": base,
@@ -171,6 +165,8 @@ def build_manifest(pool_id, base, config, members, wall_clock, attempts=None,
         "seeds": seeds or {},
         "wall_clock": wall_clock,
     }
+    if history is not None:
+        doc["history"] = history
     return doc
 
 

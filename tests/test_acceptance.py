@@ -291,13 +291,10 @@ class TestAcceptance:
             return doc
 
         assert stripped(a / "train.json") == stripped(b / "train.json")
-        assert stripped(a / "pool" / "manifest.json") == \
-            stripped(b / "pool" / "manifest.json")
-        assert json.loads((a / "evo" / "evolution.json").read_text()) == \
-            json.loads((b / "evo" / "evolution.json").read_text())
-        assert (a / "evo" / "history.csv").read_bytes() == \
-            (b / "evo" / "history.csv").read_bytes()
-        models = ["base.mgem", "evo/best.mgem"] + \
+        for pool in ("pool", "evo"):
+            assert stripped(a / pool / "manifest.json") == stripped(b / pool / "manifest.json")
+        [best] = stripped(a / "evo" / "manifest.json")["members"]
+        models = ["base.mgem", f"evo/{best['file']}"] + \
             [f"pool/model_{i:04d}.mgem" for i in range(5)]
         for rel in models:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()

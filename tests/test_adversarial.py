@@ -135,6 +135,13 @@ class TestTransferMatrix:
         with pytest.raises(ConfigRangeError):
             transfer_matrix(desk.spec, desk.base, [], desk.splits["test"], 0.1)
 
+    @pytest.mark.parametrize("n_examples", [2.5, np.nan, np.inf, True, "10", None])
+    def test_non_integer_examples_rejected(self, desk, n_examples):
+        pool = [("0", desk.pool.candidates[0].params)]
+        with pytest.raises(ConfigRangeError, match="^n_examples must be an integer"):
+            transfer_matrix(desk.spec, desk.base, pool, desk.splits["test"], 0.1,
+                            n_examples=n_examples)
+
     @pytest.mark.parametrize("n_examples", [0, -5])
     def test_examples_below_one_rejected(self, desk, n_examples):
         pool = [("0", desk.pool.candidates[0].params)]

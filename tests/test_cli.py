@@ -51,6 +51,23 @@ def error_lines(capsys, code):
     return lines[0]
 
 
+def _opened_models(monkeypatch, argv):
+    """The absolute paths of the .mgem files that ``cli.main(argv)`` opens,
+    one per open, after checking that it exits 0."""
+    import builtins
+    opened, real_open = [], builtins.open
+
+    def counting_open(path, *args, **kwargs):
+        if isinstance(path, (str, os.PathLike)) and str(path).endswith(".mgem"):
+            opened.append(os.path.abspath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return opened
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Shared train + generate run used by several tests."""
@@ -267,13 +284,13 @@ class TestLayoutMismatch:
         import shutil
 
         from mgepool.nn import init_params, mlp
-        from mgepool.store import file_hash, save_model, write_manifest
+        from mgepool.store import save_model, write_manifest
         pool = tmp_path / "pool"
         shutil.copytree(pipeline["pool"], pool)
-        save_model(init_params(mlp([2, 32, 3]), np.random.default_rng(0)),
-                   tmp_path / "base.mgem")
+        info = save_model(init_params(mlp([2, 32, 3]), np.random.default_rng(0)),
+                          tmp_path / "base.mgem")
         doc = read_manifest(pool / "manifest.json")
-        doc["base"]["hash"] = file_hash(tmp_path / "base.mgem")
+        doc["base"]["hash"] = info.sha256
         write_manifest(doc, pool / "manifest.json")
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
                          "attack", "--pool", str(pool)]) == cli.EXIT_INPUT
@@ -401,23 +418,13 @@ class TestGenerate:
         assert doc["members"][0]["accuracy"] == doc["base"]["accuracy"]
 
     def test_reads_the_base_model_file_once(self, pipeline, tmp_path, monkeypatch):
-        import builtins
-        from mgepool.store import file_hash
-        opened, real_open = [], builtins.open
-
-        def counting_open(path, *args, **kwargs):
-            if isinstance(path, (str, os.PathLike)) and str(path).endswith(".mgem"):
-                opened.append(os.path.abspath(path))
-            return real_open(path, *args, **kwargs)
-
+        from mgepool.store import read_model
         base = pipeline["out"] / "base.mgem"
-        monkeypatch.setattr(builtins, "open", counting_open)
-        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "pool"),
-                         "generate", "--model", str(base), "--count", "2"]) == 0
-        monkeypatch.undo()
-        assert opened == [os.path.abspath(base)]
+        assert _opened_models(monkeypatch, [
+            "--config", pipeline["config"], "--out", str(tmp_path / "pool"),
+            "generate", "--model", str(base), "--count", "2"]) == [os.path.abspath(base)]
         doc = read_manifest(tmp_path / "pool" / "manifest.json")
-        assert doc["base"]["hash"] == file_hash(base)
+        assert doc["base"]["hash"] == read_model(base)[1]
 
 
 class TestAnalyze:
@@ -449,17 +456,34 @@ class TestAnalyze:
             "size": 192, "cumulative_energy": [float(v) for v in curve[::3]]}
 
 
+@pytest.fixture(scope="module")
+def evolved(pipeline):
+    """An evolve run on the pipeline's base: a pool of one member."""
+    pool = pipeline["root"] / "evo"
+    assert cli.main(["--config", pipeline["config"], "--out", str(pool),
+                     "evolve", "--model", str(pipeline["out"] / "base.mgem")]) == 0
+    return pool
+
+
 class TestEvolve:
-    def test_history_and_best_written(self, pipeline, tmp_path):
-        out = tmp_path / "evo"
-        assert cli.main(["--config", pipeline["config"], "--out", str(out),
-                         "evolve", "--model", str(pipeline["out"] / "base.mgem")]) == 0
-        doc = read_manifest(out / "evolution.json")
+    def test_history_and_best_written(self, evolved):
+        """The pool format of ``generate``: a manifest, the best model as its
+        one member, and a stamp; the manifest also holds the history."""
+        from mgepool.store import load_model, verify_manifest
+        doc, [best] = verify_manifest(evolved / "manifest.json", load=True)
+        [member] = doc["members"]
+        assert sorted(os.listdir(evolved)) == ["manifest.json", member["file"], "stamp.json"]
+        assert member["file"] == f"model_{member['id']:04d}.mgem"
+        assert {"f_q", "f_d", "f", "lineage", "accuracy"} <= set(member)
         assert len(doc["history"]) == 5  # seed row + 4 generations
         maxes = [h["max_f"] for h in doc["history"]]
         assert all(b >= a for a, b in zip(maxes, maxes[1:]))
-        assert (out / "best.mgem").exists()
-        assert (out / "history.csv").exists()
+        assert doc["history"][-1]["best_id"] == member["id"]
+        assert doc["history"][-1]["max_f"] == member["f"]
+        assert set(doc["config"]) == {"generator", "evolution", "gamma"}
+        assert best.flat.tobytes() == load_model(evolved / member["file"]).flat.tobytes()
+        assert read_manifest(evolved / "stamp.json")["artifacts"] == {
+            member["file"]: member["hash"]}
 
     def test_seed_pool_smaller_than_parents(self, pipeline, tmp_path, capsys):
         # one attempt per wanted model and a tight tolerance: 5 of 6 accepted
@@ -469,7 +493,35 @@ class TestEvolve:
         assert cli.main(["--config", write_config(tmp_path, cfg), "--out", str(out),
                          "evolve", "--model", str(pipeline["out"] / "base.mgem")]) == 0
         assert "ERROR" not in capsys.readouterr().err
-        assert len(read_manifest(out / "evolution.json")["history"]) == 2
+        assert len(read_manifest(out / "manifest.json")["history"]) == 2
+
+    def test_train_evolve_attack_report(self, tmp_path, capsys):
+        """The whole pipeline on an evolved pool, from one config."""
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, desk_config(out))
+        assert cli.main(["--config", cfg_path, "train"]) == 0
+        assert cli.main(["--config", cfg_path, "--out", str(out / "evo"), "evolve",
+                         "--model", str(out / "base.mgem")]) == 0
+        [member] = read_manifest(out / "evo" / "manifest.json")["members"]
+        assert cli.main(["--config", cfg_path, "--out", str(out / "atk"),
+                         "attack", "--pool", str(out / "evo")]) == 0
+        rows = (out / "atk" / "robustness.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["base", str(member["id"])] * 2
+        transfer = (out / "atk" / "transfer.tsv").read_text().splitlines()
+        assert transfer[0].startswith("model_id") and transfer[1].startswith(str(member["id"]))
+        capsys.readouterr()
+        assert cli.main(["--config", cfg_path, "--out", str(out / "rep"),
+                         "report", "--pool", str(out / "evo")]) == 0
+        printed = capsys.readouterr().out
+        assert "accuracy parity" in printed and "evolution history" in printed
+
+    def test_attack_reads_each_model_file_once(self, pipeline, evolved, tmp_path, monkeypatch):
+        opened = _opened_models(monkeypatch, [
+            "--config", pipeline["config"], "--out", str(tmp_path / "atk"),
+            "attack", "--pool", str(evolved)])
+        [member] = read_manifest(evolved / "manifest.json")["members"]
+        assert sorted(opened) == sorted([os.path.abspath(evolved / member["file"]),
+                                         os.path.abspath(pipeline["out"] / "base.mgem")])
 
 
 class TestAttack:
@@ -499,18 +551,9 @@ class TestAttack:
                          "attack", "--pool", str(pool)]) == 0
 
     def test_reads_each_model_file_once(self, pipeline, tmp_path, monkeypatch):
-        import builtins
-        opened, real_open = [], builtins.open
-
-        def counting_open(path, *args, **kwargs):
-            if isinstance(path, (str, os.PathLike)) and str(path).endswith(".mgem"):
-                opened.append(os.path.abspath(path))
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counting_open)
-        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "atk"),
-                         "attack", "--pool", str(pipeline["pool"])]) == 0
-        monkeypatch.undo()
+        opened = _opened_models(monkeypatch, [
+            "--config", pipeline["config"], "--out", str(tmp_path / "atk"),
+            "attack", "--pool", str(pipeline["pool"])])
         members = read_manifest(pipeline["pool"] / "manifest.json")["members"]
         assert len(members) == 10
         assert sorted(opened) == sorted(
@@ -560,29 +603,29 @@ class TestReport:
                          str(tmp_path / "o"), "report", "--pool", str(pool)]) == 0
         assert "empty" in capsys.readouterr().out
 
-    def test_history_report(self, pipeline, tmp_path, capsys):
-        hist = tmp_path / "history.csv"
-        hist.write_text("generation,max_f,mean_f,best_id\n0,1.5,1.25,3\n1,1.75,1.5,9\n")
+    def test_history_report(self, pipeline, evolved, tmp_path, capsys):
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
-                         "report", "--history", str(hist)]) == 0
+                         "report", "--pool", str(evolved)]) == 0
         printed = capsys.readouterr().out
-        assert "evolution history" in printed and "1.75" in printed
+        history = read_manifest(evolved / "manifest.json")["history"]
+        assert "evolution history" in printed and str(history[-1]["max_f"]) in printed
+        assert printed == (tmp_path / "o" / "report.txt").read_text()
 
-    @pytest.mark.parametrize("content, why", [
-        (b"generation,max_f,best_id\n0,1.5,3\n", "mean_f"),
-        (b"", "mean_f"),
-        (b"generation,max_f,mean_f,best_id\n0,1.5\n", "row 1"),
-        (b"generation,max_f,mean_f,best_id\n0,1.5,\xff\xfe,3\n", "UTF-8"),
-    ], ids=["missing-column", "empty", "short-row", "not-utf8"])
-    def test_malformed_history_rejected(self, pipeline, tmp_path, capsys, content, why):
-        hist = tmp_path / "history.csv"
-        hist.write_bytes(content)
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: doc.update(history={"max_f": 1.0}), "history"),
+        (lambda doc: doc["history"][1].pop("max_f"), "history[1].max_f"),
+        (lambda doc: doc["history"][2].update(best_id=True), "history[2].best_id"),
+    ], ids=["not-a-list", "missing-column", "a-bool"])
+    def test_malformed_history_rejected(self, pipeline, evolved, tmp_path, capsys,
+                                        edit, named):
+        pool = _edited_manifest(evolved, tmp_path, _json(edit))
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
-                         "report", "--history", str(hist)]) == cli.EXIT_INPUT
+                         "report", "--pool", str(pool)]) == cli.EXIT_INPUT
         line = error_lines(capsys, cli.EXIT_INPUT)
-        assert line.startswith("ERROR code=3 input:") and str(hist) in line and why in line
+        assert line.startswith("ERROR code=3 input:")
+        assert str(pool / "manifest.json") in line and named in line
 
-    @pytest.mark.parametrize("flag", ["--pool", "--history"])
+    @pytest.mark.parametrize("flag", ["--pool"])
     def test_missing_path_rejected(self, pipeline, tmp_path, capsys, flag):
         absent = str(tmp_path / "absent")
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
@@ -590,13 +633,21 @@ class TestReport:
         line = error_lines(capsys, cli.EXIT_INPUT)
         assert line.startswith("ERROR code=3 input:") and absent in line
 
+    @pytest.mark.parametrize("argv", [[], ["--history", "history.csv"]],
+                             ids=["no-pool", "history"])
+    def test_pool_is_the_one_input(self, pipeline, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", pipeline["config"], "report", *argv])
+        assert exc.value.code == 2
 
-def _edited_manifest(pipeline, tmp_path, edit):
-    """A copy of the pipeline's pool whose manifest.json ``edit`` rewrote:
-    ``edit`` takes the parsed document and returns the file's new bytes."""
+
+def _edited_manifest(source, tmp_path, edit):
+    """A copy of the pool directory ``source`` whose manifest.json ``edit``
+    rewrote: ``edit`` takes the parsed document and returns the file's new
+    bytes."""
     import shutil
     pool = tmp_path / "pool"
-    shutil.copytree(pipeline["pool"], pool)
+    shutil.copytree(source, pool)
     path = pool / "manifest.json"
     path.write_bytes(edit(read_manifest(path)))
     return pool
@@ -640,7 +691,7 @@ class TestInputFiles:
         pytest.param(command, edit, named, id=f"{command}-{why}")
         for command, why, edit, named in _BROKEN_MANIFESTS])
     def test_broken_pool_manifest(self, pipeline, tmp_path, capsys, command, edit, named):
-        pool = _edited_manifest(pipeline, tmp_path, edit)
+        pool = _edited_manifest(pipeline["pool"], tmp_path, edit)
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
                          command, "--pool", str(pool)]) == cli.EXIT_INPUT
         line = error_lines(capsys, cli.EXIT_INPUT)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ class TestEvolve:
                               desk.splits["val"])
         best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit,
                               desk.splits["val"])
-        assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
+        assert [asdict(h) for h in hist1] == [asdict(h) for h in hist2]
         assert np.array_equal(best1.params.flat, best2.params.flat)
 
     def test_selected_candidates_pass_accept(self, desk, monkeypatch):
@@ -380,7 +381,7 @@ class TestEvolve:
                                 Criterion("robust_accuracy", data, attack_eps=0.1))
             best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
                                    fit, val)
-            runs.append((best, [h.to_record() for h in history],
+            runs.append((best, [asdict(h) for h in history],
                          len(passes), len(admitted)))
         (best, history, calls, n), (best2, history2, calls2, n2) = runs
         assert history == history2
@@ -453,7 +454,7 @@ class TestEvolve:
                 assert np.array_equal(m.params.flat, expected.flat)
         assert weights and any(w != 0.5 for w in weights)
         best2, hist2 = evolve(desk.base, desk.spec, gcfg, ecfg, fit, desk.splits["val"])
-        assert [h.to_record() for h in hist1] == [h.to_record() for h in hist2]
+        assert [asdict(h) for h in hist1] == [asdict(h) for h in hist2]
         assert np.array_equal(best1.params.flat, best2.params.flat)
 
     @pytest.mark.parametrize("field, value", [

@@ -11,7 +11,6 @@ from mgepool import (
     dct2,
     evaluate_accuracy,
     generate_layer,
-    generate_model,
     generate_pool,
     generator,
     importance_mask,
@@ -199,7 +198,8 @@ class TestAccept:
 class TestGenerateModel:
     def test_identity_generation(self, desk):
         cfg = GeneratorConfig(t=1.0, seed=11)
-        cand = generate_model(desk.base, desk.spec, cfg, desk.splits["val"])
+        sample = Spectrum(desk.base, cfg.t).sample(cfg, RngStream(cfg.seed).generator())
+        cand = generator.score(sample, desk.spec, desk.splits["val"], desk.base_accuracy, cfg)
         assert cand.accepted
         for a, b in zip(cand.params.entries, desk.base.entries):
             assert np.max(np.abs(a.values - b.values)) <= 1e-9
@@ -229,9 +229,6 @@ class TestGenerateModel:
         # a spectrum of another layout, and one of this base at another t
         other = init_params(mlp([2, 8, 3]), np.random.default_rng(0))
         for spectrum in (Spectrum(other, desk.gcfg.t), Spectrum(desk.base, 0.5)):
-            with pytest.raises(ConfigRangeError):
-                generate_model(desk.base, desk.spec, desk.gcfg, desk.splits["val"],
-                               spectrum=spectrum)
             with pytest.raises(ConfigRangeError):
                 generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], 2,
                               spectrum=spectrum)

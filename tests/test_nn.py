@@ -373,6 +373,19 @@ class TestSynthetic:
         with pytest.raises(ConfigRangeError, match="noise"):
             nn.make_synthetic("blobs", 10, 2, seed=0, noise=-0.1)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 10.5), ("n", True), ("n", np.nan), ("classes", 2.5), ("classes", "3"),
+        ("dim", 2.5), ("dim", None)])
+    def test_non_integer_count_rejected(self, key, value):
+        args = {"n": 10, "classes": 2, "dim": 2, key: value}
+        with pytest.raises(ConfigRangeError, match=f"^{key} must be an integer"):
+            nn.make_synthetic("blobs", seed=0, **args)
+
+    def test_integral_float_counts_accepted(self):
+        ds = nn.make_synthetic("blobs", 12.0, 3.0, seed=0, dim=2.0)
+        assert ds.features.shape == (12, 2) and ds.classes == 3
+        assert ds.labels.tolist() == nn.make_synthetic("blobs", 12, 3, seed=0).labels.tolist()
+
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ConfigRangeError, match="noise"):
@@ -488,7 +501,7 @@ class TestValidation:
 
 class TestFlatBuffer:
     def test_every_constructor_gives_views_of_flat(self, desk, tmp_path):
-        from mgepool import Spectrum, fuse, generate_model, load_model, mutate, save_model
+        from mgepool import Spectrum, fuse, load_model, mutate, save_model
         from mgepool.transforms import RngStream
 
         save_model(desk.base, tmp_path / "m.mgem")
@@ -498,8 +511,8 @@ class TestFlatBuffer:
             "as_float32": desk.base.as_float32(),
             "fuse": fuse([desk.base, desk.pool.candidates[0].params], [0.5, 0.5]),
             "load_model": load_model(tmp_path / "m.mgem"),
-            "generate_model": generate_model(desk.base, desk.spec, desk.gcfg,
-                                             desk.splits["val"]).params,
+            "sample": Spectrum(desk.base, desk.gcfg.t).sample(desk.gcfg,
+                                                              RngStream(0).generator()),
             "mutate": mutate(desk.pool.candidates[0], Spectrum(desk.base, desk.gcfg.t),
                              desk.gcfg, RngStream(1)).params,
         }

@@ -1,6 +1,6 @@
 """Sequential oracle for ``generate_pool``, which draws attempt i + 1 on the
 tile pool while attempt i is scored: the pool it returns must be the one a
-plain loop of ``generate_model`` calls over the streams ``root.child(i)``
+plain loop of ``score(spectrum.sample(...))`` over the streams ``root.child(i)``
 gives, in accept decisions, accuracies, attempt count, fitness and float32
 bytes, and no draw may outlive the call. One net is an MLP (no image stage),
 the other a small conv net, whose tiles share the pool with the draw."""
@@ -13,23 +13,22 @@ import pytest
 from mgepool import generator, nn
 from mgepool.errors import GenerationFailedError
 from mgepool.fitness import Criterion, FitnessConfig
-from mgepool.generator import GeneratorConfig, Spectrum, generate_model, generate_pool
+from mgepool.generator import GeneratorConfig, Spectrum, generate_pool
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 from mgepool.transforms import RngStream
 
 
 def sequential_pool(base, spec, cfg, valset, count, fit=None):
     """(every candidate in attempt order, attempts) of ``generate_pool``'s
-    loop run one attempt after another through ``generate_model``."""
+    loop run one attempt after another: ``spectrum.sample``, then ``score``."""
     spectrum = Spectrum(base, cfg.t)
     base_acc = nn.evaluate_accuracy(spec, base.as_float32(), valset)
     root = RngStream(cfg.seed)
     cands, accepted, consecutive, z = [], 0, 0, cfg.z
     while accepted < count and len(cands) < cfg.attempts * count:
         attempt = len(cands)
-        cand = generate_model(base, spec, cfg, valset, base_accuracy=base_acc,
-                              rng=root.child(attempt).generator(), spectrum=spectrum, z=z,
-                              seed=attempt, fit=fit)
+        cand = generator.score(spectrum.sample(cfg, root.child(attempt).generator(), z=z),
+                               spec, valset, base_acc, cfg, fit=fit, seed=attempt)
         cands.append(cand)
         if cand.accepted:
             accepted += 1

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import warnings
 
@@ -14,7 +15,7 @@ from mgepool.errors import (
     UnsupportedVersionError,
 )
 from mgepool.nn import ParamEntry, ParamSet, init_params, mlp
-from mgepool.store import build_manifest, file_hash, read_manifest, verify_manifest, write_manifest
+from mgepool.store import build_manifest, read_manifest, verify_manifest, write_manifest
 
 
 def random_params(rng, layers=3):
@@ -342,7 +343,33 @@ class TestManifest:
         with pytest.raises(FormatError, match="manifest.json"):
             verify_manifest(tmp_path / "manifest.json")
 
-    def test_file_hash_matches_save_info(self, tmp_path):
-        params = random_params(np.random.default_rng(6))
-        info = save_model(params, tmp_path / "h.mgem")
-        assert file_hash(tmp_path / "h.mgem") == info.sha256
+    @pytest.mark.parametrize("corrupt, why", [
+        (lambda data: b"NOPE" + data[4:], "bad magic bytes"),
+        (lambda data: rehashed(data[:4] + struct.pack("<I", 99) + data[8:-32]),
+         "unsupported format version 99"),
+        (lambda data: data[:20] + bytes([data[20] ^ 1]) + data[21:], "content hash mismatch"),
+        (lambda data: rehashed(data[:14]), "truncated header"),
+        (lambda data: rehashed(data[:-36]), "truncated payload"),
+        (lambda data: data[:20], "file too short (20 bytes)"),
+    ], ids=["magic", "version", "content-hash", "truncated-header", "truncated-payload",
+            "too-short"])
+    def test_corrupt_member_error_names_the_file(self, tmp_path, corrupt, why):
+        """Every way a model file fails to decode is reported with the file's
+        name: the manifest's, through verify_manifest, and the path given to
+        load_model."""
+        members = []
+        for i in range(3):
+            info = save_model(random_params(np.random.default_rng(i)), tmp_path / f"m{i}.mgem")
+            members.append({"id": i, "file": f"m{i}.mgem", "hash": info.sha256})
+        path = tmp_path / "m1.mgem"
+        path.write_bytes(corrupt(path.read_bytes()))
+        members[1]["hash"] = path.read_bytes()[-32:].hex()  # the manifest agrees with the file
+        write_manifest(build_manifest("pool-9", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        for load in (False, True):
+            with pytest.raises((CorruptModelError, UnsupportedVersionError),
+                               match=f"^m1.mgem: .*{re.escape(why)}"):
+                verify_manifest(tmp_path / "manifest.json", load=load)
+        with pytest.raises((CorruptModelError, UnsupportedVersionError)) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}: ") and why in str(exc.value)
