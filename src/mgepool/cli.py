@@ -33,6 +33,7 @@ from .errors import (
     StructuralError,
     TrainingDivergedError,
     UnsupportedVersionError,
+    check_count,
 )
 
 EXIT_OK = 0
@@ -85,8 +86,9 @@ def _convert(typ, value, where, known=None):
         return typ(value)
     with contextlib.suppress(ValueError, OverflowError):
         number = json.loads(value) if isinstance(value, str) else value
+        # a number must fit a float: JSON 1e400 is inf, and float(10**400) overflows
         if typ in (int, float) and type(number) in (int, float) \
-                and abs(number) < float("inf") and typ(number) == number:
+                and abs(float(number)) < float("inf") and typ(number) == number:
             return typ(number)
     raise ConfigError(f"{where} must be {typ.__name__}, got {value!r}")
 
@@ -157,13 +159,14 @@ def build_datasets(cfg):
     """The dataset's splits by name."""
     ds = _section(cfg, "dataset")
     splits = ds.pop("splits")
+    seed = check_count("dataset.seed", ds["seed"], least=0)  # the split's seed + 1 lets -1 through
     if ds["kind"] == "idx":
         idx = _section(cfg, "dataset", IDX_DATASET)
         full = nn.load_idx_dataset(idx.pop("images"), idx.pop("labels"), **idx)
     else:
         full = nn.make_synthetic(**ds)
     try:
-        return _Splits(nn.split_dataset(full, splits, seed=ds["seed"] + 1))
+        return _Splits(nn.split_dataset(full, splits, seed=seed + 1))
     except (ConfigRangeError, InvalidInputError) as exc:  # a bad fraction, an empty split
         raise ConfigError(f"dataset.splits: {exc}") from None
 

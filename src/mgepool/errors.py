@@ -20,10 +20,11 @@ class ConfigRangeError(MgeError, ValueError):
 
 
 def check_count(name, value, least=1):
-    """``value``, an integer or integral float of at least ``least``, as an
-    int; else (a bool too) ConfigRangeError naming the field ``name``."""
+    """``value``, an integer (of any size) or integral float of at least
+    ``least``, as an int; else (a bool too) ConfigRangeError naming ``name``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer() or value < least):
+            or not isinstance(value, numbers.Integral) and not float(value).is_integer()
+            or value < least):
         raise ConfigRangeError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

@@ -32,6 +32,7 @@ class EvolutionConfig:
 
     def __post_init__(self):
         self.generations = check_count("generations", self.generations, least=0)
+        self.seed = check_count("seed", self.seed, least=0)
         for name in ("parents", "mutations", "fusions"):
             setattr(self, name, check_count(name, getattr(self, name)))
         if self.fusion_weights not in ("uniform", "fitness_proportional"):

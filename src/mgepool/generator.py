@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigRangeError, GenerationFailedError, check_count
 from .fitness import evaluate_population, on_rows
-from .nn import (EVAL_BATCH, ParamEntry, ParamSet, _tile_pool, eval_batches, eval_set,
-                 evaluate_accuracy, forward, n_correct)
+from .nn import (ParamEntry, ParamSet, _tile_pool, eval_batches, eval_set, evaluate_accuracy,
+                 forward, n_correct)
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
@@ -46,6 +46,7 @@ class GeneratorConfig:
         if not (0.0 < self.z <= MAX_LATENT_BOUND):
             raise ConfigRangeError(f"latent bound z={self.z} outside (0, {MAX_LATENT_BOUND}]")
         self.attempts = check_count("attempts", self.attempts)
+        self.seed = check_count("seed", self.seed, least=0)
         if not (0.0 < self.epsilon < np.inf):
             raise ConfigRangeError(f"acceptance tolerance {self.epsilon} must be finite and > 0")
 
@@ -161,16 +162,17 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
 
     Given a FitnessConfig ``fit``, an admitted candidate also gets its
     (f_q, f_d, f) from ``evaluate_population``. When a criterion of ``fit``
-    runs FGSM on ``valset``'s rows (``fitness.on_rows``) and they fit one
-    batch, the float32 copy's forward is taped (``nn.forward(...,
-    tape=True)``): its logits give the accuracy, and the FGSM criteria take
-    the ``(logits, back)`` as ``taped``. It is dropped when this returns.
+    runs FGSM on ``valset``'s rows (``fitness.on_rows``) and they make one
+    ``nn.eval_batches`` batch, the float32 copy's forward is taped
+    (``nn.forward(..., tape=True)``): its logits give the accuracy, and the
+    FGSM criteria take the ``(logits, back)`` as ``taped``. It is dropped
+    when this returns.
     """
     p = params.as_float32()
-    taped = None
-    if fit is not None and len(valset) <= EVAL_BATCH and any(
+    taped, batches = None, eval_batches(valset)
+    if fit is not None and len(batches) == 1 and any(
             on_rows(c, valset) and c.kind == "robust_accuracy" for c in (fit.base, fit.extra)):
-        [(features, labels)] = eval_batches(valset)
+        [(features, labels)] = batches
         taped = forward(spec, p, features, tape=True)
         acc = n_correct(taped[0], labels) / len(valset)  # evaluate_accuracy's rule
     else:
@@ -313,7 +315,7 @@ def band_sensitivity(base, spec, testset, bands, scale, seed=0):
         for lo2, hi2 in bands[i + 1:]:
             if lo < hi2 and lo2 < hi:
                 raise ConfigRangeError("bands overlap")
-    root = RngStream(seed)
+    root = RngStream(check_count("seed", seed, least=0))
     results = []
     for bi, (lo, hi) in enumerate(bands):
         if scale == 0.0:

@@ -17,15 +17,16 @@ Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
 strided views ``x[:, i::k, j::k]``.
 
 - ``forward`` (unless taped) and ``evaluate_accuracy`` record nothing.
-- ``loss_and_grads`` (training, FGSM) records each layer's backward: a
-  function bound to what the channels-first backward reads, as NCHW views.
-  A max-pool keeps where each strided view equals the output (k*k bool
-  arrays), and its backward gives each window's gradient to the first
-  maximum in (i, j) order, as an argmax would. For FGSM, ``input_gradient``
-  skips the parameter gradients (dW, db), and each recorded backward keeps
-  only what dx reads: a conv keeps no im2col and a dense layer no input.
-  The input gradient is computed exactly as in training.
-- A batch array must be finite: a NaN equals no maximum.
+- ``loss_and_grads`` (training) and ``forward(..., tape=True)`` (the tape,
+  for FGSM) record each layer's backward: a function bound to what the
+  channels-first backward reads, as NCHW views. A max-pool keeps where each
+  strided view equals the output (k*k bool arrays), and its backward gives
+  each window's gradient to the first maximum in (i, j) order, as an argmax
+  would. The tape is the gradient-only mode: it skips dW and db, and each
+  recorded backward keeps only what dx reads: a conv keeps no im2col and a
+  dense layer no input.
+- ``forward`` and ``loss_and_grads`` take a batch in through ``_batch``. A
+  batch array must be finite: a NaN equals no maximum.
 
 The forward and the backward split the net at its first ``Flatten``:
 
@@ -70,10 +71,10 @@ one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
 ~115 KB per image, and it lives as long as its EvalSet:
 ``generate_pool`` and ``evolve`` hold theirs for the length of one call.
 
-``forward(..., tape=True)`` runs ``input_gradient``'s forward and returns
-its logits with its gradient-only backward ``back``; handed back as
-``input_gradient(..., taped=(logits, back))``, the pair gives the same
-input gradient, byte for byte, with no forward, as often as asked.
+``forward(..., tape=True)`` returns the logits with their gradient-only
+backward ``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``,
+the pair gives the training mode's loss and input gradient, byte for byte,
+with no forward, as often as asked; ``input_gradient`` is that mode.
 ``generator.score`` tapes its admission forward when a fitness criterion
 runs FGSM on the set it admits on, so an admitted model gets one clean
 pass over that set, not two: the logits decide admission, and the FGSM
@@ -302,11 +303,6 @@ def param_layout(spec: NetworkSpec):
     return out
 
 
-def _check_compatible(spec: NetworkSpec, params: ParamSet):
-    if params.layout != param_layout(spec):
-        raise StructuralError("parameters do not match network spec layout")
-
-
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -342,7 +338,7 @@ def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
     n = check_count("n", n, least=classes)
     if not (0 <= noise < np.inf):
         raise ConfigRangeError(f"noise {noise} must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     labels = np.arange(n) % classes  # balanced within +-1
     if kind == "blobs":
         angles = 2.0 * np.pi * np.arange(classes) / classes
@@ -375,7 +371,7 @@ def split_dataset(ds, fractions, seed):
         if not (0.0 <= f and total <= 1.0 + 1e-9):
             raise ConfigRangeError(
                 f"split {name!r}: fraction {f} is negative or takes the sum past 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, least=0))
     idx = rng.permutation(len(ds))
     out, start = {}, 0
     names = list(fractions)
@@ -643,7 +639,8 @@ def _join(parts):
 
 
 def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
-    """Logits of a non-empty batch; image batches run channels-last (NHWC).
+    """Logits of a non-empty batch (else InvalidInputError); image batches
+    run channels-last (NHWC).
 
     It walks ``_inference_layers(spec)``. The image stage
     (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
@@ -656,6 +653,8 @@ def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
     ``param_grads`` the image stage is one tile and each conv and dense layer
     also keeps the input that its dW reads.
     """
+    if not len(x):
+        raise InvalidInputError("empty batch: the loss and its gradients need rows")
     layers = _inference_layers(spec)
     cut = _image_stage_len(spec)
     out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
@@ -766,28 +765,27 @@ def _check_finite(x):
         raise InvalidInputError("non-finite feature values in the batch")
 
 
-def batch_rows(spec, features):
-    """(float64 rows, first-layer im2col or None) of a batch given as an
-    array or as an EvalSet. An array must be finite; an EvalSet's Dataset
-    was checked when it was made."""
+def _batch(spec, params, features):
+    """(float64 rows, first-layer im2col or None) of a batch (an array or an
+    EvalSet) for ``params``, which must have ``spec``'s layout. An array must
+    be finite; an EvalSet's Dataset was checked when it was made, and its
+    im2col comes from its cache."""
+    if params.layout != param_layout(spec):
+        raise StructuralError("parameters do not match network spec layout")
     x = batch_array(features)
-    if isinstance(features, EvalSet):
-        return x, features.first_cols(spec)
-    _check_finite(x)
-    return x, None
+    if not isinstance(features, EvalSet):
+        _check_finite(x)
+    _check_batch(spec, x)
+    return x, features.first_cols(spec) if isinstance(features, EvalSet) else None
 
 
 def forward(spec, params, features, *, tape=False):
     """Logits for a batch of examples (an array or an EvalSet), one row per
-    example. With ``tape``, ``(logits, back)`` of a non-empty batch, as
-    ``input_gradient`` records it: ``back(d, None)`` is dx from ``d``."""
-    _check_compatible(spec, params)
-    x, cols = batch_rows(spec, features)
-    _check_batch(spec, x)
-    if len(x):
+    example. With ``tape``, ``(logits, back)`` of a non-empty batch, for
+    ``loss_and_grads(..., taped=)``: ``back(d, None)`` is dx from ``d``."""
+    x, cols = _batch(spec, params, features)
+    if len(x) or tape:
         return _forward(spec, params, x, cols, tape, param_grads=False)
-    if tape:
-        raise InvalidInputError("empty batch: there is no gradient to tape")
     return np.zeros((0, spec.classes))
 
 
@@ -803,43 +801,36 @@ def cross_entropy(logits, labels):
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
-def loss_and_grads(spec, params, features, labels, *, _param_grads=True, _taped=None):
-    """Cross-entropy loss, parameter gradients (flat, ParamSet order), input gradient.
+def loss_and_grads(spec, params, features, labels, *, taped=None):
+    """Cross-entropy loss, parameter gradients (flat, ParamSet order) and
+    input gradient of a non-empty batch (an array or an EvalSet).
 
-    ``features`` is a non-empty batch array or an EvalSet whose rows have
-    the network's input shape (else StructuralError, as in ``forward``).
-    ``_param_grads=False`` is internal to ``input_gradient``: it skips every
-    dW and db, returns None for them and runs the image stage on tiles
-    (module docstring); the input gradient is computed exactly as otherwise.
-    With it, ``_taped``, the ``forward(..., tape=True)`` of ``features``,
-    stands in for the forward.
+    Without ``taped`` it trains: the image stage runs as one tile (module
+    docstring). Given ``taped``, the ``forward(..., tape=True)`` of
+    ``features``, it runs no forward and forms no dW or db (grads is None);
+    the loss and the input gradient are the same bytes as training's.
     """
-    if _taped is None:
-        x, cols = batch_rows(spec, features)
-        _check_batch(spec, x)
-        if not len(x):
-            raise InvalidInputError("empty batch: the loss is a mean over its rows")
-        _taped = _forward(spec, params, x, cols, True, _param_grads)
-    logits, back = _taped
+    grads = None
+    if taped is None:
+        grads = [None] * len(params.entries)
+        taped = _forward(spec, params, *_batch(spec, params, features), tape=True)
+    logits, back = taped
     y = np.asarray(labels)
-    n = len(y)
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
-    probs[np.arange(n), y] -= 1.0
-    grads = [None] * len(params.entries) if _param_grads else None
-    return loss, grads, back(probs / n, grads)
+    probs[np.arange(len(y)), y] -= 1.0
+    return loss, grads, back(probs / len(y), grads)
 
 
 def input_gradient(spec, params, features, labels, *, taped=None):
-    """Gradient of the cross-entropy loss w.r.t. the input features: one
-    example, a batch array or an EvalSet. No parameter gradient is formed.
-    ``taped``, the ``forward(spec, params, features, tape=True)`` of a batch,
-    stands in for the forward."""
-    _check_compatible(spec, params)
+    """Gradient of the cross-entropy loss w.r.t. the input features (one
+    example, a batch array or an EvalSet): ``loss_and_grads`` on ``taped``,
+    the batch's ``forward(..., tape=True)``, or on that forward run here."""
     single = not isinstance(features, EvalSet) and np.shape(features) == tuple(spec.input_shape)
     if single:
         features, labels = np.asarray(features)[None], np.asarray([labels])
-    _, _, dx = loss_and_grads(spec, params, features, labels, _param_grads=False, _taped=taped)
+    taped = taped or forward(spec, params, features, tape=True)
+    dx = loss_and_grads(spec, params, features, labels, taped=taped)[2]
     return dx[0] if single else dx
 
 
@@ -860,6 +851,7 @@ class TrainConfig:
             raise ConfigRangeError(f"learning rate {self.learning_rate} must be finite and >= 0")
         self.epochs = check_count("epochs", self.epochs)
         self.batch_size = check_count("batch size", self.batch_size)
+        self.seed = check_count("seed", self.seed, least=0)
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigRangeError(f"unknown optimizer {self.optimizer!r}")
 

@@ -190,6 +190,27 @@ class TestConfigValidation:
         assert not (tmp_path / "o" / "transfer.tsv").exists()
         assert not (tmp_path / "o" / "robustness.csv").exists()
 
+    @pytest.mark.parametrize("flags, section, body, command, named", [
+        (["--seed", "-1"], "train", {}, "train", "seed must be an integer >= 0, got -1"),
+        ([], "dataset", {"seed": -5}, "train", "seed must be an integer >= 0, got -5"),
+        ([], "dataset", {"kind": "idx", "images": "i.idx", "labels": "l.idx", "seed": -1},
+         "train", "dataset.seed must be an integer >= 0, got -1"),
+        ([], "train", {"seed": -1}, "train", "seed must be an integer >= 0"),
+        (["--seed", "-1"], "generator", {}, "generate", "seed must be an integer >= 0"),
+        ([], "generator", {"seed": -3}, "generate", "seed must be an integer >= 0"),
+        ([], "evolution", {"seed": -2}, "evolve", "seed must be an integer >= 0"),
+        ([], "train", {"epochs": 10**400}, "train", "train.epochs must be int"),
+        ([], "dataset", {"n": -10**400}, "train", "dataset.n must be int"),
+    ], ids=["--seed", "dataset.seed", "idx:dataset.seed", "train.seed", "generate --seed",
+            "generator.seed", "evolution.seed", "train.epochs=1e400", "dataset.n=-1e400"])
+    def test_bad_seed_or_huge_integer_is_one_config_error(self, pipeline, tmp_path, capsys,
+                                                          flags, section, body, command,
+                                                          named):
+        path = write_config(tmp_path, desk_config(tmp_path / "o", **{section: body}))
+        operand = [] if command == "train" else ["--model", str(pipeline["out"] / "base.mgem")]
+        assert cli.main(["--config", path] + flags + [command] + operand) == cli.EXIT_CONFIG
+        assert named in error_lines(capsys, cli.EXIT_CONFIG)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
         error_lines(capsys, cli.EXIT_INPUT)

@@ -56,7 +56,8 @@ FIXED = [ONE_BY_ONE, LAST_CONV_ONE_BY_ONE, CONV_INTO_CONV, K1_IC1]
 def outputs(spec, params, x, y, param_grads):
     """Every output the conv backward reaches, as bytes."""
     ev = nn.EvalSet(Dataset(x, y, spec.classes))
-    loss, grads, dx = nn.loss_and_grads(spec, params, x, y, _param_grads=param_grads)
+    taped = None if param_grads else nn.forward(spec, params, x, tape=True)
+    loss, grads, dx = nn.loss_and_grads(spec, params, x, y, taped=taped)
     out = [np.float64(loss), dx, *(grads or []),
            nn.input_gradient(spec, params, x, y), nn.input_gradient(spec, params, ev, y),
            adversarial.fgsm_batch(spec, params, ev, y, 0.1)]

@@ -5,9 +5,11 @@ feeds a max-pool after it. The max-pool backward routes each window's
 gradient to its first maximum in (i, j) order, as a per-window argmax does,
 tied windows included. FGSM (gradient-only backward, shared first-layer
 im2col) gives adversarial examples bit-identical to the full training
-backward's. Every output is the same, bit for bit, whatever the image
-stage's tile size and however many threads run the tiles. The recorded
-backward's parameter gradients and dx match central differences."""
+backward's, and ``loss_and_grads`` on a taped forward gives the training
+mode's loss and dx bytes without a forward of its own. Every output is the
+same, bit for bit, whatever the image stage's tile size and however many
+threads run the tiles. The recorded backward's parameter gradients and dx
+match central differences."""
 
 import gc
 import multiprocessing
@@ -117,6 +119,27 @@ def test_gradient_only_backward_matches_full_backward(spec, rows, seed):
     assert np.array_equal(nn.input_gradient(spec, params, ev, y), dx)
     one = nn.loss_and_grads(spec, params, x[:1], y[:1])[2][0]
     assert np.array_equal(nn.input_gradient(spec, params, x[0], y[0]), one)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=specs(), rows=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_taped_mode_matches_training_mode(spec, rows, seed):
+    """``loss_and_grads`` handed a ``forward(..., tape=True)``, of an array or
+    of an EvalSet, runs no forward of its own and forms no parameter gradient;
+    its loss and dx are the training mode's bytes."""
+    params = random_params(spec, seed)
+    x = random_features(spec, rows, seed)
+    y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
+    loss, grads, dx = nn.loss_and_grads(spec, params, x, y)
+    assert len(grads) == len(params.entries)
+    for features in (x, nn.EvalSet(Dataset(x, y, spec.classes))):
+        taped = nn.forward(spec, params, features, tape=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_forward", None)  # a forward here would fail
+            t_loss, t_grads, t_dx = nn.loss_and_grads(spec, params, features, y, taped=taped)
+        assert t_grads is None
+        assert np.float64(t_loss).tobytes() == np.float64(loss).tobytes()
+        assert (t_dx.shape, t_dx.tobytes()) == (dx.shape, dx.tobytes())
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

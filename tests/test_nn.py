@@ -10,7 +10,10 @@ from mgepool.errors import (
     InvalidInputError,
     StructuralError,
     TrainingDivergedError,
+    check_count,
 )
+from mgepool.evolution import EvolutionConfig
+from mgepool.generator import GeneratorConfig
 
 
 def write_idx_images(path, arr):
@@ -23,6 +26,17 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", nn.IDX_LABEL_MAGIC, len(labels)))
         f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+# every constructor that takes a seed, called with one
+SEEDED = {
+    "TrainConfig": lambda seed: nn.TrainConfig(seed=seed),
+    "GeneratorConfig": lambda seed: GeneratorConfig(seed=seed),
+    "EvolutionConfig": lambda seed: EvolutionConfig(seed=seed),
+    "make_synthetic": lambda seed: nn.make_synthetic("blobs", 6, 2, seed),
+    "split_dataset": lambda seed: nn.split_dataset(nn.make_synthetic("blobs", 6, 2, 0),
+                                                   {"a": 0.5, "b": 0.5}, seed),
+}
 
 
 def zero_params(spec):
@@ -138,6 +152,26 @@ class TestForward:
         with pytest.raises(StructuralError, match=r"batch shape \(5,\) != input \(4,\)"):
             nn.forward(spec, params, x)
         with pytest.raises(StructuralError, match=r"batch shape \(5,\) != input \(4,\)"):
+            calls[path]()
+
+    @pytest.mark.parametrize("path", ["forward", "loss_and_grads", "input_gradient",
+                                      "fgsm_batch", "robust_accuracy", "evaluate_accuracy"])
+    def test_every_path_rejects_another_networks_parameters(self, path):
+        """Parameters laid out for a wider net fail the layout check of the
+        one batch intake, whatever the entry point."""
+        from mgepool.adversarial import fgsm_batch, robust_accuracy
+        spec = nn.mlp([4, 3])
+        params = nn.init_params(nn.mlp([4, 5, 3]), np.random.default_rng(0))
+        x, y = np.zeros((2, 4)), np.array([0, 1])
+        calls = {
+            "forward": lambda: nn.forward(spec, params, x),
+            "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
+            "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
+            "fgsm_batch": lambda: fgsm_batch(spec, params, x, y, 0.1),
+            "robust_accuracy": lambda: robust_accuracy(spec, params, nn.Dataset(x, y, 3), 0.1),
+            "evaluate_accuracy": lambda: nn.evaluate_accuracy(spec, params, nn.Dataset(x, y, 3)),
+        }
+        with pytest.raises(StructuralError, match="do not match network spec layout"):
             calls[path]()
 
     def test_deterministic(self):
@@ -475,6 +509,25 @@ class TestValidation:
         assert type(cfg.epochs) is type(cfg.batch_size) is int
         ds = nn.make_synthetic("blobs", 24, 3, seed=1)
         nn.train(nn.mlp([2, 4, 3]), ds, cfg)
+
+    @pytest.mark.parametrize("where", sorted(SEEDED))
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, np.nan, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, where, seed):
+        with pytest.raises(ConfigRangeError, match=r"^seed must be an integer >= 0"):
+            SEEDED[where](seed)
+
+    @pytest.mark.parametrize("where", sorted(SEEDED))
+    def test_integral_seeds_accepted(self, where):
+        for seed in (0, 3.0, np.int64(7), 2**70):
+            SEEDED[where](seed)
+
+    def test_huge_integers_are_checked_as_ints(self):
+        assert check_count("epochs", 10**400) == 10**400
+        assert check_count("epochs", np.uint64(2**64 - 1)) == 2**64 - 1
+        with pytest.raises(ConfigRangeError, match="epochs"):
+            check_count("epochs", -10**400)
+        with pytest.raises(ConfigRangeError, match="epochs"):
+            check_count("epochs", float("inf"))
 
     @pytest.mark.parametrize("rate", [-0.1, np.nan, np.inf])
     def test_learning_rate_must_be_finite_and_non_negative(self, rate):
