@@ -32,8 +32,7 @@ def main():
     pool = generate_pool(base, spec, GeneratorConfig(seed=5),
                          splits["val"], count=10)
     test = splits["test"]
-    sample = Dataset(test.features[:100], test.labels[:100],
-                     test.classes, "test")
+    sample = Dataset(test.features[:100], test.labels[:100], test.classes)
 
     print("white-box robust accuracy of the base model:")
     for eps in (0.0, 0.05, 0.1, 0.2):

@@ -8,7 +8,7 @@ fitness selection) then pushes accepted models toward additional criteria
 such as adversarial robustness.
 """
 
-from .adversarial import AdvExample, TransferReport, fgsm, robust_accuracy, transfer_matrix
+from .adversarial import TransferReport, fgsm_batch, robust_accuracy, transfer_matrix
 from .evolution import EvolutionConfig, evolve, fuse, mutate, select
 from .fitness import Criterion, FitnessConfig
 from .generator import (
@@ -31,7 +31,6 @@ from .nn import (
     TrainConfig,
     evaluate_accuracy,
     forward,
-    input_gradient,
     lenet_like,
     load_idx,
     load_idx_dataset,

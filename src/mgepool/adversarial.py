@@ -11,17 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, check_count
-from .nn import batch_array, eval_batches, forward, input_gradient, n_correct
-
-
-@dataclass
-class AdvExample:
-    original: np.ndarray
-    perturbed: np.ndarray
-    label: int
-    eps: float
-    source_id: str = "base"
-    target: int = None
+from .nn import batch_array, eval_batches, forward, loss_and_grads, n_correct
 
 
 @dataclass
@@ -29,7 +19,7 @@ class TransferRow:
     model_id: str
     clean_accuracy: float
     untargeted_success: float
-    targeted_success: float = None
+    targeted_success: float
 
 
 @dataclass
@@ -41,36 +31,28 @@ class TransferReport:
     def to_text(self):
         lines = ["model_id\tclean\tuntargeted\ttargeted"]
         for r in self.rows:
-            tgt = "-" if r.targeted_success is None else f"{r.targeted_success:.4f}"
             lines.append(f"{r.model_id}\t{r.clean_accuracy:.4f}\t"
-                         f"{r.untargeted_success:.4f}\t{tgt}")
+                         f"{r.untargeted_success:.4f}\t{r.targeted_success:.4f}")
         return "\n".join(lines) + "\n"
 
 
 def fgsm_batch(spec, params, features, labels, eps, targets=None, *, taped=None):
-    """Signed-gradient step on a batch (an array or an EvalSet); clipped to
-    [0, 1].
+    """Signed-gradient step on a batch (an array or an EvalSet; one example
+    ``x`` is the batch ``x[None]``), clipped to [0, 1].
 
     Untargeted: ascend the loss at the true label. Targeted: descend the
-    loss at the target label. ``taped``, the batch's ``nn.forward(...,
-    tape=True)``, gives the same input gradient with no forward of its own.
+    loss at the target label. The gradient is ``nn.loss_and_grads`` on the
+    batch's ``nn.forward(..., tape=True)``: ``taped`` if given, else made here.
     """
     if not (0 <= eps < np.inf):
         raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
-    # the gradient's forward checks that an array batch is finite
-    g = input_gradient(spec, params, features, labels if targets is None else targets,
-                       taped=taped)
+    # the taped forward checks that an array batch is finite
+    taped = taped or forward(spec, params, features, tape=True)
+    g = loss_and_grads(spec, params, features, labels if targets is None else targets,
+                       taped=taped)[2]
     x = batch_array(features)
     perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
     return np.clip(perturbed, 0.0, 1.0)
-
-
-def fgsm(spec, params, example, label, eps, target=None, source_id="base") -> AdvExample:
-    """Single-example FGSM; sign(0) contributes no perturbation."""
-    x = np.asarray(example, dtype=np.float64)
-    perturbed = fgsm_batch(spec, params, x[None], np.asarray([label]), eps,
-                           None if target is None else np.asarray([target]))[0]
-    return AdvExample(x, perturbed, int(label), eps, source_id, target)
 
 
 def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
@@ -88,33 +70,26 @@ def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
     return correct / len(dataset)
 
 
-def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100,
-                    targeted=True) -> TransferReport:
+def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100) -> TransferReport:
     """Attack the source model, test every pool member on the examples.
 
-    pool is a list of (model_id, ParamSet). Targets default to
-    (true label + 1) mod classes. The first n_examples of the dataset are
-    used, deterministically.
+    pool is a list of (model_id, ParamSet). Each member gets the untargeted
+    attack's success rate and the targeted one's, whose target is (true
+    label + 1) mod classes. The first n_examples of the dataset are used,
+    deterministically.
     """
     if not pool:
         raise ConfigRangeError("pool is empty")
     n = min(check_count("n_examples", n_examples), len(dataset))
     x = dataset.features[:n]
     y = dataset.labels[:n]
+    targets = (y + 1) % dataset.classes
     adv_u = fgsm_batch(spec, source_params, x, y, eps)
-    adv_t = None
-    targets = None
-    if targeted:
-        targets = (y + 1) % dataset.classes
-        adv_t = fgsm_batch(spec, source_params, x, y, eps, targets=targets)
+    adv_t = fgsm_batch(spec, source_params, x, y, eps, targets=targets)
     rows = []
     for model_id, params in pool:
         clean = float((forward(spec, params, x).argmax(axis=1) == y).mean())
-        pred_u = forward(spec, params, adv_u).argmax(axis=1)
-        untargeted = float((pred_u != y).mean())
-        row = TransferRow(str(model_id), clean, untargeted)
-        if targeted:
-            pred_t = forward(spec, params, adv_t).argmax(axis=1)
-            row.targeted_success = float((pred_t == targets).mean())
-        rows.append(row)
+        untargeted = float((forward(spec, params, adv_u).argmax(axis=1) != y).mean())
+        targeted = float((forward(spec, params, adv_t).argmax(axis=1) == targets).mean())
+        rows.append(TransferRow(str(model_id), clean, untargeted, targeted))
     return TransferReport(rows, eps, n)

@@ -503,7 +503,7 @@ def make_parser():
                                             "enhancement, and benchmarking.")
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, help="seed override for the command")
+    p.add_argument("--seed", type=int, help="seed override for train, analyze, generate or evolve")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("train")
     for name in ("analyze", "generate", "evolve"):
@@ -521,6 +521,8 @@ _COMMANDS = {"train": cmd_train, "analyze": cmd_analyze, "generate": cmd_generat
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.command in ("attack", "report"):  # nothing drawn
+            raise ConfigError(f"--seed does nothing for {args.command}")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigRangeError, json.JSONDecodeError) as exc:

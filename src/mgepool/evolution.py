@@ -47,11 +47,11 @@ class GenerationStats:
     best_id: int
 
 
-def mutate(parent: Candidate, spectrum: Spectrum, gcfg: GeneratorConfig,
-           stream: RngStream) -> Candidate:
-    """A child sampled from the base's ``spectrum`` with ``stream``; the
-    parent, which already carries the kept coefficients, gives its lineage."""
-    return Candidate(params=spectrum.sample(gcfg, stream.generator()),
+def mutate(parent: Candidate, spectrum: Spectrum, z, stream: RngStream) -> Candidate:
+    """A child sampled from the base's ``spectrum`` at latent bound ``z`` with
+    ``stream``; the parent, which already carries the kept coefficients,
+    gives its lineage."""
+    return Candidate(params=spectrum.sample(stream.generator(), z),
                      lineage=("mutate", (parent.cand_id,)))
 
 
@@ -119,7 +119,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
             for i in range(ecfg.mutations):
                 # (gen, i) then child 0: a stream of the child's own, apart from
                 # generation gen's fusion stream (gen, 1 << 20)
-                child = mutate(parents[i % len(parents)], spectrum, gcfg,
+                child = mutate(parents[i % len(parents)], spectrum, gcfg.z,
                                root.child(gen, i).child(0))
                 children += admit(child.params, child.lineage)
             fusable = parents + children

@@ -114,17 +114,15 @@ def importance_mask(coeffs, t) -> MaskRow:
     return MaskRow(keep, float(frac[count - 1]), c)
 
 
-def generate_layer(mask: MaskRow, cfg: GeneratorConfig, rng, z=None,
-                   replace=None) -> np.ndarray:
+def generate_layer(mask: MaskRow, z, rng, replace=None) -> np.ndarray:
     """Splice the mask's retained coefficients with fresh bounded-normal
-    draws and return the inverse DCT. ``replace``, the positions that
-    ``mask`` does not keep, is computed here unless given."""
+    draws in [-z, z] and return the inverse DCT. ``replace``, the positions
+    that ``mask`` does not keep, is computed here unless given."""
     merged = mask.coeffs.copy()
     if replace is None:
         replace = np.flatnonzero(~mask.keep)  # indexing by position beats a bool mask
     if replace.size:
-        merged[replace] = sample_bounded_normal(z if z is not None else cfg.z,
-                                                replace.size, rng)
+        merged[replace] = sample_bounded_normal(z, replace.size, rng)
     return idct2(merged)
 
 
@@ -140,9 +138,9 @@ class Spectrum:
         self.rows = [importance_mask(dct2(e.values), t) for e in base.entries]
         self.replaced = [np.flatnonzero(~row.keep) for row in self.rows]
 
-    def sample(self, cfg: GeneratorConfig, rng, z=None) -> ParamSet:
+    def sample(self, rng, z) -> ParamSet:
         """A new ParamSet, each layer drawn from its row with ``rng`` in order."""
-        return ParamSet([ParamEntry(name, shape, generate_layer(row, cfg, rng, z=z, replace=r))
+        return ParamSet([ParamEntry(name, shape, generate_layer(row, z, rng, replace=r))
                          for (name, shape), row, r in zip(self.layout, self.rows, self.replaced)])
 
 
@@ -219,15 +217,15 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
         while len(accepted) < count and attempts < budget:
             t1 = time.perf_counter()
             if draw is None:
-                params = spectrum.sample(cfg, root.child(attempts).generator(), z=z)
+                params = spectrum.sample(root.child(attempts).generator(), z)
             else:
                 params, draw = draw.result(), None
             # the next attempt happens, with this z, unless this one fills the
             # pool or the budget, or its rejection halves z
             if (len(accepted) + 1 < count and attempts + 1 < budget
                     and not (cfg.adaptive_z and consecutive % 10 == 9)):
-                draw = _tile_pool.submit(spectrum.sample, cfg,
-                                         root.child(attempts + 1).generator(), z=z)
+                draw = _tile_pool.submit(spectrum.sample,
+                                         root.child(attempts + 1).generator(), z)
             cand = score(params, spec, valset, base_acc, cfg, fit=fit, seed=attempts)
             cand.seconds = time.perf_counter() - t1
             attempts += 1

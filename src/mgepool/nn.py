@@ -74,11 +74,13 @@ one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
 ``forward(..., tape=True)`` returns the logits with their gradient-only
 backward ``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``,
 the pair gives the training mode's loss and input gradient, byte for byte,
-with no forward, as often as asked; ``input_gradient`` is that mode.
-``generator.score`` tapes its admission forward when a fitness criterion
-runs FGSM on the set it admits on, so an admitted model gets one clean
-pass over that set, not two: the logits decide admission, and the FGSM
-fitness takes the pair.
+with no forward, as often as asked. ``adversarial.fgsm_batch`` takes its
+gradient that way, from a tape it is handed or makes. ``generator.score``
+tapes its admission forward when a fitness criterion runs FGSM on the set
+it admits on, so an admitted model gets one clean pass over that set, not
+two: the logits decide admission, and the FGSM fitness takes the pair down
+through ``evaluate_population``, ``criterion_score`` and ``robust_accuracy``
+to ``fgsm_batch``.
 """
 
 from __future__ import annotations
@@ -312,7 +314,6 @@ class Dataset:
     features: np.ndarray  # (n, ...) float64, values in [0, 1]
     labels: np.ndarray    # (n,) int
     classes: int
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.features) == 0:
@@ -327,9 +328,8 @@ class Dataset:
     def __len__(self):
         return len(self.features)
 
-    def subset(self, idx, split=None):
-        return Dataset(self.features[idx], self.labels[idx], self.classes,
-                       split or self.split)
+    def subset(self, idx):
+        return Dataset(self.features[idx], self.labels[idx], self.classes)
 
 
 def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
@@ -377,7 +377,7 @@ def split_dataset(ds, fractions, seed):
     names = list(fractions)
     for i, name in enumerate(names):
         stop = len(ds) if i == len(names) - 1 else start + int(round(fractions[name] * len(ds)))
-        out[name] = ds.subset(idx[start:stop], split=name)
+        out[name] = ds.subset(idx[start:stop])
         start = stop
     return out
 
@@ -416,7 +416,7 @@ def load_idx(path):
     return payload.astype(np.float64) / 255.0
 
 
-def load_idx_dataset(images_path, labels_path, classes=10, split="test"):
+def load_idx_dataset(images_path, labels_path, classes=10):
     images = load_idx(images_path)
     labels = load_idx(labels_path)
     if images.ndim != 3:
@@ -426,7 +426,7 @@ def load_idx_dataset(images_path, labels_path, classes=10, split="test"):
     if len(images) != len(labels):
         raise FormatError("image/label count mismatch")
     feats = images[:, None, :, :]  # single channel
-    return Dataset(feats, labels, classes, split)
+    return Dataset(feats, labels, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +715,9 @@ class EvalSet:
 
     ``evaluate_accuracy``, ``robust_accuracy``, ``generate_pool``,
     ``generator.score`` and ``evolve`` take an EvalSet wherever they take a
-    dataset. ``forward``, ``loss_and_grads`` and ``input_gradient`` take one
-    in place of a feature array: the batch is then all of its rows, and the
-    first layer's im2col comes from the cache.
+    dataset. ``forward``, ``loss_and_grads`` and ``adversarial.fgsm_batch``
+    take one in place of a feature array: the batch is then all of its rows,
+    and the first layer's im2col comes from the cache.
     """
 
     def __init__(self, dataset):
@@ -809,6 +809,7 @@ def loss_and_grads(spec, params, features, labels, *, taped=None):
     docstring). Given ``taped``, the ``forward(..., tape=True)`` of
     ``features``, it runs no forward and forms no dW or db (grads is None);
     the loss and the input gradient are the same bytes as training's.
+    ``labels`` holds one class index in [0, spec.classes) per row.
     """
     grads = None
     if taped is None:
@@ -816,22 +817,14 @@ def loss_and_grads(spec, params, features, labels, *, taped=None):
         taped = _forward(spec, params, *_batch(spec, params, features), tape=True)
     logits, back = taped
     y = np.asarray(labels)
+    if y.shape != (len(logits),):
+        raise StructuralError(f"labels of shape {y.shape} for a batch of {len(logits)} rows")
+    if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= spec.classes:
+        raise InvalidInputError(f"labels must be class indices in [0, {spec.classes})")
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(len(y)), y] -= 1.0
     return loss, grads, back(probs / len(y), grads)
-
-
-def input_gradient(spec, params, features, labels, *, taped=None):
-    """Gradient of the cross-entropy loss w.r.t. the input features (one
-    example, a batch array or an EvalSet): ``loss_and_grads`` on ``taped``,
-    the batch's ``forward(..., tape=True)``, or on that forward run here."""
-    single = not isinstance(features, EvalSet) and np.shape(features) == tuple(spec.input_shape)
-    if single:
-        features, labels = np.asarray(features)[None], np.asarray([labels])
-    taped = taped or forward(spec, params, features, tape=True)
-    dx = loss_and_grads(spec, params, features, labels, taped=taped)[2]
-    return dx[0] if single else dx
 
 
 # ---------------------------------------------------------------------------

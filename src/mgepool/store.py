@@ -36,7 +36,6 @@ HASH_BYTES = 32
 class ModelFileInfo:
     path: str
     sha256: str
-    layer_count: int
     byte_size: int
 
 
@@ -74,8 +73,7 @@ def save_model(params: ParamSet, path) -> ModelFileInfo:
         os.replace(tmp, path)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
-    return ModelFileInfo(str(path), digest.hex(), len(params.entries),
-                         len(body) + HASH_BYTES)
+    return ModelFileInfo(str(path), digest.hex(), len(body) + HASH_BYTES)
 
 
 def load_model(path, sha256=None) -> ParamSet:
@@ -195,7 +193,7 @@ def verify_manifest(path, load=False):
     once. Returns (manifest, each member's ParamSet in order if ``load``,
     else [], so that no decoded member outlives its check). The members are
     checked on the tile pool (``nn._tile_pool``); a bad one raises the error
-    of the first in manifest order."""
+    of the first in manifest order, which names the member by its path."""
     doc = read_manifest(path)
     members = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members, list) or not all(
@@ -207,9 +205,9 @@ def verify_manifest(path, load=False):
     def check(member):
         fpath = os.path.join(root, member["file"])
         if not os.path.exists(fpath):
-            raise CorruptModelError(f"missing member file {member['file']}")
+            raise CorruptModelError(f"missing member file {fpath}")
         with open(fpath, "rb") as f:
-            params = _decode(f.read(), member["hash"], member["file"])
+            params = _decode(f.read(), member["hash"], fpath)
         return params if load else None
 
     models = _tile_pool.map(check, members)

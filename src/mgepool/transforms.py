@@ -19,7 +19,7 @@ MAX_LATENT_BOUND = 0.2
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible PCG64 random stream keyed by a 64-bit seed.
+    """Reproducible PCG64 random stream keyed by an integer seed >= 0.
 
     Child streams are derived deterministically from (seed, key...) so that
     distinct candidates never share a stream.
@@ -31,7 +31,7 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, *key: int) -> "RngStream":
-        ss = np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, *key])
+        ss = np.random.SeedSequence([self.seed, *key])
         return RngStream(int(ss.generate_state(1, np.uint64)[0]))
 
 

@@ -10,6 +10,7 @@ from mgepool import (
     generate_pool,
     make_synthetic,
     mlp,
+    nn,
     split_dataset,
     train,
 )
@@ -20,6 +21,13 @@ MNIST_FILES = (
     "t10k-images-idx3-ubyte",
     "t10k-labels-idx1-ubyte",
 )
+
+
+def input_gradient(spec, params, features, labels):
+    """FGSM's input gradient of a batch (an array or an EvalSet), formed as
+    ``adversarial.fgsm_batch`` forms it: the loss's on the taped forward."""
+    taped = nn.forward(spec, params, features, tape=True)
+    return nn.loss_and_grads(spec, params, features, labels, taped=taped)[2]
 
 
 def mnist_dir():

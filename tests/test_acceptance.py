@@ -20,7 +20,7 @@ from mgepool import (
     dct2,
     evaluate_accuracy,
     evolve,
-    fgsm,
+    fgsm_batch,
     generate_pool,
     idct2,
     ks_statistic,
@@ -32,7 +32,6 @@ from mgepool import (
     zero_fill_decay,
 )
 from mgepool import cli, evolution
-from mgepool.adversarial import fgsm_batch
 from mgepool.errors import CorruptModelError
 from mgepool.nn import Dataset, ParamEntry, ParamSet, lenet_like, load_idx_dataset
 from test_transforms import naive_dct2, naive_idct2
@@ -90,8 +89,7 @@ def mnist_run(tmp_path_factory):
                                 os.path.join(root, "train-labels-idx1-ubyte"))
     testset = load_idx_dataset(os.path.join(root, "t10k-images-idx3-ubyte"),
                                os.path.join(root, "t10k-labels-idx1-ubyte"))
-    valset = Dataset(testset.features[:2000], testset.labels[:2000],
-                     testset.classes, "val")
+    valset = Dataset(testset.features[:2000], testset.labels[:2000], testset.classes)
     spec = lenet_like()
     base, train_seconds = train(spec, trainset,
                                 TrainConfig(epochs=3, learning_rate=0.001, seed=0))
@@ -210,12 +208,12 @@ class TestAcceptance:
         for eps in (0.02, 0.1, 0.3):
             adv = fgsm_batch(desk.spec, desk.base, val.features, val.labels, eps)
             assert np.max(np.abs(adv - val.features)) <= eps + 1e-9
-        noop = fgsm(desk.spec, desk.base, val.features[0], int(val.labels[0]), 0.0)
-        assert np.array_equal(noop.perturbed, noop.original)
+        noop = fgsm_batch(desk.spec, desk.base, val.features[:1], val.labels[:1], 0.0)[0]
+        assert np.array_equal(noop, val.features[0])
         sample = Dataset(desk.splits["test"].features[:100],
-                         desk.splits["test"].labels[:100], val.classes, "test")
+                         desk.splits["test"].labels[:100], val.classes)
         report = transfer_matrix(desk.spec, desk.base, [("self", desk.base)],
-                                 sample, eps=0.2, n_examples=100, targeted=False)
+                                 sample, eps=0.2, n_examples=100)
         rob = robust_accuracy(desk.spec, desk.base, sample, 0.2)
         assert report.rows[0].untargeted_success + rob == 1.0
         passline(10, "L-inf bound holds, eps=0 is a no-op, self-transfer "
@@ -224,10 +222,10 @@ class TestAcceptance:
     def test_criterion_11_behavioral_dissimilarity(self, desk, passline):
         sample = Dataset(desk.splits["test"].features[:100],
                          desk.splits["test"].labels[:100],
-                         desk.splits["test"].classes, "test")
+                         desk.splits["test"].classes)
         pool = [(str(c.cand_id), c.params) for c in desk.pool.candidates]
         report = transfer_matrix(desk.spec, desk.base, pool, sample, eps=0.2,
-                                 n_examples=100, targeted=False)
+                                 n_examples=100)
         base_success = 1.0 - robust_accuracy(desk.spec, desk.base, sample, 0.2)
         gap = base_success - min(r.untargeted_success for r in report.rows)
         assert gap >= 0.10

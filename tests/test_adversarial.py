@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from mgepool import evaluate_accuracy, fgsm, robust_accuracy, transfer_matrix
-from mgepool import nn
-from mgepool.adversarial import fgsm_batch
+from mgepool import evaluate_accuracy, fgsm_batch, nn, robust_accuracy, transfer_matrix
 from mgepool.errors import ConfigRangeError, InvalidInputError
 from mgepool.nn import Dataset, Dense, NetworkSpec, init_params, lenet_like
 
 
 def first_n(ds, n):
-    return Dataset(ds.features[:n], ds.labels[:n], ds.classes, ds.split)
+    return Dataset(ds.features[:n], ds.labels[:n], ds.classes)
 
 
 class TestFgsm:
@@ -27,7 +25,7 @@ class TestFgsm:
         fgsm_batch(spec, params, x, y, 0.1)
         assert len(scans) == 1
         fgsm_batch(spec, params, x, y, 0.1, targets=1 - y)
-        fgsm(spec, params, x[0], y[0], 0.1)
+        fgsm_batch(spec, params, x[:1], y[:1], 0.1)
         assert len(scans) == 3
         fgsm_batch(spec, params, nn.EvalSet(Dataset(x, y, spec.classes)), y, 0.1)
         assert len(scans) == 3
@@ -39,8 +37,8 @@ class TestFgsm:
     def test_zero_eps_is_noop(self, desk):
         x = desk.splits["val"].features[0]
         y = int(desk.splits["val"].labels[0])
-        adv = fgsm(desk.spec, desk.base, x, y, 0.0)
-        assert np.array_equal(adv.perturbed, adv.original)
+        adv = fgsm_batch(desk.spec, desk.base, x[None], np.array([y]), 0.0)[0]
+        assert np.array_equal(adv, x)
 
     def test_linf_bound_and_clipping(self, desk):
         val = desk.splits["val"]
@@ -61,15 +59,16 @@ class TestFgsm:
         p = np.exp(logits - logits.max())
         p /= p.sum()
         expected_dir = np.sign(w @ (p - np.eye(2)[y]))
-        adv = fgsm(spec, params, x, y, 0.05)
-        got_dir = np.sign(adv.perturbed - adv.original)
+        adv = fgsm_batch(spec, params, x[None], np.array([y]), 0.05)[0]
+        got_dir = np.sign(adv - x)
         # coordinates clipped at the [0,1] boundary can lose their step
-        inside = (adv.original > 0.05) & (adv.original < 0.95)
+        inside = (x > 0.05) & (x < 0.95)
         assert np.array_equal(got_dir[inside], expected_dir[inside])
 
     def test_negative_eps_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
-            fgsm(desk.spec, desk.base, desk.splits["val"].features[0], 0, -0.1)
+            fgsm_batch(desk.spec, desk.base, desk.splits["val"].features[:1], np.array([0]),
+                       -0.1)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_non_finite_eps_rejected(self, desk, eps):
@@ -98,7 +97,7 @@ class TestTransferMatrix:
     def test_self_transfer_identity(self, desk):
         sample = first_n(desk.splits["test"], 100)
         report = transfer_matrix(desk.spec, desk.base, [("source", desk.base)],
-                                 sample, eps=0.2, n_examples=100, targeted=False)
+                                 sample, eps=0.2, n_examples=100)
         rob = robust_accuracy(desk.spec, desk.base, sample, 0.2)
         assert report.rows[0].untargeted_success + rob == pytest.approx(1.0, abs=1e-12)
 
@@ -106,7 +105,7 @@ class TestTransferMatrix:
         sample = first_n(desk.splits["test"], 100)
         pool = [(str(c.cand_id), c.params) for c in desk.pool.candidates[:5]]
         report = transfer_matrix(desk.spec, desk.base, pool, sample, eps=0.0,
-                                 n_examples=100, targeted=False)
+                                 n_examples=100)
         for row in report.rows:
             assert row.untargeted_success == pytest.approx(1.0 - row.clean_accuracy,
                                                            abs=1e-12)
@@ -115,7 +114,7 @@ class TestTransferMatrix:
         sample = first_n(desk.splits["test"], 100)
         pool = [(str(c.cand_id), c.params) for c in desk.pool.candidates]
         report = transfer_matrix(desk.spec, desk.base, pool, sample, eps=0.2,
-                                 n_examples=100, targeted=False)
+                                 n_examples=100)
         base_success = 1.0 - robust_accuracy(desk.spec, desk.base, sample, 0.2)
         best_resistance = base_success - min(r.untargeted_success for r in report.rows)
         assert best_resistance >= 0.10

@@ -211,6 +211,16 @@ class TestConfigValidation:
         assert cli.main(["--config", path] + flags + [command] + operand) == cli.EXIT_CONFIG
         assert named in error_lines(capsys, cli.EXIT_CONFIG)
 
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_seed_refused_where_nothing_is_drawn(self, pipeline, tmp_path, capsys, command):
+        """attack and report draw nothing at random, so ``--seed`` would do
+        nothing there: it is one config error, and nothing is written."""
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         "--seed", "3", command, "--pool", str(pipeline["pool"])]) \
+            == cli.EXIT_CONFIG
+        assert f"--seed does nothing for {command}" in error_lines(capsys, cli.EXIT_CONFIG)
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["--config", str(tmp_path / "nope.json"), "train"]) == cli.EXIT_INPUT
         error_lines(capsys, cli.EXIT_INPUT)
@@ -707,6 +717,17 @@ _BROKEN_MANIFESTS = [
 class TestInputFiles:
     """A pool manifest, or the train.json beside a model, that is not what its
     command reads is an input error: one ERROR code=3 line naming the file."""
+
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_bad_member_named_by_its_path(self, pipeline, tmp_path, capsys, command):
+        import shutil
+        pool = tmp_path / "pool"
+        shutil.copytree(pipeline["pool"], pool)
+        member = pool / "model_0003.mgem"
+        member.write_bytes(member.read_bytes()[:20])
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         command, "--pool", str(pool)]) == cli.EXIT_INPUT
+        assert f"input: {member}: file too short" in error_lines(capsys, cli.EXIT_INPUT)
 
     @pytest.mark.parametrize("command, edit, named", [
         pytest.param(command, edit, named, id=f"{command}-{why}")

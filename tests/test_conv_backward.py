@@ -2,7 +2,7 @@
 padded weight-left product and k*k contiguous slab adds) against
 ``_conv_backward_before``, the per-window product and strided col2im it
 replaced, kept here verbatim. Loss, every parameter gradient, dx,
-``input_gradient`` and ``fgsm_batch`` must be the same bytes, with and
+FGSM's input gradient and ``fgsm_batch`` must be the same bytes, with and
 without parameter gradients, on random nets and on the shapes the slab
 layout treats apart: a 1 x 1 conv output (a gemv in the old product), a conv
 feeding a conv, k = 1 with one input channel, and a dy holding exact zeros
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import input_gradient
 from mgepool import adversarial, nn
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 from test_inference import random_features, random_params, specs
@@ -59,7 +60,7 @@ def outputs(spec, params, x, y, param_grads):
     taped = None if param_grads else nn.forward(spec, params, x, tape=True)
     loss, grads, dx = nn.loss_and_grads(spec, params, x, y, taped=taped)
     out = [np.float64(loss), dx, *(grads or []),
-           nn.input_gradient(spec, params, x, y), nn.input_gradient(spec, params, ev, y),
+           input_gradient(spec, params, x, y), input_gradient(spec, params, ev, y),
            adversarial.fgsm_batch(spec, params, ev, y, 0.1)]
     return [(a.shape, a.tobytes()) for a in out]
 

@@ -59,27 +59,25 @@ class TestMutate:
 
     def test_small_z_children_shrink_unimportant_spectrum(self, desk):
         parent = desk.pool.candidates[0]
-        gcfg = GeneratorConfig(t=0.8, z=0.001)
         spectrum = Spectrum(desk.base, 0.8)
-        child = mutate(parent, spectrum, gcfg, RngStream(1))
+        child = mutate(parent, spectrum, 0.001, RngStream(1))
         for row, ce in zip(spectrum.rows, child.params.entries):
             cc = dct2(ce.values)
             assert np.all(np.abs(cc[~row.keep]) <= 0.001 + 1e-9)
 
     def test_retained_coefficients_match_base(self, desk):
         parent = desk.pool.candidates[1]
-        gcfg = GeneratorConfig(t=0.8)
         spectrum = Spectrum(desk.base, 0.8)
         stream = RngStream(2)
         for i in range(3):
-            assert_carries_base_spectrum(mutate(parent, spectrum, gcfg, stream.child(i)).params,
+            assert_carries_base_spectrum(mutate(parent, spectrum, 0.2, stream.child(i)).params,
                                          spectrum)
 
     def test_children_pairwise_distinct(self, desk):
         parent = desk.pool.candidates[2]
         spectrum = Spectrum(desk.base, 0.8)
         stream = RngStream(3)
-        children = [mutate(parent, spectrum, GeneratorConfig(), stream.child(i))
+        children = [mutate(parent, spectrum, GeneratorConfig().z, stream.child(i))
                     for i in range(10)]
         flat = [c.params.flat for c in children]
         for i in range(10):
@@ -357,7 +355,7 @@ class TestEvolve:
         from mgepool import nn
         from mgepool.nn import Dataset
         val = desk.splits["val"]
-        copy = Dataset(val.features, val.labels, val.classes, val.split)
+        copy = Dataset(val.features, val.labels, val.classes)
         passes, admitted = [], []
         forward, population = nn._forward, generator.evaluate_population
 

@@ -142,7 +142,7 @@ class TestAllZeroLayers:
         val = make_synthetic("blobs", 40, 2, seed=1)
         gcfg = GeneratorConfig(seed=2, epsilon=1.0)
         pool = generate_pool(base, spec, gcfg, val, 2)
-        child = mutate(pool.candidates[0], Spectrum(base, gcfg.t), gcfg, RngStream(3))
+        child = mutate(pool.candidates[0], Spectrum(base, gcfg.t), gcfg.z, RngStream(3))
         for params in [c.params for c in pool.candidates] + [child.params]:
             for e, b in zip(params.entries, base.entries):
                 if e.name.endswith(".bias"):
@@ -156,14 +156,14 @@ class TestGenerateLayer:
         rng = np.random.default_rng(1)
         x = rng.normal(size=40)
         row = importance_mask(dct2(x), 1.0)
-        out = generate_layer(row, GeneratorConfig(), rng)
+        out = generate_layer(row, GeneratorConfig().z, rng)
         assert np.max(np.abs(out - x)) <= 1e-9
 
     def test_all_false_mask_small_z_tends_to_zero(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=32)
         row = importance_mask(dct2(x), 0.0)
-        out = generate_layer(row, GeneratorConfig(z=0.001), rng)
+        out = generate_layer(row, 0.001, rng)
         assert np.max(np.abs(out)) < 0.01
 
     def test_matches_splice_oracle(self):
@@ -173,8 +173,7 @@ class TestGenerateLayer:
         keep = np.array([True, False, True, False, True, False, True, False])
         row = importance_mask(c, 0.5)
         row.keep = keep  # explicit half mask
-        cfg = GeneratorConfig(z=0.2)
-        out = generate_layer(row, cfg, RngStream(77).generator())
+        out = generate_layer(row, 0.2, RngStream(77).generator())
         # oracle: same draws, explicit coefficient splice + naive inverse DCT
         draws = sample_bounded_normal(0.2, int((~keep).sum()), RngStream(77).generator())
         merged = c.copy()
@@ -198,7 +197,7 @@ class TestAccept:
 class TestGenerateModel:
     def test_identity_generation(self, desk):
         cfg = GeneratorConfig(t=1.0, seed=11)
-        sample = Spectrum(desk.base, cfg.t).sample(cfg, RngStream(cfg.seed).generator())
+        sample = Spectrum(desk.base, cfg.t).sample(RngStream(cfg.seed).generator(), cfg.z)
         cand = generator.score(sample, desk.spec, desk.splits["val"], desk.base_accuracy, cfg)
         assert cand.accepted
         for a, b in zip(cand.params.entries, desk.base.entries):
@@ -290,9 +289,9 @@ def pool_z_trace(desk, monkeypatch, decisions, adaptive_z, count=1):
     monkeypatch.setattr(generator, "accept", lambda *args: next(decide))
     zs, sample = [], Spectrum.sample
 
-    def recording(self, cfg, rng, z=None):
+    def recording(self, rng, z):
         zs.append(z)
-        return sample(self, cfg, rng, z=z)
+        return sample(self, rng, z)
 
     monkeypatch.setattr(Spectrum, "sample", recording)
     cfg = GeneratorConfig(z=0.2, attempts=len(decisions), adaptive_z=adaptive_z, seed=5)

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import input_gradient
 from mgepool import adversarial, evolution, generator, nn
 from mgepool.evolution import EvolutionConfig
 from mgepool.fitness import Criterion, FitnessConfig
@@ -114,11 +115,11 @@ def test_gradient_only_backward_matches_full_backward(spec, rows, seed):
     y = np.random.default_rng(seed + 2).integers(0, spec.classes, rows)
     _, grads, dx = nn.loss_and_grads(spec, params, x, y)
     assert len(grads) == len(params.entries)
-    assert np.array_equal(nn.input_gradient(spec, params, x, y), dx)
+    assert np.array_equal(input_gradient(spec, params, x, y), dx)
     ev = nn.EvalSet(Dataset(x, y, spec.classes))
-    assert np.array_equal(nn.input_gradient(spec, params, ev, y), dx)
-    one = nn.loss_and_grads(spec, params, x[:1], y[:1])[2][0]
-    assert np.array_equal(nn.input_gradient(spec, params, x[0], y[0]), one)
+    assert np.array_equal(input_gradient(spec, params, ev, y), dx)
+    one = nn.loss_and_grads(spec, params, x[:1], y[:1])[2]
+    assert np.array_equal(input_gradient(spec, params, x[:1], y[:1]), one)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -305,7 +306,7 @@ def test_outputs_do_not_depend_on_the_tile_size(conv_first, data, rows, seed):
     def outputs():
         loss, grads, dx = nn.loss_and_grads(spec, params, x, y)
         return [nn.forward(spec, params, x), nn.forward(spec, params, ev),
-                nn.input_gradient(spec, params, x, y), nn.input_gradient(spec, params, ev, y),
+                input_gradient(spec, params, x, y), input_gradient(spec, params, ev, y),
                 adversarial.fgsm_batch(spec, params, ev, y, 0.1), loss, dx, *grads]
 
     whole = with_tile_rows(rows, outputs)

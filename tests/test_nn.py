@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mgepool.nn as nn
+from conftest import input_gradient
 from mgepool.errors import (
     ConfigRangeError,
     FormatError,
@@ -145,7 +146,7 @@ class TestForward:
         x, y = np.zeros((2, 5)), np.array([0, 1])
         calls = {
             "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
-            "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
+            "input_gradient": lambda: input_gradient(spec, params, x, y),
             "fgsm_batch": lambda: fgsm_batch(spec, params, x, y, 0.1),
             "robust_accuracy": lambda: robust_accuracy(spec, params, nn.Dataset(x, y, 3), 0.1),
         }
@@ -166,7 +167,7 @@ class TestForward:
         calls = {
             "forward": lambda: nn.forward(spec, params, x),
             "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
-            "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
+            "input_gradient": lambda: input_gradient(spec, params, x, y),
             "fgsm_batch": lambda: fgsm_batch(spec, params, x, y, 0.1),
             "robust_accuracy": lambda: robust_accuracy(spec, params, nn.Dataset(x, y, 3), 0.1),
             "evaluate_accuracy": lambda: nn.evaluate_accuracy(spec, params, nn.Dataset(x, y, 3)),
@@ -209,7 +210,7 @@ class TestEmptyBatch:
         with pytest.raises(InvalidInputError, match="empty batch"):
             nn.loss_and_grads(spec, params, x, y)
         with pytest.raises(InvalidInputError, match="empty batch"):
-            nn.input_gradient(spec, params, x, y)
+            input_gradient(spec, params, x, y)
 
     def test_taped_forward_rejected(self, name):
         spec = EMPTY_BATCH_SPECS[name]
@@ -223,6 +224,7 @@ class TestEmptyBatch:
 def test_non_finite_features_rejected(name, bad):
     """A batch array with one non-finite feature is rejected before any layer
     runs, so no NaN or inf can reach a max-pool, a logit or a gradient."""
+    from mgepool.adversarial import fgsm_batch
     spec = EMPTY_BATCH_SPECS[name]
     params = nn.init_params(spec, np.random.default_rng(6))
     x = np.random.default_rng(7).uniform(0.0, 1.0, (3, *spec.input_shape))
@@ -230,11 +232,55 @@ def test_non_finite_features_rejected(name, bad):
     y = np.zeros(3, dtype=int)
     calls = {"forward": lambda: nn.forward(spec, params, x),
              "loss_and_grads": lambda: nn.loss_and_grads(spec, params, x, y),
-             "input_gradient": lambda: nn.input_gradient(spec, params, x, y),
-             "one example": lambda: nn.input_gradient(spec, params, x[0], 0)}
+             "input_gradient": lambda: input_gradient(spec, params, x, y),
+             "one example": lambda: fgsm_batch(spec, params, x[:1], y[:1], 0.1)}
     for call in calls.values():
         with pytest.raises(InvalidInputError, match="non-finite feature"):
             call()
+
+
+class TestLabels:
+    """The loss checks its labels in both modes, so training, FGSM's labels
+    and targets and the robust accuracy all refuse labels that do not fit
+    the batch or the classes."""
+
+    def setup_method(self):
+        self.spec = nn.mlp([4, 3])
+        self.params = nn.init_params(self.spec, np.random.default_rng(0))
+        self.x = np.random.default_rng(1).uniform(0.0, 1.0, (3, 4))
+
+    def losses(self, labels):
+        spec, params, x = self.spec, self.params, self.x
+        return {"train": lambda: nn.loss_and_grads(spec, params, x, labels),
+                "taped": lambda: nn.loss_and_grads(
+                    spec, params, x, labels, taped=nn.forward(spec, params, x, tape=True))}
+
+    @pytest.mark.parametrize("mode", ["train", "taped"])
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2, 0], [[0, 1, 2]], 0],
+                             ids=["one", "four", "2-d", "scalar"])
+    def test_label_count_must_match_rows(self, mode, labels):
+        with pytest.raises(StructuralError, match="labels"):
+            self.losses(np.asarray(labels))[mode]()
+
+    @pytest.mark.parametrize("mode", ["train", "taped"])
+    @pytest.mark.parametrize("labels", [[0, 1, 5], [0, -1, 2], [0.0, 1.0, 2.0], [0, 0.5, 1],
+                                        [True, False, True], ["0", "1", "2"]],
+                             ids=["too-large", "negative", "float", "fraction", "bool", "str"])
+    def test_label_must_be_a_class_index(self, mode, labels):
+        with pytest.raises(InvalidInputError, match="label"):
+            self.losses(np.asarray(labels))[mode]()
+
+    def test_fgsm_and_robust_accuracy_check_labels(self):
+        from mgepool.adversarial import fgsm_batch, robust_accuracy
+        spec, params, x = self.spec, self.params, self.x
+        with pytest.raises(StructuralError, match="labels"):
+            fgsm_batch(spec, params, x, np.array([0]), 0.1)
+        with pytest.raises(InvalidInputError, match="label"):
+            fgsm_batch(spec, params, x, np.array([0, 1, 2]), 0.1, targets=np.array([1, 2, 3]))
+        # a Dataset checks its labels' range, not their type
+        floats = nn.Dataset(x, np.array([0.0, 1.0, 2.0]), 3)
+        with pytest.raises(InvalidInputError, match="label"):
+            robust_accuracy(spec, params, floats, 0.1)
 
 
 class TestGradients:
@@ -268,7 +314,7 @@ class TestGradients:
     def test_input_gradient_zero_weight_net(self):
         spec = nn.mlp([3, 4, 2])
         params = zero_params(spec)
-        g = nn.input_gradient(spec, params, np.ones(3), 0)
+        g = input_gradient(spec, params, np.ones((1, 3)), np.array([0]))
         assert np.all(g == 0.0)
 
     def test_input_gradient_analytic_softmax_layer(self):
@@ -284,7 +330,8 @@ class TestGradients:
         p /= p.sum()
         onehot = np.eye(2)[y]
         expected = w @ (p - onehot)
-        assert np.max(np.abs(nn.input_gradient(spec, params, x, y) - expected)) <= 1e-12
+        g = input_gradient(spec, params, x[None], np.array([y]))[0]
+        assert np.max(np.abs(g - expected)) <= 1e-12
 
     def test_input_gradient_matches_finite_differences(self):
         spec = nn.mlp([4, 6, 3], activation="tanh")
@@ -292,7 +339,7 @@ class TestGradients:
         params = nn.init_params(spec, rng)
         x = rng.uniform(size=4)
         y = 2
-        g = nn.input_gradient(spec, params, x, y)
+        g = input_gradient(spec, params, x[None], np.array([y]))[0]
         h = 1e-5
         for i in range(4):
             xp, xm = x.copy(), x.copy()
@@ -564,10 +611,10 @@ class TestFlatBuffer:
             "as_float32": desk.base.as_float32(),
             "fuse": fuse([desk.base, desk.pool.candidates[0].params], [0.5, 0.5]),
             "load_model": load_model(tmp_path / "m.mgem"),
-            "sample": Spectrum(desk.base, desk.gcfg.t).sample(desk.gcfg,
-                                                              RngStream(0).generator()),
+            "sample": Spectrum(desk.base, desk.gcfg.t).sample(RngStream(0).generator(),
+                                                              desk.gcfg.z),
             "mutate": mutate(desk.pool.candidates[0], Spectrum(desk.base, desk.gcfg.t),
-                             desk.gcfg, RngStream(1)).params,
+                             desk.gcfg.z, RngStream(1)).params,
         }
         for origin, ps in sets.items():
             assert ps.flat.dtype == np.float64, origin

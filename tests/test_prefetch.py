@@ -27,7 +27,7 @@ def sequential_pool(base, spec, cfg, valset, count, fit=None):
     cands, accepted, consecutive, z = [], 0, 0, cfg.z
     while accepted < count and len(cands) < cfg.attempts * count:
         attempt = len(cands)
-        cand = generator.score(spectrum.sample(cfg, root.child(attempt).generator(), z=z),
+        cand = generator.score(spectrum.sample(root.child(attempt).generator(), z),
                                spec, valset, base_acc, cfg, fit=fit, seed=attempt)
         cands.append(cand)
         if cand.accepted:

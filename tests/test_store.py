@@ -355,8 +355,8 @@ class TestManifest:
             "too-short"])
     def test_corrupt_member_error_names_the_file(self, tmp_path, corrupt, why):
         """Every way a model file fails to decode is reported with the file's
-        name: the manifest's, through verify_manifest, and the path given to
-        load_model."""
+        path: its place in the pool's directory, through verify_manifest, and
+        the path given to load_model."""
         members = []
         for i in range(3):
             info = save_model(random_params(np.random.default_rng(i)), tmp_path / f"m{i}.mgem")
@@ -368,8 +368,28 @@ class TestManifest:
                        tmp_path / "manifest.json")
         for load in (False, True):
             with pytest.raises((CorruptModelError, UnsupportedVersionError),
-                               match=f"^m1.mgem: .*{re.escape(why)}"):
+                               match=f"^{re.escape(str(path))}: .*{re.escape(why)}"):
                 verify_manifest(tmp_path / "manifest.json", load=load)
         with pytest.raises((CorruptModelError, UnsupportedVersionError)) as exc:
             load_model(path)
         assert str(exc.value).startswith(f"{path}: ") and why in str(exc.value)
+
+    def test_bad_member_named_by_its_path(self, tmp_path):
+        """A missing or corrupt member is named by its path in the pool's
+        directory, so an error says which of several pools is bad."""
+        pools = [tmp_path / "a", tmp_path / "b"]
+        for pool in pools:
+            pool.mkdir()
+            info = save_model(random_params(np.random.default_rng(0)), pool / "m0.mgem")
+            write_manifest(build_manifest("pool", {}, {},
+                                          [{"id": 0, "file": "m0.mgem", "hash": info.sha256}],
+                                          {}), pool / "manifest.json")
+        verify_manifest(pools[0] / "manifest.json")
+        member = pools[1] / "m0.mgem"
+        member.write_bytes(b"NOPE" + member.read_bytes()[4:])
+        with pytest.raises(CorruptModelError, match=f"^{re.escape(str(member))}: bad magic"):
+            verify_manifest(pools[1] / "manifest.json")
+        member.unlink()
+        missing = f"missing member file {re.escape(str(member))}$"
+        with pytest.raises(CorruptModelError, match=missing):
+            verify_manifest(pools[1] / "manifest.json")

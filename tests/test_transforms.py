@@ -202,3 +202,13 @@ class TestRngStream:
         b = root.child(1).generator().normal(size=5)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    def test_seeds_past_64_bits_do_not_alias(self, seed):
+        """A seed of 2**64 or more keys its own streams; one below keeps the
+        stream its (seed, key) SeedSequence gives."""
+        draws = RngStream(seed).child(0).generator().random(3)
+        assert RngStream(seed).child(0).seed == int(
+            np.random.SeedSequence([seed, 0]).generate_state(1, np.uint64)[0])
+        for big in (seed + 2**64, seed + 2**128):
+            assert not np.array_equal(RngStream(big).child(0).generator().random(3), draws)
