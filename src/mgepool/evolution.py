@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, StructuralError, check_count
-# generator.score calls evaluate_population; it is part of this module's API too
-from .fitness import FitnessConfig, evaluate_population  # noqa: F401
+from .fitness import FitnessConfig
 from .generator import Candidate, GeneratorConfig, Spectrum, generate_pool, score
 from .nn import ParamSet, eval_set
 from .transforms import RngStream
@@ -138,6 +137,5 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
         history.append(GenerationStats(gen, parents[0].f,
                                        float(np.mean([m.f for m in parents])),
                                        parents[0].cand_id))
-    # elitism: the all-time best always survives into the final parents
-    best = max(parents, key=lambda m: (m.f, m.f_q, -m.cand_id))
-    return best, history
+    # select ranks best first, and elitism keeps the all-time best among parents
+    return parents[0], history

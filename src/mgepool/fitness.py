@@ -1,6 +1,8 @@
-"""Fitness scoring for candidate models: the criteria behind quality and
-diversity, whose gamma-weighted sum ``evaluate_population`` assigns to every
-admitted member (``generator.score`` calls it when given a FitnessConfig)."""
+"""Fitness criteria for candidate models: the rules behind quality and
+diversity. ``generator.score``, given a FitnessConfig, assigns each
+admitted model the criteria's gamma-weighted sum, reusing its admission
+pass for a criterion on the validation rows and ``criterion_score`` for
+any other."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 from . import adversarial
 from .errors import ConfigRangeError
-from .nn import EvalSet, evaluate_accuracy
+from .nn import evaluate_accuracy
 
 CRITERION_KINDS = ("accuracy", "robust_accuracy")
 
@@ -43,47 +45,8 @@ class FitnessConfig:
             raise ConfigRangeError(f"gamma {self.gamma} must be finite and >= 0")
 
 
-def on_rows(crit, data):
-    """Whether the criterion ``crit`` (or None) runs on ``data``'s rows: one
-    Dataset, given bare or in an EvalSet."""
-    def rows(d):
-        return d.dataset if isinstance(d, EvalSet) else d
-    return crit is not None and rows(crit.dataset) is rows(data)
-
-
-def criterion_score(spec, params, crit: Criterion, *, taped=None) -> float:
-    """``crit``'s score of ``params``; ``taped`` goes to ``robust_accuracy``."""
+def criterion_score(spec, params, crit: Criterion) -> float:
+    """``crit``'s score of ``params``, from a pass of its own over its dataset."""
     if crit.kind == "robust_accuracy":
-        return adversarial.robust_accuracy(spec, params, crit.dataset, crit.attack_eps,
-                                           taped=taped)
+        return adversarial.robust_accuracy(spec, params, crit.dataset, crit.attack_eps)
     return evaluate_accuracy(spec, params, crit.dataset)
-
-
-def evaluate_population(members, spec, fit: FitnessConfig, valset=None, *, taped=None):
-    """Attach (f_q, f_d, f) to every member, scored on its float32 copy so
-    the numbers hold for the saved model; deterministic re-evaluation.
-
-    ``valset``, when given, is the set (a Dataset or an EvalSet) that
-    ``generator.score`` measured every member's ``accuracy`` on. A criterion
-    of plain accuracy on its rows (``on_rows``) takes ``accuracy``: the same
-    function on the same float32 copy and rows, so the same number, without
-    a second pass. ``taped``, given with one member, is the
-    ``nn.forward(..., tape=True)`` of its float32 copy on ``valset``'s rows;
-    every FGSM criterion on those rows forms its input gradient from it
-    (``adversarial.fgsm_batch``) instead of running a forward of its own.
-    """
-    def value(m, p, crit):
-        if crit is None:
-            return 0.0
-        here = on_rows(crit, valset)
-        if here and crit.kind == "accuracy":
-            return m.accuracy
-        if here and taped is not None:  # FGSM on the taped rows
-            return criterion_score(spec, p, crit, taped=taped)
-        return criterion_score(spec, p, crit)
-
-    for m in members:
-        p = m.params.as_float32()
-        m.f_q, m.f_d = value(m, p, fit.base), value(m, p, fit.extra)
-        m.f = m.f_q + fit.gamma * m.f_d
-    return members

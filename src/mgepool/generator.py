@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adversarial import robust_accuracy
 from .errors import ConfigRangeError, GenerationFailedError, check_count
-from .fitness import evaluate_population, on_rows
+from .fitness import criterion_score
 from .nn import (ParamEntry, ParamSet, _tile_pool, eval_batches, eval_set, evaluate_accuracy,
                  forward, n_correct)
 from .transforms import (
@@ -159,17 +160,25 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
     EvalSet. ``fields`` fill the other Candidate fields.
 
     Given a FitnessConfig ``fit``, an admitted candidate also gets its
-    (f_q, f_d, f) from ``evaluate_population``. When a criterion of ``fit``
-    runs FGSM on ``valset``'s rows (``fitness.on_rows``) and they make one
-    ``nn.eval_batches`` batch, the float32 copy's forward is taped
-    (``nn.forward(..., tape=True)``): its logits give the accuracy, and the
-    FGSM criteria take the ``(logits, back)`` as ``taped``. It is dropped
-    when this returns.
+    (f_q, f_d, f = f_q + gamma * f_d), each criterion scored on the same
+    float32 copy. A criterion on ``valset``'s rows (one Dataset, given bare
+    or in an EvalSet) reuses the admission pass: plain accuracy takes the
+    accuracy measured here. If one runs FGSM on those rows and they make
+    one ``nn.eval_batches`` batch, the forward is taped
+    (``nn.forward(..., tape=True)``): its logits give the accuracy, and
+    every FGSM criterion on the rows hands the ``(logits, back)`` to
+    ``robust_accuracy`` as ``taped``. It is dropped when this returns. Any
+    other criterion runs its own pass (``fitness.criterion_score``).
     """
     p = params.as_float32()
+    rows = eval_set(valset).dataset
+
+    def on_rows(crit):
+        return crit is not None and eval_set(crit.dataset).dataset is rows
+
     taped, batches = None, eval_batches(valset)
     if fit is not None and len(batches) == 1 and any(
-            on_rows(c, valset) and c.kind == "robust_accuracy" for c in (fit.base, fit.extra)):
+            on_rows(c) and c.kind == "robust_accuracy" for c in (fit.base, fit.extra)):
         [(features, labels)] = batches
         taped = forward(spec, p, features, tape=True)
         acc = n_correct(taped[0], labels) / len(valset)  # evaluate_accuracy's rule
@@ -178,7 +187,18 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
     cand = Candidate(params=params, accuracy=acc,
                      accepted=accept(acc, base_accuracy, cfg), **fields)
     if fit is not None and cand.accepted:
-        evaluate_population([cand], spec, fit, valset, taped=taped)
+
+        def value(crit):
+            if crit is None:
+                return 0.0
+            if on_rows(crit) and crit.kind == "accuracy":
+                return acc
+            if on_rows(crit):  # FGSM, on the taped pass when there is one
+                return robust_accuracy(spec, p, crit.dataset, crit.attack_eps, taped=taped)
+            return criterion_score(spec, p, crit)
+
+        cand.f_q, cand.f_d = value(fit.base), value(fit.extra)
+        cand.f = cand.f_q + fit.gamma * cand.f_d
     return cand
 
 

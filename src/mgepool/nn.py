@@ -78,9 +78,8 @@ with no forward, as often as asked. ``adversarial.fgsm_batch`` takes its
 gradient that way, from a tape it is handed or makes. ``generator.score``
 tapes its admission forward when a fitness criterion runs FGSM on the set
 it admits on, so an admitted model gets one clean pass over that set, not
-two: the logits decide admission, and the FGSM fitness takes the pair down
-through ``evaluate_population``, ``criterion_score`` and ``robust_accuracy``
-to ``fgsm_batch``.
+two: the logits decide admission, and ``score`` hands the pair to
+``robust_accuracy``, which hands it to ``fgsm_batch``.
 """
 
 from __future__ import annotations
@@ -312,7 +311,7 @@ def param_layout(spec: NetworkSpec):
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, ...) float64, values in [0, 1]
-    labels: np.ndarray    # (n,) int
+    labels: np.ndarray    # (n,) integer class indices
     classes: int
 
     def __post_init__(self):
@@ -322,8 +321,9 @@ class Dataset:
             raise StructuralError("feature/label count mismatch")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInputError("non-finite feature values")
-        if self.labels.min() < 0 or self.labels.max() >= self.classes:
-            raise InvalidInputError("label outside [0, classes)")
+        if (self.labels.dtype.kind not in "iu" or self.labels.min() < 0
+                or self.labels.max() >= self.classes):
+            raise InvalidInputError(f"labels must be class indices in [0, {self.classes})")
 
     def __len__(self):
         return len(self.features)

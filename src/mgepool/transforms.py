@@ -66,8 +66,7 @@ def cumulative_energy(c) -> np.ndarray:
     total = energy.sum()
     if total == 0.0:
         raise DegenerateSpectrumError("all-zero coefficient vector")
-    order = np.argsort(-energy, kind="stable")
-    frac = np.cumsum(energy[order]) / total
+    frac = np.cumsum(np.sort(energy)[::-1]) / total  # ranked as importance_mask ranks
     frac[-1] = 1.0
     return np.minimum(frac, 1.0)
 

@@ -15,13 +15,13 @@ from mgepool import (
     generator,
     load_model,
     mutate,
+    nn,
     save_model,
     select,
 )
 from mgepool.errors import ConfigRangeError, StructuralError
-from mgepool.evolution import evaluate_population
 from mgepool.fitness import criterion_score
-from mgepool.generator import Candidate, GeneratorConfig, Spectrum, accept
+from mgepool.generator import Candidate, GeneratorConfig, Spectrum, accept, score
 from mgepool.nn import ParamEntry, ParamSet
 from mgepool.transforms import RngStream, dct2
 
@@ -178,49 +178,72 @@ class TestSelect:
             select(self._members(desk, [0.5]), 2)
 
 
+def scored(desk, params, fit):
+    """Each of ``params`` scored by ``generator.score`` with ``fit`` on the
+    validation set, admitted whatever its accuracy, with id its position."""
+    members = [score(p, desk.spec, desk.splits["val"], -1.0, desk.gcfg, fit=fit, cand_id=i)
+               for i, p in enumerate(params)]
+    assert all(m.accepted for m in members)
+    return members
+
+
+def val_copy(desk):
+    """A Dataset equal to the validation set but not it."""
+    val = desk.splits["val"]
+    return nn.Dataset(val.features, val.labels, val.classes)
+
+
 class TestEvaluatePopulation:
+    """A population's fitness, assigned model by model by ``generator.score``:
+    criteria on the validation set reuse the admission pass, criteria on an
+    equal copy of it run their own."""
+
     def test_gamma_zero_orders_by_quality(self, desk):
-        fit = fitness_config(desk, gamma=0.0)
-        members = [Candidate(params=c.params, cand_id=c.cand_id)
-                   for c in desk.pool.candidates[:5]]
-        evaluate_population(members, desk.spec, fit)
-        by_f = sorted(members, key=lambda m: -m.f)
-        by_q = sorted(members, key=lambda m: -m.f_q)
-        assert [m.f for m in by_f] == [m.f for m in by_q]
+        for data in (desk.splits["val"], val_copy(desk)):
+            fit = FitnessConfig(Criterion("accuracy", data),
+                                Criterion("robust_accuracy", data, attack_eps=0.1), 0.0)
+            members = scored(desk, [c.params for c in desk.pool.candidates[:5]], fit)
+            by_f = sorted(members, key=lambda m: -m.f)
+            by_q = sorted(members, key=lambda m: -m.f_q)
+            assert [m.f for m in by_f] == [m.f for m in by_q]
 
     def test_single_member_survives(self, desk):
-        fit = fitness_config(desk)
-        members = [Candidate(params=desk.base, cand_id=0)]
-        evaluate_population(members, desk.spec, fit)
+        members = scored(desk, [desk.base], fitness_config(desk))
         assert select(members, 1) == members
 
     def test_matches_independent_recomputation(self, desk):
-        fit = fitness_config(desk)
-        members = [Candidate(params=c.params, cand_id=c.cand_id)
-                   for c in desk.pool.candidates[:6]]
-        evaluate_population(members, desk.spec, fit)
-        for m in members:
-            f32 = m.params.as_float32()
-            fq = criterion_score(desk.spec, f32, fit.base)
-            fd = criterion_score(desk.spec, f32, fit.extra)
-            assert (m.f_q, m.f_d, m.f) == (fq, fd, fq + fit.gamma * fd)
+        for data in (desk.splits["val"], val_copy(desk)):
+            fit = FitnessConfig(Criterion("accuracy", data),
+                                Criterion("robust_accuracy", data, attack_eps=0.1))
+            members = scored(desk, [c.params for c in desk.pool.candidates[:6]], fit)
+            for m in members:
+                f32 = m.params.as_float32()
+                fq = criterion_score(desk.spec, f32, fit.base)
+                fd = criterion_score(desk.spec, f32, fit.extra)
+                assert (m.f_q, m.f_d, m.f) == (fq, fd, fq + fit.gamma * fd)
 
     def test_criteria_see_float32_exact_params(self, desk, monkeypatch):
-        from mgepool import fitness
+        """Every pass, admission's and each criterion's, runs on float32-exact
+        parameters: two per model on the validation set (the taped admission
+        pass and the attack's), four on a copy (admission, accuracy, FGSM's
+        taped pass and the attack's)."""
         seen = []
-        original = fitness.criterion_score
+        original = nn._forward
 
-        def recording(spec, params, crit):
+        def recording(spec, params, *args, **kwargs):
             seen.append(params.flat.copy())
-            return original(spec, params, crit)
+            return original(spec, params, *args, **kwargs)
 
-        monkeypatch.setattr(fitness, "criterion_score", recording)
-        members = [Candidate(params=c.params, cand_id=c.cand_id)
-                   for c in desk.pool.candidates[:3]]
-        evaluate_population(members, desk.spec, fitness_config(desk))
-        assert len(seen) == 6
-        for flat in seen:
-            assert np.array_equal(flat, flat.astype(np.float32).astype(np.float64))
+        monkeypatch.setattr(nn, "_forward", recording)
+        params = [c.params for c in desk.pool.candidates[:3]]
+        for data, passes in ((desk.splits["val"], 6), (val_copy(desk), 12)):
+            seen.clear()
+            scored(desk, params, FitnessConfig(Criterion("accuracy", data),
+                                               Criterion("robust_accuracy", data,
+                                                         attack_eps=0.1)))
+            assert len(seen) == passes
+            for flat in seen:
+                assert np.array_equal(flat, flat.astype(np.float32).astype(np.float64))
 
 
 class TestEvolve:
@@ -346,50 +369,6 @@ class TestEvolve:
         f_q = criterion_score(desk.spec, loaded, fit.base)
         f_d = criterion_score(desk.spec, loaded, fit.extra)
         assert (best.f_q, best.f_d, best.f) == (f_q, f_d, f_q + fit.gamma * f_d)
-
-    def test_accuracy_is_scored_once_per_admitted_model(self, desk, monkeypatch):
-        """An accuracy criterion on the validation set itself reuses the
-        accuracy ``score`` measured, and an FGSM criterion on it the taped
-        admission pass; on an equal copy of that set each runs a pass of its
-        own over the rows. Every output is the same, bit for bit."""
-        from mgepool import nn
-        from mgepool.nn import Dataset
-        val = desk.splits["val"]
-        copy = Dataset(val.features, val.labels, val.classes)
-        passes, admitted = [], []
-        forward, population = nn._forward, generator.evaluate_population
-
-        def counting_forward(spec, params, x, *args, **kwargs):
-            if x.shape == val.features.shape and np.array_equal(x, val.features):
-                passes.append(1)
-            return forward(spec, params, x, *args, **kwargs)
-
-        def counting_population(members, *args, **kwargs):
-            admitted.extend(members)
-            return population(members, *args, **kwargs)
-
-        monkeypatch.setattr(nn, "_forward", counting_forward)
-        monkeypatch.setattr(generator, "evaluate_population", counting_population)
-        ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
-        runs = []
-        for data in (val, copy):
-            passes.clear()
-            admitted.clear()
-            fit = FitnessConfig(Criterion("accuracy", data),
-                                Criterion("robust_accuracy", data, attack_eps=0.1))
-            best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg,
-                                   fit, val)
-            runs.append((best, [asdict(h) for h in history],
-                         len(passes), len(admitted)))
-        (best, history, calls, n), (best2, history2, calls2, n2) = runs
-        assert history == history2
-        assert (best.cand_id, best.accuracy, best.f_q, best.f_d, best.f) == \
-            (best2.cand_id, best2.accuracy, best2.f_q, best2.f_d, best2.f)
-        f32 = [b.params.flat.astype("<f4").tobytes() for b in (best, best2)]
-        assert f32[0] == f32[1]
-        assert n == n2 > ecfg.parents
-        # on the copy, each admitted model's accuracy and FGSM forward run again
-        assert calls2 - calls == 2 * n
 
     def test_robust_fitness_reuses_the_admission_forward(self, desk, monkeypatch):
         """With FGSM fitness on the validation set, each admitted model gets

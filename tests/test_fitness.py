@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from mgepool import Criterion, FitnessConfig, robust_accuracy
+from mgepool import Criterion, Dataset, FitnessConfig, generator, nn, robust_accuracy
 from mgepool.errors import ConfigRangeError
-from mgepool.evolution import evaluate_population
 from mgepool.fitness import criterion_score
-from mgepool.generator import Candidate
+from mgepool.generator import score
 
 
 class TestCriterion:
@@ -45,11 +44,19 @@ class TestCriterion:
 
 
 def scored(desk, cands, fit):
-    """Fresh members with the accuracy ``generator.score`` gave ``cands``,
-    scored by evaluate_population with that accuracy's validation set."""
-    members = [Candidate(params=c.params, accuracy=c.accuracy, cand_id=c.cand_id)
-               for c in cands]
-    return evaluate_population(members, desk.spec, fit, desk.splits["val"])
+    """``cands``' parameters scored one by one by ``generator.score`` with
+    ``fit`` on the validation set, each admitted whatever its accuracy."""
+    members = [score(c.params, desk.spec, desk.splits["val"], -1.0, desk.gcfg, fit=fit,
+                     cand_id=c.cand_id) for c in cands]
+    assert all(m.accepted for m in members)
+    return members
+
+
+def val_copy(desk):
+    """A Dataset equal to the validation set but not it: a criterion on it
+    runs a pass of its own."""
+    val = desk.splits["val"]
+    return Dataset(val.features, val.labels, val.classes)
 
 
 class TestQualityFitness:
@@ -64,7 +71,6 @@ class TestQualityFitness:
 
     def test_mean_of_two(self, desk):
         """A good model and a constant one each get their own accuracy."""
-        from mgepool.generator import score
         from test_nn import zero_params
         crit = Criterion("accuracy", desk.splits["val"])
         good = score(desk.base, desk.spec, desk.splits["val"], desk.base_accuracy, desk.gcfg)
@@ -90,21 +96,26 @@ class TestQualityFitness:
         assert a == b
 
     def test_other_dataset_is_scored_again(self, desk, monkeypatch):
-        from mgepool import fitness
+        """A criterion on other rows (the test split, or an equal copy of the
+        validation set) runs ``criterion_score``; one on the validation set
+        itself reuses the admission pass."""
         calls = []
-        original = fitness.criterion_score
+        original = generator.criterion_score
 
         def recording(spec, params, crit):
             calls.append(crit)
             return original(spec, params, crit)
 
-        monkeypatch.setattr(fitness, "criterion_score", recording)
-        crit = Criterion("accuracy", desk.splits["test"])
+        monkeypatch.setattr(generator, "criterion_score", recording)
         cands = desk.pool.candidates[:3]
-        members = scored(desk, cands, FitnessConfig(crit))
-        assert len(calls) == 3
-        assert [m.f_q for m in members] == [
-            criterion_score(desk.spec, c.params.as_float32(), crit) for c in cands]
+        for data, runs in ((desk.splits["test"], 3), (val_copy(desk), 3),
+                           (desk.splits["val"], 0)):
+            calls.clear()
+            crit = Criterion("accuracy", data)
+            members = scored(desk, cands, FitnessConfig(crit))
+            assert len(calls) == runs
+            assert [m.f_q for m in members] == [
+                original(desk.spec, c.params.as_float32(), crit) for c in cands]
 
 
 class TestDiversityFitness:
@@ -129,25 +140,47 @@ class TestDiversityFitness:
 
 
 class TestCombinedFitness:
-    """The gamma-weighted sum that evaluate_population assigns."""
+    """The gamma-weighted sum that ``generator.score`` assigns, with criteria
+    on an equal copy of the validation set (each runs its own pass) and on
+    the validation set itself (each reuses the admission pass)."""
 
-    def _members(self, desk, gamma):
-        fit = FitnessConfig(base=Criterion("accuracy", desk.splits["val"]),
-                            extra=Criterion("robust_accuracy", desk.splits["val"],
-                                            attack_eps=0.1),
+    def _members(self, desk, gamma, data):
+        fit = FitnessConfig(base=Criterion("accuracy", data),
+                            extra=Criterion("robust_accuracy", data, attack_eps=0.1),
                             gamma=gamma)
-        members = [Candidate(params=c.params, cand_id=c.cand_id)
-                   for c in desk.pool.candidates[:4]]
-        return evaluate_population(members, desk.spec, fit)
+        return scored(desk, desk.pool.candidates[:4], fit)
 
     def test_gamma_zero_is_quality_only(self, desk):
-        for m in self._members(desk, 0.0):
-            assert m.f == m.f_q
+        for data in (val_copy(desk), desk.splits["val"]):
+            for m in self._members(desk, 0.0, data):
+                assert m.f == m.f_q
 
     def test_weighted_sum(self, desk):
-        for m in self._members(desk, 0.7):
-            assert m.f_d == robust_accuracy(desk.spec, m.params, desk.splits["val"], 0.1)
-            assert m.f == m.f_q + 0.7 * m.f_d
+        for data in (val_copy(desk), desk.splits["val"]):
+            for m in self._members(desk, 0.7, data):
+                assert m.f_d == robust_accuracy(desk.spec, m.params, desk.splits["val"], 0.1)
+                assert m.f == m.f_q + 0.7 * m.f_d
+
+    @pytest.mark.parametrize("base_accuracy", [-1.0, 2.0], ids=["admitted", "rejected"])
+    @pytest.mark.parametrize("rows", ["val", "copy"])
+    def test_one_float32_copy_per_scored_model(self, desk, monkeypatch, base_accuracy, rows):
+        """Admission and every criterion read one float32 copy of the model."""
+        calls = []
+        original = nn.ParamSet.as_float32
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(nn.ParamSet, "as_float32", counting)
+        data = desk.splits["val"] if rows == "val" else val_copy(desk)
+        fit = FitnessConfig(Criterion("accuracy", data),
+                            Criterion("robust_accuracy", data, attack_eps=0.1))
+        cand = score(desk.pool.candidates[0].params, desk.spec, desk.splits["val"],
+                     base_accuracy, desk.gcfg, fit=fit)
+        assert cand.accepted == (base_accuracy < 0)
+        assert (cand.f is not None) == cand.accepted
+        assert len(calls) == 1
 
 
 class TestFitnessConfig:

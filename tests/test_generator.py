@@ -24,7 +24,7 @@ from mgepool import (
 from mgepool.errors import ConfigRangeError, GenerationFailedError
 from mgepool.generator import Spectrum
 from mgepool.nn import init_params
-from mgepool.transforms import sample_bounded_normal
+from mgepool.transforms import cumulative_energy, sample_bounded_normal
 from test_transforms import naive_idct2
 
 
@@ -45,6 +45,16 @@ def stable_argsort_mask(coeffs, t):
     count = min(int(np.searchsorted(frac, t, side="left")) + 1, c.size)
     keep[order[:count]] = True
     return keep, float(frac[count - 1])
+
+
+def stable_argsort_energy(coeffs):
+    """``cumulative_energy`` as it ranked by a stable descending argsort,
+    verbatim."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    energy = c * c
+    frac = np.cumsum(energy[np.argsort(-energy, kind="stable")]) / energy.sum()
+    frac[-1] = 1.0
+    return np.minimum(frac, 1.0)
 
 
 # coefficient vectors with many ties: rounded values and exact zeros,
@@ -116,10 +126,13 @@ class TestImportanceMask:
            t=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1e-12]), st.floats(0.0, 1.0)))
     def test_value_sort_equals_stable_argsort(self, c, t):
         """The keep-mask and energy fraction, byte for byte, of the stable
-        descending argsort ranking that the value sort replaced."""
+        descending argsort ranking that the value sort replaced; and so is
+        ``cumulative_energy``'s curve, for a spectrum with energy."""
         with np.errstate(over="ignore", invalid="ignore"):  # squares that overflow
             row = importance_mask(c, t)
             keep, fraction = stable_argsort_mask(c, t)
+            if (c * c).sum() > 0.0:  # cumulative_energy refuses a spectrum of no energy
+                assert cumulative_energy(c).tobytes() == stable_argsort_energy(c).tobytes()
         assert row.keep.tobytes() == keep.tobytes()
         assert np.float64(row.energy_fraction).tobytes() == np.float64(fraction).tobytes()
 

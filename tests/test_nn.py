@@ -277,10 +277,9 @@ class TestLabels:
             fgsm_batch(spec, params, x, np.array([0]), 0.1)
         with pytest.raises(InvalidInputError, match="label"):
             fgsm_batch(spec, params, x, np.array([0, 1, 2]), 0.1, targets=np.array([1, 2, 3]))
-        # a Dataset checks its labels' range, not their type
-        floats = nn.Dataset(x, np.array([0.0, 1.0, 2.0]), 3)
+        # a Dataset refuses labels that are not integers before any scoring
         with pytest.raises(InvalidInputError, match="label"):
-            robust_accuracy(spec, params, floats, 0.1)
+            robust_accuracy(spec, params, nn.Dataset(x, np.array([0.0, 1.0, 2.0]), 3), 0.1)
 
 
 class TestGradients:
@@ -518,6 +517,17 @@ class TestValidation:
     def test_label_range_checked(self):
         with pytest.raises(InvalidInputError):
             nn.Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0, 2.0], [0, 0.5, 1], [True, False, True]],
+                             ids=["float", "fraction", "bool"])
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(InvalidInputError, match="label"):
+            nn.Dataset(np.zeros((3, 2)), np.array(labels), 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    def test_integer_labels_of_any_width_accepted(self, dtype):
+        ds = nn.Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=dtype), 3)
+        assert ds.subset([2, 0]).labels.tolist() == [1, 0]
 
     def test_network_needs_parameterized_layer(self):
         with pytest.raises(StructuralError):

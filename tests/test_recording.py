@@ -6,14 +6,18 @@ accuracy and the fitness it assigns equal ``criterion_score`` on the float32
 parameters; FGSM from a handed-over pass gives the same adversarial examples,
 byte for byte, as on the plain EvalSet and on a bare array; each candidate is
 scored on its own pass; a set of more than ``EVAL_BATCH`` rows is not taped
-and scores as it always did."""
+and scores as it always did; and ``evolve`` gives the same run, bit for bit,
+whether its criteria reuse the admission pass or run their own."""
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgepool import adversarial, generator, nn
+from mgepool import adversarial, evolution, generator, nn
+from mgepool.evolution import EvolutionConfig, evolve
 from mgepool.fitness import Criterion, FitnessConfig, criterion_score
 from mgepool.generator import GeneratorConfig
 from mgepool.nn import Dataset
@@ -175,3 +179,46 @@ def test_a_set_of_more_than_one_batch_is_not_recorded(spec, seed, eps, kinds):
         cand = generator.score(params, spec, nn.EvalSet(data), -1.0, GeneratorConfig(), fit=fit)
     assert taped == []
     assert_scored_as_criterion_score(cand, spec, params, data, fit)
+
+
+def test_accuracy_is_scored_once_per_admitted_model(desk, monkeypatch):
+    """An accuracy criterion on the validation set itself reuses the
+    accuracy ``score`` measured, and an FGSM criterion on it the taped
+    admission pass; on an equal copy of that set each runs a pass of its
+    own over the rows. Every output is the same, bit for bit."""
+    val = desk.splits["val"]
+    copy = Dataset(val.features, val.labels, val.classes)
+    passes, admitted = [], []
+    forward, score = nn._forward, generator.score
+
+    def counting_forward(spec, params, x, *args, **kwargs):
+        if x.shape == val.features.shape and np.array_equal(x, val.features):
+            passes.append(1)
+        return forward(spec, params, x, *args, **kwargs)
+
+    def counting_score(*args, **kwargs):
+        cand = score(*args, **kwargs)
+        admitted.extend([cand] if cand.accepted else [])
+        return cand
+
+    monkeypatch.setattr(nn, "_forward", counting_forward)
+    monkeypatch.setattr(generator, "score", counting_score)  # generate_pool's
+    monkeypatch.setattr(evolution, "score", counting_score)
+    ecfg = EvolutionConfig(generations=5, parents=4, mutations=4, fusions=6, seed=12)
+    runs = []
+    for data in (val, copy):
+        passes.clear()
+        admitted.clear()
+        fit = FitnessConfig(Criterion("accuracy", data),
+                            Criterion("robust_accuracy", data, attack_eps=0.1))
+        best, history = evolve(desk.base, desk.spec, GeneratorConfig(seed=63), ecfg, fit, val)
+        runs.append((best, [asdict(h) for h in history], len(passes), len(admitted)))
+    (best, history, calls, n), (best2, history2, calls2, n2) = runs
+    assert history == history2
+    assert (best.cand_id, best.accuracy, best.f_q, best.f_d, best.f) == \
+        (best2.cand_id, best2.accuracy, best2.f_q, best2.f_d, best2.f)
+    f32 = [b.params.flat.astype("<f4").tobytes() for b in (best, best2)]
+    assert f32[0] == f32[1]
+    assert n == n2 > ecfg.parents
+    # on the copy, each admitted model's accuracy and FGSM forward run again
+    assert calls2 - calls == 2 * n
