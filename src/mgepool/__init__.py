@@ -40,6 +40,6 @@ from .nn import (
     train,
 )
 from .store import load_model, save_model, time_ratio
-from .transforms import RngStream, cumulative_energy, dct2, idct2, ks_statistic, sample_bounded_normal
+from .transforms import RngStream, cumulative_energy, dct2, idct2, sample_bounded_normal
 
 __version__ = "0.1.0"

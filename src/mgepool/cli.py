@@ -129,7 +129,8 @@ SCHEMA = {
     "attack": {"epsilons": ([float], [0.01, 0.1]), "examples": (int, OPTIONAL)},
     "output": {"directory": (str, OPTIONAL)},
 }
-# the dataset keys of kind "idx", read in place of n, classes, noise and dim
+# the dataset keys of kind "idx", read in place of n, classes, noise and dim;
+# build_datasets refuses n, noise and dim there, and images and labels elsewhere
 IDX_DATASET = {"images": (str, REQUIRED), "labels": (str, REQUIRED), "classes": (int, OPTIONAL)}
 
 
@@ -156,12 +157,20 @@ class _Splits(dict):  # reading a split the config lacks is a ConfigError
 
 
 def build_datasets(cfg):
-    """The dataset's splits by name."""
+    """The dataset's splits by name. A key that the dataset's kind does not
+    read is a ConfigError."""
     ds = _section(cfg, "dataset")
     splits = ds.pop("splits")
     seed = check_count("dataset.seed", ds["seed"], least=0)  # the split's seed + 1 lets -1 through
-    if ds["kind"] == "idx":
+    is_idx = ds["kind"] == "idx"
+    if is_idx:
         idx = _section(cfg, "dataset", IDX_DATASET)
+    given = cfg.get("dataset", {})
+    unread = [f"dataset.{key}" for key in
+              (("n", "noise", "dim") if is_idx else ("images", "labels")) if key in given]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read with dataset.kind {ds['kind']!r}")
+    if is_idx:
         full = nn.load_idx_dataset(idx.pop("images"), idx.pop("labels"), **idx)
     else:
         full = nn.make_synthetic(**ds)
@@ -353,7 +362,7 @@ def cmd_analyze(cfg, args):
     report["band_sensitivity"] = [{"band": [lo, hi], "accuracy": a} for (lo, hi), a in sens]
     masks = {}
     for e in base.entries:
-        m = generator.unimportant_mask_spatial(e.values, "mid", 0.10)
+        m = generator.unimportant_mask_spatial(e.values, 0.10)
         masks[e.name] = [int(i) for i in np.nonzero(m)[0]]
     report["unimportant_positions"] = masks
     store.write_manifest(report, os.path.join(out, "analysis.json"))
@@ -413,6 +422,8 @@ def cmd_attack(cfg, args):
     epsilons = atk["epsilons"]
     n_examples = {"n_examples": atk["examples"]} if "examples" in atk else {}
     path, manifest, models = _pool_manifest(args.pool, load=True)
+    if not manifest["members"]:  # the pool file is at fault, not the config
+        raise FormatError(f"{path}: the pool has no members to attack")
     recorded = manifest.get("base")
     # `generate` records the base's path relative to the pool directory
     base_path = os.path.normpath(os.path.join(

@@ -77,8 +77,8 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
            fit: FitnessConfig, valset):
     """Full E-MGE loop; returns (best candidate, per-generation history).
 
-    The run computes the base's Spectrum once. The seed population comes
-    from the standard generation loop on it; each generation adds j
+    The seed population comes from ``generate_pool``, and the base's
+    Spectrum it hands back is the run's one spectrum: each generation adds j
     mutation children (round-robin over parents, sampled from it) and up to
     m fused candidates.
     Every child and fused model must pass ``generator.score``; only admitted
@@ -94,9 +94,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     ``taped``.
     """
     valset = eval_set(valset)
-    spectrum = Spectrum(base, gcfg.t)
-    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, spectrum=spectrum,
-                         fit=fit)
+    pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, fit=fit)
     parents, history = [], []
     born = pool.candidates
     next_id = len(born)
@@ -118,7 +116,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
             for i in range(ecfg.mutations):
                 # (gen, i) then child 0: a stream of the child's own, apart from
                 # generation gen's fusion stream (gen, 1 << 20)
-                child = mutate(parents[i % len(parents)], spectrum, gcfg.z,
+                child = mutate(parents[i % len(parents)], pool.spectrum, gcfg.z,
                                root.child(gen, i).child(0))
                 children += admit(child.params, child.lineage)
             fusable = parents + children

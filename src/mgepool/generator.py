@@ -81,6 +81,7 @@ class PoolResult:
     attempts: int
     seconds: float
     base_accuracy: float
+    spectrum: Spectrum        # the base's, which every attempt sampled
 
 
 def importance_mask(coeffs, t) -> MaskRow:
@@ -115,13 +116,11 @@ def importance_mask(coeffs, t) -> MaskRow:
     return MaskRow(keep, float(frac[count - 1]), c)
 
 
-def generate_layer(mask: MaskRow, z, rng, replace=None) -> np.ndarray:
-    """Splice the mask's retained coefficients with fresh bounded-normal
-    draws in [-z, z] and return the inverse DCT. ``replace``, the positions
-    that ``mask`` does not keep, is computed here unless given."""
-    merged = mask.coeffs.copy()
-    if replace is None:
-        replace = np.flatnonzero(~mask.keep)  # indexing by position beats a bool mask
+def generate_layer(coeffs, replace, z, rng) -> np.ndarray:
+    """Splice fresh bounded-normal draws in [-z, z] into a copy of ``coeffs``
+    at the positions ``replace`` (a mask's dropped ones) and return the
+    inverse DCT."""
+    merged = coeffs.copy()
     if replace.size:
         merged[replace] = sample_bounded_normal(z, replace.size, rng)
     return idct2(merged)
@@ -134,14 +133,14 @@ class Spectrum:
     ``layout`` the entries' names and shapes."""
 
     def __init__(self, base: ParamSet, t: float):
-        self.t = t
         self.layout = base.layout
         self.rows = [importance_mask(dct2(e.values), t) for e in base.entries]
+        # indexing by position beats a bool mask
         self.replaced = [np.flatnonzero(~row.keep) for row in self.rows]
 
     def sample(self, rng, z) -> ParamSet:
         """A new ParamSet, each layer drawn from its row with ``rng`` in order."""
-        return ParamSet([ParamEntry(name, shape, generate_layer(row, z, rng, replace=r))
+        return ParamSet([ParamEntry(name, shape, generate_layer(row.coeffs, r, z, rng))
                          for (name, shape), row, r in zip(self.layout, self.rows, self.replaced)])
 
 
@@ -202,16 +201,16 @@ def score(params, spec, valset, base_accuracy, cfg, fit=None, **fields) -> Candi
     return cand
 
 
-def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> PoolResult:
+def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
     """Collect `count` accepted candidates within cfg.attempts * count tries.
 
     ``valset`` is a Dataset or an EvalSet. A Dataset is wrapped in an
     EvalSet for the length of this call, so the first layer's im2col of the
     validation set is built once and shared by every evaluation. Every
-    attempt samples ``spectrum`` (built here unless given; it must be
-    ``Spectrum(base, cfg.t)``), which the result does not keep, then is
-    scored (``score``, with ``fit`` if given, so that every accepted
-    candidate carries its fitness).
+    attempt samples the base's ``Spectrum(base, cfg.t)``, built once here
+    and handed back as the result's ``spectrum``, then is scored
+    (``score``, with ``fit`` if given, so that every accepted candidate
+    carries its fitness).
 
     While attempt i is scored on the calling thread, attempt i + 1 is drawn
     on the tile pool (``nn._tile_pool``) if it will run, with a z already
@@ -222,10 +221,7 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
     scoring. No draw outlives the call.
     """
     count = check_count("count", count)
-    if spectrum is None:
-        spectrum = Spectrum(base, cfg.t)
-    elif spectrum.layout != base.layout or spectrum.t != cfg.t:
-        raise ConfigRangeError("spectrum was not built from this base at this t")
+    spectrum = Spectrum(base, cfg.t)
     valset = eval_set(valset)
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
     root = RngStream(cfg.seed)
@@ -264,17 +260,18 @@ def generate_pool(base, spec, cfg, valset, count, spectrum=None, fit=None) -> Po
     if not accepted:
         raise GenerationFailedError(
             f"no candidate accepted in {attempts} attempts", attempts, budget)
-    return PoolResult(accepted, attempts, elapsed, base_acc)
+    return PoolResult(accepted, attempts, elapsed, base_acc, spectrum)
 
 
 # ---------------------------------------------------------------------------
 # spectrum diagnostics
 
 
-def unimportant_mask_spatial(layer_values, band, fraction) -> np.ndarray:
-    """Parameter positions most affected by zeroing a frequency band.
+def unimportant_mask_spatial(layer_values, fraction) -> np.ndarray:
+    """Parameter positions most affected by zeroing the middle third of a
+    layer's spectrum.
 
-    Zeroes the band's lowest-|magnitude| share of coefficients, inverse-
+    Zeroes that band's lowest-|magnitude| share of coefficients, inverse-
     transforms, and marks the top `fraction` of positions by |delta| as
     unimportant. fraction=0 yields an empty mask.
     """
@@ -287,13 +284,7 @@ def unimportant_mask_spatial(layer_values, band, fraction) -> np.ndarray:
         return mask
     c = dct2(v)
     third = n // 3
-    if band == "low":
-        lo, hi = 0, max(third, 1)
-    elif band == "mid":
-        lo, hi = third, max(2 * third, third + 1)
-    else:
-        raise ConfigRangeError(f"unknown band {band!r}")
-    band_idx = np.arange(lo, hi)
+    band_idx = np.arange(third, max(2 * third, third + 1))
     k_band = int(np.ceil(fraction * band_idx.size))
     order = band_idx[np.argsort(np.abs(c[band_idx]), kind="stable")]
     zeroed = c.copy()
@@ -306,27 +297,35 @@ def unimportant_mask_spatial(layer_values, band, fraction) -> np.ndarray:
 
 
 def zero_fill_decay(base, spec, testset, fractions):
-    """Accuracy after zeroing the lowest-energy share of each layer's spectrum."""
+    """Accuracy after zeroing the lowest-energy share of each layer's spectrum.
+
+    Each entry of ``base`` is transformed, and its energies ranked, once per
+    call; every fraction zeroes a copy of those coefficients."""
     fractions = list(fractions)
     if fractions != sorted(fractions) or not all(0 <= f <= 1 for f in fractions):
         raise ConfigRangeError("fractions must be ascending within [0, 1]")
+    coeffs = [dct2(e.values) for e in base.entries]
+    ranked = [np.argsort(c * c, kind="stable") for c in coeffs]
     curve = []
     for f in fractions:
         if f == 0.0:
             curve.append((f, evaluate_accuracy(spec, base, testset)))
             continue
         zeroed = base.copy()
-        for e in zeroed.entries:
-            c = dct2(e.values)
-            k = int(round(f * c.size))
-            c[np.argsort(c * c, kind="stable")[:k]] = 0.0
+        for e, c, order in zip(zeroed.entries, coeffs, ranked):
+            c = c.copy()
+            c[order[:int(round(f * c.size))]] = 0.0
             e.values[:] = idct2(c)
         curve.append((f, evaluate_accuracy(spec, zeroed, testset)))
     return curve
 
 
 def band_sensitivity(base, spec, testset, bands, scale, seed=0):
-    """Accuracy after perturbing each coefficient index band independently."""
+    """Accuracy after perturbing each coefficient index band independently.
+
+    Each entry of ``base`` is transformed once per call; every band perturbs
+    a copy of those coefficients, and an entry too small to hold any of the
+    band keeps the base's own values."""
     for i, (lo, hi) in enumerate(bands):
         if not (0.0 <= lo < hi <= 1.0):
             raise ConfigRangeError(f"band {i} bounds invalid")
@@ -334,17 +333,18 @@ def band_sensitivity(base, spec, testset, bands, scale, seed=0):
             if lo < hi2 and lo2 < hi:
                 raise ConfigRangeError("bands overlap")
     root = RngStream(check_count("seed", seed, least=0))
+    if scale == 0.0:
+        acc = evaluate_accuracy(spec, base, testset)
+        return [((lo, hi), acc) for lo, hi in bands]
+    coeffs = [dct2(e.values) for e in base.entries]
     results = []
     for bi, (lo, hi) in enumerate(bands):
-        if scale == 0.0:
-            results.append(((lo, hi), evaluate_accuracy(spec, base, testset)))
-            continue
         rng = root.child(bi).generator()
         perturbed = base.copy()
-        for e in perturbed.entries:
-            a, b = int(lo * e.values.size), int(hi * e.values.size)
+        for e, c in zip(perturbed.entries, coeffs):
+            a, b = int(lo * c.size), int(hi * c.size)
             if b > a:
-                c = dct2(e.values)
+                c = c.copy()
                 c[a:b] += sample_bounded_normal(scale, b - a, rng)
                 e.values[:] = idct2(c)
         results.append(((lo, hi), evaluate_accuracy(spec, perturbed, testset)))

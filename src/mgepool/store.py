@@ -76,15 +76,14 @@ def save_model(params: ParamSet, path) -> ModelFileInfo:
     return ModelFileInfo(str(path), digest.hex(), len(body) + HASH_BYTES)
 
 
-def load_model(path, sha256=None) -> ParamSet:
-    """Exact inverse of save_model (values come back as float32-exact floats).
-    Given ``sha256``, the file must carry that hash, checked on the same read."""
-    return read_model(path, sha256)[0]
+def load_model(path) -> ParamSet:
+    """Exact inverse of save_model (values come back as float32-exact floats)."""
+    return read_model(path)[0]
 
 
 def read_model(path, sha256=None):
-    """(``load_model(path, sha256)``, the file's SHA-256: its trailing 32
-    bytes), from one read of the file."""
+    """(``load_model(path)``, the file's SHA-256: its trailing 32 bytes), from
+    one read of the file. Given ``sha256``, the file must carry that hash."""
     with open(path, "rb") as f:
         data = f.read()
     return _decode(data, sha256, path), data[-HASH_BYTES:].hex()
@@ -215,10 +214,11 @@ def verify_manifest(path, load=False):
 
 
 def stamp(config_echo, seeds, artifact_hashes):
-    """Reproducibility record written next to every command's outputs."""
+    """Reproducibility record written next to every command's outputs; its
+    time of writing lives under 'wall_clock', as in a manifest."""
     return {
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": config_echo,
         "seeds": seeds,
         "artifacts": artifact_hashes,
+        "wall_clock": {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }

@@ -1,4 +1,4 @@
-"""Orthonormal DCT-II transform pair, bounded sampling, and distribution stats.
+"""Orthonormal DCT-II transform pair, energy ranking, and bounded sampling.
 
 Everything here operates on flat 1-D float64 vectors and, apart from the
 sampler's draws from the generator it is given, is a pure function of its
@@ -84,15 +84,3 @@ def sample_bounded_normal(z: float, count: int, rng: np.random.Generator) -> np.
         out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
         bad = np.abs(out) > z
     return out
-
-
-def ks_statistic(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup distance of empirical CDFs."""
-    x = _as_vector(a, "a")
-    y = _as_vector(b, "b")
-    x = np.sort(x)
-    y = np.sort(y)
-    grid = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, grid, side="right") / x.size
-    cdf_y = np.searchsorted(y, grid, side="right") / y.size
-    return float(np.abs(cdf_x - cdf_y).max())

@@ -5,6 +5,7 @@ Heavy MNIST-scale checks are skipped unless the IDX files are present
 """
 
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,6 @@ from mgepool import (
     fgsm_batch,
     generate_pool,
     idct2,
-    ks_statistic,
     load_model,
     robust_accuracy,
     save_model,
@@ -34,7 +34,7 @@ from mgepool import (
 from mgepool import cli, evolution
 from mgepool.errors import CorruptModelError
 from mgepool.nn import Dataset, ParamEntry, ParamSet, lenet_like, load_idx_dataset
-from test_transforms import naive_dct2, naive_idct2
+from test_transforms import ks_statistic, naive_dct2, naive_idct2
 
 
 @pytest.fixture
@@ -264,14 +264,20 @@ class TestAcceptance:
         passline(12, "100 bit-exact round trips, byte-level fixture loads, "
                      "corrupted hash rejected")
 
-    def test_criterion_13_determinism(self, tmp_path, passline):
+    def test_criterion_13_determinism(self, tmp_path, passline, monkeypatch):
         from test_cli import desk_config, write_config
         cfg = desk_config(tmp_path / "unused",
                           evolution={"generations": 3, "parents": 4,
                                      "mutations": 4, "fusions": 6})
         cfg_path = write_config(tmp_path, cfg)
         outputs = []
+        strftime = time.strftime
         for run in ("a", "b"):
+            if run == "b":
+                # run b's clock reads five hours later, so a time written
+                # outside wall_clock differs between the runs on every machine
+                monkeypatch.setattr(time, "strftime", lambda fmt, *when: strftime(
+                    fmt, *(when or (time.localtime(time.time() + 5 * 3600),))))
             out = tmp_path / run
             assert cli.main(["--config", cfg_path, "--out", str(out),
                              "train"]) == 0
@@ -281,6 +287,7 @@ class TestAcceptance:
             assert cli.main(["--config", cfg_path, "--out", str(out / "evo"),
                              "evolve", "--model", str(out / "base.mgem")]) == 0
             outputs.append(out)
+        monkeypatch.undo()
         a, b = outputs
 
         def stripped(path):
@@ -288,7 +295,8 @@ class TestAcceptance:
             doc.pop("wall_clock", None)
             return doc
 
-        assert stripped(a / "train.json") == stripped(b / "train.json")
+        for rel in ("train.json", "stamp.json", "pool/stamp.json", "evo/stamp.json"):
+            assert stripped(a / rel) == stripped(b / rel)
         for pool in ("pool", "evo"):
             assert stripped(a / pool / "manifest.json") == stripped(b / pool / "manifest.json")
         [best] = stripped(a / "evo" / "manifest.json")["members"]

@@ -379,6 +379,11 @@ def _config_cases():
     yield "generate:", None, ["dataset", "splits"], {"train": 0.8, "test": 0.2}  # no val
     yield "", None, ["dataset", "splits"], {"train": 0.6, "val": 0.4, "test": 0.0}
     yield "idx:", _IDX, ["dataset", "images"], cli.REQUIRED
+    # a key that the dataset's kind does not read
+    yield "", None, ["dataset", "images"], "nope.idx"
+    yield "moons:", {"dataset": {"kind": "moons"}}, ["dataset", "labels"], "nope.idx"
+    for key, value in (("n", 600), ("noise", 0.12), ("dim", 2)):
+        yield "idx:", _IDX, ["dataset", key], value
 
 
 def _named(path):
@@ -633,6 +638,22 @@ class TestReport:
         assert cli.main(["--config", pipeline["config"], "--out",
                          str(tmp_path / "o"), "report", "--pool", str(pool)]) == 0
         assert "empty" in capsys.readouterr().out
+
+    def test_attacking_an_empty_pool_is_an_input_error(self, pipeline, tmp_path, capsys):
+        """A pool with no members is a bad pool file: exit 3, naming its
+        manifest, before any output file is written."""
+        from mgepool.store import write_manifest
+        pool = tmp_path / "empty"
+        os.makedirs(pool)
+        doc = read_manifest(pipeline["pool"] / "manifest.json")
+        doc["members"] = []
+        doc["base"]["path"] = os.path.relpath(pipeline["out"] / "base.mgem", pool)
+        write_manifest(doc, pool / "manifest.json")
+        out = tmp_path / "o"
+        assert cli.main(["--config", pipeline["config"], "--out", str(out),
+                         "attack", "--pool", str(pool)]) == cli.EXIT_INPUT
+        assert str(pool / "manifest.json") in error_lines(capsys, cli.EXIT_INPUT)
+        assert not list(out.iterdir())
 
     def test_history_report(self, pipeline, evolved, tmp_path, capsys):
         assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),

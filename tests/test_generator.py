@@ -1,31 +1,34 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mgepool import (
+    Criterion,
+    EvolutionConfig,
+    FitnessConfig,
     GeneratorConfig,
     RngStream,
     accept,
     band_sensitivity,
     dct2,
     evaluate_accuracy,
+    evolve,
     generate_layer,
     generate_pool,
     generator,
     importance_mask,
-    ks_statistic,
     make_synthetic,
     mlp,
     mutate,
     unimportant_mask_spatial,
     zero_fill_decay,
 )
-from mgepool.errors import ConfigRangeError, GenerationFailedError
+from mgepool.errors import ConfigRangeError, GenerationFailedError, check_count
 from mgepool.generator import Spectrum
-from mgepool.nn import init_params
-from mgepool.transforms import cumulative_energy, sample_bounded_normal
-from test_transforms import naive_idct2
+from mgepool.nn import Dataset, ParamEntry, ParamSet, init_params, param_layout
+from mgepool.transforms import cumulative_energy, idct2, sample_bounded_normal
+from test_transforms import ks_statistic, naive_idct2
 
 
 def stable_argsort_mask(coeffs, t):
@@ -55,6 +58,54 @@ def stable_argsort_energy(coeffs):
     frac = np.cumsum(energy[np.argsort(-energy, kind="stable")]) / energy.sum()
     frac[-1] = 1.0
     return np.minimum(frac, 1.0)
+
+
+def zero_fill_per_fraction(base, spec, testset, fractions):
+    """``zero_fill_decay`` as it transformed every entry once per fraction,
+    verbatim."""
+    fractions = list(fractions)
+    if fractions != sorted(fractions) or not all(0 <= f <= 1 for f in fractions):
+        raise ConfigRangeError("fractions must be ascending within [0, 1]")
+    curve = []
+    for f in fractions:
+        if f == 0.0:
+            curve.append((f, evaluate_accuracy(spec, base, testset)))
+            continue
+        zeroed = base.copy()
+        for e in zeroed.entries:
+            c = dct2(e.values)
+            k = int(round(f * c.size))
+            c[np.argsort(c * c, kind="stable")[:k]] = 0.0
+            e.values[:] = idct2(c)
+        curve.append((f, evaluate_accuracy(spec, zeroed, testset)))
+    return curve
+
+
+def band_sensitivity_per_band(base, spec, testset, bands, scale, seed=0):
+    """``band_sensitivity`` as it transformed every entry once per band,
+    verbatim."""
+    for i, (lo, hi) in enumerate(bands):
+        if not (0.0 <= lo < hi <= 1.0):
+            raise ConfigRangeError(f"band {i} bounds invalid")
+        for lo2, hi2 in bands[i + 1:]:
+            if lo < hi2 and lo2 < hi:
+                raise ConfigRangeError("bands overlap")
+    root = RngStream(check_count("seed", seed, least=0))
+    results = []
+    for bi, (lo, hi) in enumerate(bands):
+        if scale == 0.0:
+            results.append(((lo, hi), evaluate_accuracy(spec, base, testset)))
+            continue
+        rng = root.child(bi).generator()
+        perturbed = base.copy()
+        for e in perturbed.entries:
+            a, b = int(lo * e.values.size), int(hi * e.values.size)
+            if b > a:
+                c = dct2(e.values)
+                c[a:b] += sample_bounded_normal(scale, b - a, rng)
+                e.values[:] = idct2(c)
+        results.append(((lo, hi), evaluate_accuracy(spec, perturbed, testset)))
+    return results
 
 
 # coefficient vectors with many ties: rounded values and exact zeros,
@@ -169,14 +220,14 @@ class TestGenerateLayer:
         rng = np.random.default_rng(1)
         x = rng.normal(size=40)
         row = importance_mask(dct2(x), 1.0)
-        out = generate_layer(row, GeneratorConfig().z, rng)
+        out = generate_layer(row.coeffs, np.flatnonzero(~row.keep), GeneratorConfig().z, rng)
         assert np.max(np.abs(out - x)) <= 1e-9
 
     def test_all_false_mask_small_z_tends_to_zero(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=32)
         row = importance_mask(dct2(x), 0.0)
-        out = generate_layer(row, 0.001, rng)
+        out = generate_layer(row.coeffs, np.flatnonzero(~row.keep), 0.001, rng)
         assert np.max(np.abs(out)) < 0.01
 
     def test_matches_splice_oracle(self):
@@ -184,9 +235,7 @@ class TestGenerateLayer:
         x = rng.normal(size=8)
         c = dct2(x)
         keep = np.array([True, False, True, False, True, False, True, False])
-        row = importance_mask(c, 0.5)
-        row.keep = keep  # explicit half mask
-        out = generate_layer(row, 0.2, RngStream(77).generator())
+        out = generate_layer(c, np.flatnonzero(~keep), 0.2, RngStream(77).generator())
         # oracle: same draws, explicit coefficient splice + naive inverse DCT
         draws = sample_bounded_normal(0.2, int((~keep).sum()), RngStream(77).generator())
         merged = c.copy()
@@ -237,24 +286,31 @@ class TestGenerateModel:
             kept = (c * c)[row.keep].sum()
             assert kept / (c * c).sum() >= desk.gcfg.t - 1e-12
 
-    def test_masks_of_another_shape_rejected(self, desk):
-        # a spectrum of another layout, and one of this base at another t
-        other = init_params(mlp([2, 8, 3]), np.random.default_rng(0))
-        for spectrum in (Spectrum(other, desk.gcfg.t), Spectrum(desk.base, 0.5)):
-            with pytest.raises(ConfigRangeError):
-                generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], 2,
-                              spectrum=spectrum)
-
 
 class TestGeneratePool:
-    def test_given_spectrum_gives_the_same_pool(self, desk):
-        val = desk.splits["val"]
-        built = generate_pool(desk.base, desk.spec, desk.gcfg, val, 3)
-        given = generate_pool(desk.base, desk.spec, desk.gcfg, val, 3,
-                              spectrum=Spectrum(desk.base, desk.gcfg.t))
-        assert given.attempts == built.attempts
-        for a, b in zip(given.candidates, built.candidates, strict=True):
-            assert np.array_equal(a.params.flat, b.params.flat)
+    def test_the_pool_hands_back_the_one_spectrum_it_sampled(self, desk, monkeypatch):
+        built = Spectrum(desk.base, desk.gcfg.t)
+        pool = generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], 3)
+        assert pool.spectrum.layout == built.layout
+        for a, b in zip(pool.spectrum.rows, built.rows, strict=True):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert a.keep.tobytes() == b.keep.tobytes()
+            assert a.energy_fraction == b.energy_fraction
+        for a, b in zip(pool.spectrum.replaced, built.replaced, strict=True):
+            assert a.tobytes() == b.tobytes()
+        # evolve's seed pool and every mutation child share one Spectrum
+        made = []
+        init = Spectrum.__init__
+
+        def counting(self, base, t):
+            made.append(t)
+            init(self, base, t)
+
+        monkeypatch.setattr(Spectrum, "__init__", counting)
+        evolve(desk.base, desk.spec, desk.gcfg,
+               EvolutionConfig(generations=2, parents=2, mutations=2, fusions=1, seed=4),
+               FitnessConfig(base=Criterion("accuracy", desk.splits["val"])), desk.splits["val"])
+        assert made == [desk.gcfg.t]
 
     def test_single_attempt_at_full_retention(self, desk):
         pool = generate_pool(desk.base, desk.spec, GeneratorConfig(t=1.0, seed=21),
@@ -334,22 +390,21 @@ class TestAdaptiveZ:
 class TestUnimportantMaskSpatial:
     def test_zero_fraction_empty(self):
         rng = np.random.default_rng(4)
-        assert not unimportant_mask_spatial(rng.normal(size=30), "mid", 0.0).any()
+        assert not unimportant_mask_spatial(rng.normal(size=30), 0.0).any()
 
     def test_degenerate_diff_tie_breaks_low_index(self):
         # layer whose mid band is already zero: delta == 0 everywhere
         c = np.zeros(30)
         c[0] = 5.0  # all energy in the DC coefficient (low band)
-        from mgepool.transforms import idct2
         values = idct2(c)
-        mask = unimportant_mask_spatial(values, "mid", 0.10)
+        mask = unimportant_mask_spatial(values, 0.10)
         expected = int(np.ceil(0.10 * 30))
         assert mask[:expected].all() and not mask[expected:].any()
 
     def test_count_matches_top_k_oracle(self, desk):
         e = desk.base.entries[0]
         fraction = 0.10
-        mask = unimportant_mask_spatial(e.values, "mid", fraction)
+        mask = unimportant_mask_spatial(e.values, fraction)
         k = int(np.ceil(fraction * e.values.size))
         assert int(mask.sum()) == k
         # oracle: recompute delta independently and verify the marked set is
@@ -412,6 +467,68 @@ class TestBandSensitivity:
         with pytest.raises(ConfigRangeError):
             band_sensitivity(desk.base, desk.spec, desk.splits["test"],
                              [(0.0, 0.5), (0.4, 1.0)], scale=0.01)
+
+
+class TestDiagnosticsTransformOnce:
+    """``zero_fill_decay`` and ``band_sensitivity`` transform each base entry
+    once per call and give what transforming it once per fraction or band
+    gave, byte for byte."""
+
+    def test_each_entry_is_transformed_once_per_call(self, desk, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(generator, "dct2", lambda v: sizes.append(v.size) or dct2(v))
+        test = desk.splits["test"]
+        zero_fill_decay(desk.base, desk.spec, test, [0.0, 0.1, 0.3, 0.5, 1.0])
+        assert sizes == [e.values.size for e in desk.base.entries]
+        sizes.clear()
+        band_sensitivity(desk.base, desk.spec, test, [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)],
+                         scale=0.05, seed=3)
+        assert sizes == [e.values.size for e in desk.base.entries]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 5), min_size=2, max_size=4), classes=st.integers(2, 3),
+           seed=st.integers(0, 2**16),
+           fractions=st.lists(st.sampled_from([0.0, 0.05, 0.1, 1 / 3, 0.5, 0.9, 1.0]),
+                              max_size=4).map(sorted),
+           bands=st.sampled_from([[(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)],
+                                  [(0.0, 0.1)], [(0.2, 0.25), (0.9, 1.0)], [(0.0, 1.0)]]),
+           scale=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+    @example(widths=[1, 1], classes=2, seed=0, fractions=[0.0, 0.5],
+             bands=[(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)], scale=0.05)
+    @example(widths=[2, 1], classes=3, seed=1, fractions=[0.0], bands=[(0.0, 0.1)], scale=0.0)
+    def test_same_bytes_as_transforming_per_fraction_and_band(self, widths, classes, seed,
+                                                               fractions, bands, scale):
+        """Small MLPs, whose one-unit layers have entries too small to hold a
+        band, at f=0 and at scale=0 among the rest: each reported accuracy and
+        each model evaluated are the same bytes."""
+        spec = mlp(widths + [classes])
+        rng = np.random.default_rng(seed)
+        base = ParamSet([ParamEntry(name, shape, rng.normal(size=int(np.prod(shape))))
+                         for name, shape in param_layout(spec)])
+        test = Dataset(rng.random((12, widths[0])), np.arange(12) % classes, classes)
+        evaluated, evaluate = [], evaluate_accuracy
+
+        def recording(spec, params, testset):
+            evaluated.append(params.flat.tobytes())
+            return evaluate(spec, params, testset)
+
+        def run(fn, *args, **kwargs):
+            evaluated.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(generator, "evaluate_accuracy", recording)
+                mp.setitem(globals(), "evaluate_accuracy", recording)
+                result = fn(base, spec, test, *args, **kwargs)
+            return [key for key, _ in result], np.array([a for _, a in result]).tobytes(), \
+                list(evaluated)
+
+        assert run(zero_fill_decay, fractions) == run(zero_fill_per_fraction, fractions)
+        keys, accs, models = run(band_sensitivity, bands, scale, seed=seed)
+        old_keys, old_accs, old_models = run(band_sensitivity_per_band, bands, scale, seed=seed)
+        assert (keys, accs) == (old_keys, old_accs)
+        if scale:
+            assert models == old_models
+        else:  # the base, evaluated once instead of once per band
+            assert models == old_models[:1] == [base.flat.tobytes()]
 
 
 class TestConfigValidation:

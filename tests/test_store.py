@@ -15,7 +15,7 @@ from mgepool.errors import (
     UnsupportedVersionError,
 )
 from mgepool.nn import ParamEntry, ParamSet, init_params, mlp
-from mgepool.store import build_manifest, read_manifest, verify_manifest, write_manifest
+from mgepool.store import build_manifest, read_manifest, read_model, verify_manifest, write_manifest
 
 
 def random_params(rng, layers=3):
@@ -278,7 +278,7 @@ class TestManifest:
 
     def test_verify_returns_the_members_it_read(self, tmp_path):
         """With ``load``, the decoded members come back from the checking read,
-        equal to ``load_model``; ``load_model`` with a hash checks it too."""
+        equal to ``load_model``; ``read_model`` with a hash checks it too."""
         members, infos = [], []
         for i in range(2):
             infos.append(save_model(random_params(np.random.default_rng(i)),
@@ -290,11 +290,12 @@ class TestManifest:
         doc, models = verify_manifest(tmp_path / "manifest.json", load=True)
         assert doc["members"] == members
         for i, params in enumerate(models):
-            loaded = load_model(tmp_path / f"m{i}.mgem", infos[i].sha256)
+            loaded, digest = read_model(tmp_path / f"m{i}.mgem", infos[i].sha256)
+            assert digest == infos[i].sha256
             assert params.layout == loaded.layout
             assert params.flat.tobytes() == loaded.flat.tobytes()
         with pytest.raises(CorruptModelError, match="m0.mgem"):
-            load_model(tmp_path / "m0.mgem", infos[1].sha256)
+            read_model(tmp_path / "m0.mgem", infos[1].sha256)
 
     def test_parallel_verify_keeps_manifest_order(self, tmp_path):
         """Members are checked on the tile pool, but the error raised is the
