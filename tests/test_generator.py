@@ -24,7 +24,7 @@ from mgepool import (
     unimportant_mask_spatial,
     zero_fill_decay,
 )
-from mgepool.errors import ConfigRangeError, GenerationFailedError, check_count
+from mgepool.errors import ConfigRangeError, GenerationFailedError, StructuralError, check_count
 from mgepool.generator import Spectrum
 from mgepool.nn import Dataset, ParamEntry, ParamSet, init_params, param_layout
 from mgepool.transforms import cumulative_energy, idct2, sample_bounded_normal
@@ -286,8 +286,33 @@ class TestGenerateModel:
             kept = (c * c)[row.keep].sum()
             assert kept / (c * c).sum() >= desk.gcfg.t - 1e-12
 
+    def test_masks_of_another_shape_rejected(self, desk):
+        # a model drawn from a spectrum of another layout is refused before it
+        # is scored, on the plain admission pass and on the taped one
+        other = init_params(mlp([2, 8, 3]), np.random.default_rng(0))
+        sample = Spectrum(other, desk.gcfg.t).sample(np.random.default_rng(1), desk.gcfg.z)
+        val = desk.splits["val"]
+        for fit in (None, FitnessConfig(base=Criterion("robust_accuracy", val, attack_eps=0.1))):
+            with pytest.raises(StructuralError):
+                generator.score(sample, desk.spec, val, desk.base_accuracy, desk.gcfg, fit=fit)
+
 
 class TestGeneratePool:
+    def test_given_spectrum_gives_the_same_pool(self, desk):
+        # the spectrum a pool hands back, sampled with each attempt's stream
+        # and scored, gives that pool again, candidate for candidate
+        val, cfg = desk.splits["val"], desk.gcfg
+        pool = generate_pool(desk.base, desk.spec, cfg, val, 3)
+        root = RngStream(cfg.seed)
+        again = [generator.score(pool.spectrum.sample(root.child(i).generator(), cfg.z),
+                                 desk.spec, val, pool.base_accuracy, cfg, seed=i)
+                 for i in range(pool.attempts)]
+        kept = [c for c in again if c.accepted]
+        assert len(kept) == len(pool.candidates)
+        for a, b in zip(kept, pool.candidates, strict=True):
+            assert (a.seed, a.accuracy) == (b.seed, b.accuracy)
+            assert a.params.flat.tobytes() == b.params.flat.tobytes()
+
     def test_the_pool_hands_back_the_one_spectrum_it_sampled(self, desk, monkeypatch):
         built = Spectrum(desk.base, desk.gcfg.t)
         pool = generate_pool(desk.base, desk.spec, desk.gcfg, desk.splits["val"], 3)
