@@ -50,6 +50,8 @@ class GeneratorConfig:
         self.seed = check_count("seed", self.seed, least=0)
         if not (0.0 < self.epsilon < np.inf):
             raise ConfigRangeError(f"acceptance tolerance {self.epsilon} must be finite and > 0")
+        if type(self.adaptive_z) is not bool:
+            raise ConfigRangeError(f"adaptive_z must be true or false, got {self.adaptive_z!r}")
 
 
 @dataclass

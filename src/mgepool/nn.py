@@ -22,7 +22,9 @@ strided views ``x[:, i::k, j::k]``.
   channels-first backward reads, as NCHW views. A max-pool keeps where each
   strided view equals the output (k*k bool arrays), and its backward gives
   each window's gradient to the first maximum in (i, j) order, as an argmax
-  would. The tape is the gradient-only mode: it skips dW and db, and each
+  would: it forms each window's first-maximum mask once and writes dx one
+  (i, j) view at a time, as an exact integer product of the mask and dy's
+  bits. The tape is the gradient-only mode: it skips dW and db, and each
   recorded backward keeps only what dx reads: a conv keeps no im2col and a
   dense layer no input.
 - ``forward`` and ``loss_and_grads`` take a batch in through ``_batch``. A
@@ -35,12 +37,14 @@ The forward and the backward split the net at its first ``Flatten``:
   conv's GEMM is a stacked matmul (one BLAS call per image), im2col is a
   copy, pooling and activations are elementwise, and col2im adds k*k
   contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
-  the input width and takes one weight-left product per image. The pad
-  adds only +-0.0 into sums that are never -0.0, so every byte is that of
-  the per-window product and strided col2im it replaced. A 1 x 1 output
-  keeps that per-window product, a gemv.) So it runs on row tiles of
-  ``TILE_ROWS`` (32) rows and every output byte is the same as on the
-  whole batch, while each
+  the input height and width and takes one weight-left product per image,
+  so each slab add writes one contiguous run over the tile; with one input
+  channel the product writes its slabs slab-major, so each add also reads
+  one. The pad adds only +-0.0 into sums that are never -0.0, so every
+  byte is that of the per-window product and strided col2im it replaced.
+  A 1 x 1 output keeps that per-window product, a gemv.) So it runs on
+  row tiles of ``TILE_ROWS`` (32) rows and every output byte is the same
+  as on the whole batch, while each
   tile's temporaries stay near the size of a core's L2 cache instead of
   streaming tens of MB per layer. Tiles are independent, so several tiles
   run at once on a private thread pool with one thread per CPU the process
@@ -317,8 +321,9 @@ class Dataset:
     def __post_init__(self):
         if len(self.features) == 0:
             raise InvalidInputError("dataset is empty")
-        if len(self.features) != len(self.labels):
-            raise StructuralError("feature/label count mismatch")
+        if np.shape(self.labels) != (len(self.features),):
+            raise StructuralError(f"labels of shape {np.shape(self.labels)} "
+                                  f"for {len(self.features)} rows")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInputError("non-finite feature values")
         if (self.labels.dtype.kind not in "iu" or self.labels.min() < 0
@@ -436,14 +441,26 @@ def load_idx_dataset(images_path, labels_path, classes=10):
 def _pool_backward(dy, hits, k):
     """dx of a k x k max-pool, C-order NCHW: each window's dy goes to its
     first maximum in (i, j) order. ``hits`` holds, for each (i, j) in that
-    order, where the strided view ``x[..., i::k, j::k]`` equals the output."""
-    dx = np.zeros((*dy.shape[:2], dy.shape[2] * k, dy.shape[3] * k))
-    free = np.ones(dy.shape, dtype=bool)  # windows whose dy is not yet placed
+    order, where the strided view ``x[..., i::k, j::k]`` equals the output.
+
+    The view (i, j) of dx is written once, whole, in that order: it is the
+    mask of the windows whose first maximum sits there, ``hit_t & ~(hit_0 |
+    ... | hit_{t-1})``, times dy's bits read as integers. An integer product
+    by 0 or 1 is exact, so each dx value is dy's own value (a -0.0 too) or
+    +0.0: the bytes of a zeroed dx with dy copied in where the mask holds,
+    and no pass writes a view twice. (A float product would give -0.0 where
+    a negative dy meets a false mask; ``copyto(where=)`` and ``np.where``
+    both ran slower.)"""
+    n, c, h2, w2 = dy.shape
+    dx = np.empty((n, c, h2, k, w2, k))
+    bits, dy_bits = dx.view(np.uint64), dy.view(np.uint64)
+    seen = np.zeros(dy.shape, dtype=bool)  # windows whose first maximum came earlier
+    first = np.empty(dy.shape, dtype=bool)
     for (i, j), hit in zip(np.ndindex(k, k), hits):
-        first = hit & free
-        np.copyto(dx[:, :, i::k, j::k], dy, where=first)
-        free ^= first
-    return dx
+        np.greater(hit, seen, out=first)  # hit and not seen
+        np.multiply(first, dy_bits, out=bits[:, :, :, i, :, j])
+        seen |= hit
+    return dx.reshape(n, c, h2 * k, w2 * k)
 
 
 def _conv_backward(xshape, cols, w, pidx, dy, grads):
@@ -451,22 +468,24 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     ``pidx``; writes dW and db into ``grads`` unless it is None. Only dW reads
     ``cols``, the forward's (n, h2*w2, ic*k*k) im2col.
 
-    col2im reads contiguous memory. ``dy``'s rows are padded with zeros from
-    w2 to the input width W = w2 + k - 1, so that one weight-left product per
-    image, ``wmat.T @ dyp``, gives for each weight column (c, i, j) a slab of
-    h2*W values laid out like rows i.. of channel c of dx, shifted by j. dx
-    is then k*k slab adds, in (i, j) order, into one flat buffer over the
-    tile: slab (i, j) of every channel starts at offset i*W + j of that
-    channel. The bytes are those of the per-window product and strided adds
-    this replaced (for a C-order ``dy``, as every recorded backward passes):
-    each real product is the same dot product over oc in BLAS's K-order, each
-    dx element gets its real adds in the same (i, j) order, and a pad column
-    adds a +-0.0 product into a sum that started at +0.0 and so is never
-    -0.0, which changes nothing. That also covers the pad tail of a
-    channel's last slabs, which lands on the first row of the next channel
-    (or image) and past the buffer's dx part. A 1 x 1 output (h2 = w2 = 1)
-    keeps the old per-image vector-matrix product: numpy sends it to gemv,
-    whose sum order differs from the padded GEMM's."""
+    col2im writes contiguous memory. ``dy`` is padded with zeros from h2 x w2
+    to the input's H x W = (h2 + k - 1) x (w2 + k - 1), so that one
+    weight-left product per image, ``wmat.T @ dyp``, gives for each weight
+    column (c, i, j) a slab of H*W values laid out like channel c of dx,
+    shifted by i rows and j columns. dx is then k*k slab adds, in (i, j)
+    order, each into one contiguous run of a flat buffer over the tile: slab
+    (i, j) of every image and channel starts at offset i*W + j. With one
+    input channel the product writes its slabs slab-major, so each add also
+    reads one contiguous run. The bytes are those of the per-window product
+    and strided adds this replaced (for a C-order ``dy``, as every recorded
+    backward passes): each real product is the same dot product over oc in
+    BLAS's K-order, each dx element gets its real adds in the same (i, j)
+    order, and a pad row or column adds a +-0.0 product into a sum that
+    started at +0.0 and so is never -0.0, which changes nothing. That also
+    covers the pad tail of a channel's slabs, which lands on the first rows
+    of the next channel (or image) and past the buffer's dx part. A 1 x 1
+    output (h2 = w2 = 1) keeps the old per-image vector-matrix product: numpy
+    sends it to gemv, whose sum order differs from the padded GEMM's."""
     n, oc, h2, w2 = dy.shape
     k = w.shape[-1]
     wmat = w.reshape(oc, -1)
@@ -477,14 +496,20 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     if h2 == w2 == 1:  # each dx element is one product; + 0.0 is the add into zeros
         return (dy_mat @ wmat).reshape(xshape) + 0.0
     _, ic, hi, wi = xshape
-    dyp = np.zeros((n, oc, h2, wi))
-    dyp[..., :w2] = dy
-    slabs = (wmat.T @ dyp.reshape(n, oc, h2 * wi)).reshape(n, ic, k * k, h2 * wi)
+    dyp = np.zeros((n, oc, hi, wi))
+    dyp[:, :, :h2, :w2] = dy
+    dyp = dyp.reshape(n, oc, hi * wi)
+    if ic == 1:  # slab-major: slab (i, j) of the whole tile is one run
+        slabs = np.empty((k * k, n, hi * wi))
+        np.matmul(wmat.T, dyp, out=slabs.transpose(1, 0, 2))
+        slabs = slabs.transpose(1, 0, 2)[:, None]
+    else:
+        slabs = (wmat.T @ dyp).reshape(n, ic, k * k, hi * wi)
     size = n * ic * hi * wi
     flat = np.zeros(size + (k - 1) * (wi + 1))  # room for the last slab's pad tail
     for t, (i, j) in enumerate(np.ndindex(k, k)):
         at = i * wi + j
-        flat[at:at + size].reshape(n, ic, hi * wi)[:, :, :h2 * wi] += slabs[:, :, t]
+        flat[at:at + size].reshape(n, ic, hi * wi)[...] += slabs[:, :, t]
     return flat[:size].reshape(xshape)
 
 

@@ -122,6 +122,11 @@ def test_fixed_nets_reach_their_case(spec):
        zeros=st.sampled_from([0.0, 0.3, 0.9]), param_grads=st.booleans())
 @example(n=3, ic=2, oc=4, k=3, h2=1, w2=1, seed=0, zeros=0.3, param_grads=False)
 @example(n=3, ic=1, oc=4, k=1, h2=5, w2=4, seed=0, zeros=0.3, param_grads=True)
+# LeNet's two convs over one 32-row tile: conv1's one input channel and conv2
+@example(n=32, ic=1, oc=6, k=5, h2=24, w2=24, seed=1, zeros=0.3, param_grads=False)
+@example(n=32, ic=1, oc=6, k=5, h2=24, w2=24, seed=1, zeros=0.3, param_grads=True)
+@example(n=32, ic=6, oc=16, k=5, h2=8, w2=8, seed=2, zeros=0.3, param_grads=False)
+@example(n=32, ic=6, oc=16, k=5, h2=8, w2=8, seed=2, zeros=0.3, param_grads=True)
 def test_conv_backward_matches_on_its_own(n, ic, oc, k, h2, w2, seed, zeros, param_grads):
     """The function alone, on a C-order dy (as every recorded backward passes
     it) with a share ``zeros`` of exact zeros, half of them -0.0."""

@@ -577,6 +577,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigRangeError):
             GeneratorConfig(t=1.5)
 
+    @pytest.mark.parametrize("flag", ["no", 2, 1, 0, None, np.True_])
+    def test_adaptive_z_must_be_a_bool(self, flag):
+        """"no" would turn adaptive z on and be written to the manifest as
+        "no"; the CLI turns a config's 0/1 into a bool before it gets here."""
+        with pytest.raises(ConfigRangeError, match="adaptive_z"):
+            GeneratorConfig(adaptive_z=flag)
+
     @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_positive(self, epsilon):
         with pytest.raises(ConfigRangeError, match="tolerance"):

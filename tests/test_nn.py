@@ -524,6 +524,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="label"):
             nn.Dataset(np.zeros((3, 2)), np.array(labels), 3)
 
+    @pytest.mark.parametrize("labels", [[[0], [1], [2]], [[0, 1, 2]], 0],
+                             ids=["column", "row", "scalar"])
+    def test_labels_must_be_one_per_row(self, labels):
+        """A (n, 1) column would broadcast against the (n,) argmax, and the
+        accuracy of 3 rows would read 3 times the share correct."""
+        with pytest.raises(StructuralError, match="labels"):
+            nn.Dataset(np.zeros((3, 2)), np.array(labels), 3)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_integer_labels_of_any_width_accepted(self, dtype):
         ds = nn.Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=dtype), 3)
