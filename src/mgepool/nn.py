@@ -38,10 +38,11 @@ The forward and the backward split the net at its first ``Flatten``:
   copy, pooling and activations are elementwise, and col2im adds k*k
   contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
   the input height and width and takes one weight-left product per image,
-  so each slab add writes one contiguous run over the tile; with one input
-  channel the product writes its slabs slab-major, so each add also reads
-  one. The pad adds only +-0.0 into sums that are never -0.0, so every
-  byte is that of the per-window product and strided col2im it replaced.
+  so each slab add writes one contiguous run over the tile; the product
+  writes its slabs channel- and slab-major, so each add reads one run per
+  input channel, a single run with one input channel. The pad adds only
+  +-0.0 into sums that are never -0.0, so every byte is that of the
+  per-window product and strided col2im it replaced.
   A 1 x 1 output keeps that per-window product, a gemv.) So it runs on
   row tiles of ``TILE_ROWS`` (32) rows and every output byte is the same
   as on the whole batch, while each
@@ -474,10 +475,12 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     column (c, i, j) a slab of H*W values laid out like channel c of dx,
     shifted by i rows and j columns. dx is then k*k slab adds, in (i, j)
     order, each into one contiguous run of a flat buffer over the tile: slab
-    (i, j) of every image and channel starts at offset i*W + j. With one
-    input channel the product writes its slabs slab-major, so each add also
-    reads one contiguous run. The bytes are those of the per-window product
-    and strided adds this replaced (for a C-order ``dy``, as every recorded
+    (i, j) of every image and channel starts at offset i*W + j. Each
+    image's product writes into an (ic, k*k, n, H*W) buffer (the same GEMM,
+    only its ldc grows to n*H*W), so slab (i, j) of channel c is one
+    contiguous run over the tile and each add reads ic runs: one with one
+    input channel. The bytes are those of the per-window product and
+    strided adds this replaced (for a C-order ``dy``, as every recorded
     backward passes): each real product is the same dot product over oc in
     BLAS's K-order, each dx element gets its real adds in the same (i, j)
     order, and a pad row or column adds a +-0.0 product into a sum that
@@ -499,12 +502,11 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     dyp = np.zeros((n, oc, hi, wi))
     dyp[:, :, :h2, :w2] = dy
     dyp = dyp.reshape(n, oc, hi * wi)
-    if ic == 1:  # slab-major: slab (i, j) of the whole tile is one run
-        slabs = np.empty((k * k, n, hi * wi))
-        np.matmul(wmat.T, dyp, out=slabs.transpose(1, 0, 2))
-        slabs = slabs.transpose(1, 0, 2)[:, None]
-    else:
-        slabs = (wmat.T @ dyp).reshape(n, ic, k * k, hi * wi)
+    # each image's product lands channel- and slab-major: rows (c, i, j) of
+    # image m go to slabs[c, (i, j), m], so image m's block has ldc n*H*W
+    slabs = np.empty((ic, k * k, n, hi * wi))
+    np.matmul(wmat.T, dyp, out=slabs.reshape(ic * k * k, n, hi * wi).transpose(1, 0, 2))
+    slabs = slabs.transpose(2, 0, 1, 3)  # (n, ic, k*k, H*W)
     size = n * ic * hi * wi
     flat = np.zeros(size + (k - 1) * (wi + 1))  # room for the last slab's pad tail
     for t, (i, j) in enumerate(np.ndindex(k, k)):
