@@ -10,6 +10,7 @@ generation and evolution's mutation draw from it.
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import wait
 from dataclasses import dataclass
 
@@ -214,13 +215,20 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
     (``score``, with ``fit`` if given, so that every accepted candidate
     carries its fitness).
 
-    While attempt i is scored on the calling thread, attempt i + 1 is drawn
-    on the tile pool (``nn._tile_pool``) if it will run, with a z already
-    known, whatever attempt i decides. So each attempt draws once, in
-    attempt order, from its own stream ``root.child(i)``, and the pool is
-    the one a plain loop of ``score(spectrum.sample(...))`` gives, byte for
-    byte. A candidate's ``seconds`` is the wait for its draw plus its
-    scoring. No draw outlives the call.
+    While attempt a is scored on the calling thread, the tile pool
+    (``nn._tile_pool``) draws ahead every attempt a + d that is certain to
+    run with the current z, whatever the attempts before it decide: the
+    pool is not full even if all of them are accepted (``len(accepted) + d
+    < count``), the budget allows it (``a + d < budget``), and with
+    ``adaptive_z`` none of ``consecutive + 1 ... consecutive + d`` is a
+    multiple of 10, so no run of rejections halves z first (that keeps d
+    under 10, so a run that an acceptance restarts cannot reach 10 either).
+    Up to two draws per pool worker are held, one running and one queued.
+    So each attempt a draws once, in attempt order, from its own stream
+    ``root.child(a)``, and the pool is the one a plain loop of
+    ``score(spectrum.sample(...))`` gives, byte for byte. A candidate's
+    ``seconds`` is the wait for its draw plus its scoring. No draw outlives
+    the call.
     """
     count = check_count("count", count)
     spectrum = Spectrum(base, cfg.t)
@@ -228,22 +236,23 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
     base_acc = evaluate_accuracy(spec, base.as_float32(), valset)
     root = RngStream(cfg.seed)
     budget = cfg.attempts * count
+    window = 2 * _tile_pool.workers()
     accepted, attempts, consecutive, z = [], 0, 0, cfg.z
-    draw = None  # the Future of attempt `attempts`'s sample, when it was drawn ahead
+    ahead = deque()  # the Futures of the attempts drawn ahead, in attempt order
     t0 = time.perf_counter()
     try:
         while len(accepted) < count and attempts < budget:
             t1 = time.perf_counter()
-            if draw is None:
-                params = spectrum.sample(root.child(attempts).generator(), z)
+            if ahead:
+                params = ahead.popleft().result()
             else:
-                params, draw = draw.result(), None
-            # the next attempt happens, with this z, unless this one fills the
-            # pool or the budget, or its rejection halves z
-            if (len(accepted) + 1 < count and attempts + 1 < budget
-                    and not (cfg.adaptive_z and consecutive % 10 == 9)):
-                draw = _tile_pool.submit(spectrum.sample,
-                                         root.child(attempts + 1).generator(), z)
+                params = spectrum.sample(root.child(attempts).generator(), z)
+            d = len(ahead) + 1  # the next attempt to draw is attempts + d
+            while (d <= window and len(accepted) + d < count and attempts + d < budget
+                   and not (cfg.adaptive_z and (consecutive + d) % 10 == 0)):
+                ahead.append(_tile_pool.submit(spectrum.sample,
+                                               root.child(attempts + d).generator(), z))
+                d += 1
             cand = score(params, spec, valset, base_acc, cfg, fit=fit, seed=attempts)
             cand.seconds = time.perf_counter() - t1
             attempts += 1
@@ -256,8 +265,7 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
                 if cfg.adaptive_z and consecutive % 10 == 0:
                     z = max(z / 2.0, 1e-6)
     finally:
-        if draw is not None:  # an attempt raised: let the draw ahead finish
-            wait([draw])
+        wait(ahead)  # an attempt raised: let the draws ahead finish
     elapsed = time.perf_counter() - t0
     if not accepted:
         raise GenerationFailedError(

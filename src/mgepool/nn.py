@@ -54,9 +54,10 @@ The forward and the backward split the net at its first ``Flatten``:
   calling thread. When recording, each tile keeps its own layers'
   backwards, and the backward runs tile by tile, on the same pool.
   The pool also runs work that is not a tile (``_tile_pool.submit``):
-  ``generator.generate_pool`` draws its next attempt on it while the
-  current one is scored, and ``store.verify_manifest`` checks its member
-  files on it. With one CPU, that work and the tiles queue on one worker.
+  ``generator.generate_pool`` draws its next attempts on it, up to two per
+  worker, while the current one is scored, and ``store.verify_manifest``
+  checks its member files on it. With one CPU, that work and the tiles
+  queue on one worker.
 - The **vector stage** (every Dense, its activations, the softmax and
   cross-entropy) runs on the whole batch, on the calling thread. BLAS
   rounds a dense GEMM by its row count: with OpenBLAS 0.3.31, the rows of
@@ -322,8 +323,12 @@ class Dataset:
     def __post_init__(self):
         if len(self.features) == 0:
             raise InvalidInputError("dataset is empty")
-        if np.shape(self.labels) != (len(self.features),):
-            raise StructuralError(f"labels of shape {np.shape(self.labels)} "
+        try:
+            self.labels = np.asarray(self.labels)  # a list spells an array
+        except ValueError:  # a ragged list
+            raise StructuralError(f"labels are not one per row of {len(self.features)}") from None
+        if self.labels.shape != (len(self.features),):
+            raise StructuralError(f"labels of shape {self.labels.shape} "
                                   f"for {len(self.features)} rows")
         if not np.all(np.isfinite(self.features)):
             raise InvalidInputError("non-finite feature values")
@@ -620,10 +625,11 @@ def _run_tape(tape, d, grads):
 
 class _TilePool:
     """The image stage's thread pool, which also draws ``generate_pool``'s
-    next attempt and checks ``verify_manifest``'s members: one worker per
-    CPU this process may run on, made on first use. A forked child has none
-    of its parent's threads, so it drops the pool and makes its own. No task
-    on it waits for another, so one worker cannot deadlock."""
+    next attempts and checks ``verify_manifest``'s members: one worker per
+    CPU this process may run on (``workers()``), made on first use. A forked
+    child has none of its parent's threads, so it drops the pool and makes
+    its own. No task on it waits for another, so one worker cannot
+    deadlock."""
 
     def __init__(self):
         self._forget()
@@ -631,17 +637,23 @@ class _TilePool:
             os.register_at_fork(after_in_child=self._forget)
 
     def _forget(self):
-        self._lock, self.executor = threading.Lock(), None
+        self._lock, self.executor, self._workers = threading.Lock(), None, 0
 
     def _executor(self):
         with self._lock:
             if self.executor is None:
                 try:
-                    workers = len(os.sched_getaffinity(0))
+                    self._workers = len(os.sched_getaffinity(0))
                 except AttributeError:  # a platform without CPU affinity
-                    workers = os.cpu_count() or 1
-                self.executor = ThreadPoolExecutor(workers, thread_name_prefix="mgepool-tile")
+                    self._workers = os.cpu_count() or 1
+                self.executor = ThreadPoolExecutor(self._workers,
+                                                   thread_name_prefix="mgepool-tile")
             return self.executor
+
+    def workers(self):
+        """The pool's thread count, making the pool if it is not made yet."""
+        self._executor()
+        return self._workers
 
     def submit(self, fn, *args, **kwargs):
         """A Future of ``fn(*args, **kwargs)``, run on the pool."""

@@ -39,41 +39,46 @@ class ModelFileInfo:
     byte_size: int
 
 
-def _encode(params: ParamSet) -> bytes:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<I", len(params.entries))
+def _pieces(params: ParamSet) -> list:
+    """A model file's body, without its hash, as the header pieces and each
+    entry's float32 LE payload (memoryviews of one cast of ``flat``) in file
+    order."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
+        flat = params.flat.astype("<f4")
+    pieces, off = [MAGIC + struct.pack("<II", VERSION, len(params.entries))], 0
     for e in params.entries:
         name = e.name.encode("utf-8")
         if not name:
             raise StorageError("empty layer name")
-        buf += struct.pack("<I", len(name))
-        buf += name
-        buf += struct.pack("<I", len(e.shape))
-        buf += struct.pack(f"<{len(e.shape)}I", *e.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked on the result
-            payload = e.values.astype("<f4")
+        payload = flat[off:off + e.values.size]
+        off += e.values.size
         if not np.isfinite(payload).all():  # load_model rejects it
             raise StorageError(f"entry {e.name} has a value that is not finite in float32")
-        buf += payload.tobytes()
-    return bytes(buf)
+        pieces.append(struct.pack(f"<I{len(name)}sI{len(e.shape)}I", len(name), name,
+                                  len(e.shape), *e.shape))
+        pieces.append(memoryview(payload).cast("B"))
+    return pieces
 
 
 def save_model(params: ParamSet, path) -> ModelFileInfo:
     """Write a model file; parameters are rounded to float32 on disk. A
     value that is NaN, infinite or beyond float32's range raises
-    StorageError before anything is written."""
-    body = _encode(params)
-    digest = hashlib.sha256(body).digest()
+    StorageError before anything is written. ``flat`` is cast to float32
+    once, and the header pieces and views of that cast are hashed and
+    written as they are, with no copy of the whole body."""
+    pieces = _pieces(params)
+    sha = hashlib.sha256()
+    for piece in pieces:
+        sha.update(piece)
+    digest = sha.digest()
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body + digest)
+            f.writelines(pieces + [digest])
         os.replace(tmp, path)
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
-    return ModelFileInfo(str(path), digest.hex(), len(body) + HASH_BYTES)
+    return ModelFileInfo(str(path), digest.hex(), sum(map(len, pieces)) + HASH_BYTES)
 
 
 def load_model(path) -> ParamSet:
@@ -89,10 +94,12 @@ def read_model(path, sha256=None):
     return _decode(data, sha256, path), data[-HASH_BYTES:].hex()
 
 
-def _decode(data, sha256, name) -> ParamSet:
+def _decode(data, sha256, name, load=True):
     """The ParamSet that a model file's bytes ``data`` hold, after checking its
     magic, version, trailing hash (against the content and ``sha256``, if
-    given) and structure. Every error names the file as ``name``."""
+    given), structure and float32 values; without ``load``, the same checks
+    and None, with no ParamSet built. The body is read through a memoryview,
+    so no part of it is copied. Every error names the file as ``name``."""
     if len(data) < 12 + HASH_BYTES:
         raise CorruptModelError(f"{name}: file too short ({len(data)} bytes)")
     if data[:4] != MAGIC:
@@ -100,7 +107,7 @@ def _decode(data, sha256, name) -> ParamSet:
     version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
         raise UnsupportedVersionError(f"{name}: unsupported format version {version}")
-    body, digest = data[:-HASH_BYTES], data[-HASH_BYTES:]
+    body, digest = memoryview(data)[:-HASH_BYTES], data[-HASH_BYTES:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptModelError(f"{name}: content hash mismatch")
     if sha256 is not None and digest.hex() != sha256:
@@ -112,7 +119,7 @@ def _decode(data, sha256, name) -> ParamSet:
         try:
             (name_len,) = struct.unpack_from("<I", body, off)
             off += 4
-            entry = body[off:off + name_len].decode("utf-8")
+            entry = str(body[off:off + name_len], "utf-8")
             off += name_len
             (rank,) = struct.unpack_from("<I", body, off)
             off += 4
@@ -131,10 +138,11 @@ def _decode(data, sha256, name) -> ParamSet:
         values = np.frombuffer(payload, dtype="<f4")
         if not np.isfinite(values).all():  # before the cast, which warns on a signalling NaN
             raise CorruptModelError(f"{name}: entry {entry} contains non-finite values")
-        entries.append(ParamEntry(entry, tuple(int(d) for d in dims), values))
+        if load:
+            entries.append(ParamEntry(entry, tuple(int(d) for d in dims), values))
     if off != len(body):
         raise CorruptModelError(f"{name}: {len(body) - off} trailing bytes")
-    return ParamSet(entries)  # one float32 -> float64 cast, into its flat vector
+    return ParamSet(entries) if load else None  # one float32 -> float64 cast, into its flat
 
 
 def time_ratio(t_gen, t_train) -> float:
@@ -190,9 +198,11 @@ def verify_manifest(path, load=False):
     objects with a string ``file`` and ``hash`` (else FormatError), and each
     member file exists, decodes and carries that hash. Each file is read
     once. Returns (manifest, each member's ParamSet in order if ``load``,
-    else [], so that no decoded member outlives its check). The members are
-    checked on the tile pool (``nn._tile_pool``); a bad one raises the error
-    of the first in manifest order, which names the member by its path."""
+    else []). Without ``load``, each member gets every check that decoding
+    it makes (``_decode``), down to its float32 values' finiteness, and no
+    ParamSet is built. The members are checked on the tile pool
+    (``nn._tile_pool``); a bad one raises the error of the first in manifest
+    order, which names the member by its path."""
     doc = read_manifest(path)
     members = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members, list) or not all(
@@ -206,8 +216,7 @@ def verify_manifest(path, load=False):
         if not os.path.exists(fpath):
             raise CorruptModelError(f"missing member file {fpath}")
         with open(fpath, "rb") as f:
-            params = _decode(f.read(), member["hash"], fpath)
-        return params if load else None
+            return _decode(f.read(), member["hash"], fpath, load)
 
     models = _tile_pool.map(check, members)
     return doc, models if load else []

@@ -136,7 +136,7 @@ class TestConfigValidation:
     def test_non_utf8_layer_name_is_input_error(self, tmp_path, capsys):
         from test_store import hand_assembled
         model = tmp_path / "bad.mgem"
-        model.write_bytes(hand_assembled(b"\xfe\xff", [1.0, 2.0]))
+        model.write_bytes(hand_assembled((b"\xfe\xff", [1.0, 2.0])))
         cfg_path = write_config(tmp_path, desk_config(tmp_path / "o"))
         assert cli.main(["--config", cfg_path, "generate",
                          "--model", str(model)]) == cli.EXIT_INPUT

@@ -532,6 +532,16 @@ class TestValidation:
         with pytest.raises(StructuralError, match="labels"):
             nn.Dataset(np.zeros((3, 2)), np.array(labels), 3)
 
+    def test_labels_given_as_a_list(self):
+        """A list of class indices is taken as the array it spells; a list
+        of anything else gets the typed error an array of it gets."""
+        ds = nn.Dataset(np.zeros((3, 2)), [0, 2, 1], 3)
+        assert ds.labels.dtype.kind == "i" and ds.subset([2, 0]).labels.tolist() == [1, 0]
+        with pytest.raises(InvalidInputError, match="label"):
+            nn.Dataset(np.zeros((3, 2)), [0.0, 1.0, 2.0], 3)
+        with pytest.raises(StructuralError, match="labels"):
+            nn.Dataset(np.zeros((3, 2)), [[0], [1, 2], [0]], 3)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_integer_labels_of_any_width_accepted(self, dtype):
         ds = nn.Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=dtype), 3)

@@ -1,9 +1,10 @@
-"""Sequential oracle for ``generate_pool``, which draws attempt i + 1 on the
-tile pool while attempt i is scored: the pool it returns must be the one a
-plain loop of ``score(spectrum.sample(...))`` over the streams ``root.child(i)``
-gives, in accept decisions, accuracies, attempt count, fitness and float32
-bytes, and no draw may outlive the call. One net is an MLP (no image stage),
-the other a small conv net, whose tiles share the pool with the draw."""
+"""Sequential oracle for ``generate_pool``, which draws the attempts certain
+to follow attempt i on the tile pool while attempt i is scored, at most two
+per pool worker: the pool it returns must be the one a plain loop of
+``score(spectrum.sample(...))`` over the streams ``root.child(i)`` gives, in
+accept decisions, accuracies, attempt count, fitness and float32 bytes, and
+no draw may outlive the call. One net is an MLP (no image stage), the other
+a small conv net, whose tiles share the pool with the draws."""
 
 import time
 
@@ -49,16 +50,55 @@ def record(cand):
             f32_bytes(cand.params))
 
 
-def both(net, cfg, count, monkeypatch, fit=None, decisions=None):
+def window():
+    """The most draws ``generate_pool`` holds ahead: one running and one
+    queued per pool worker."""
+    return 2 * nn._tile_pool.workers()
+
+
+def drawn_ahead(decisions, count, budget, adaptive_z=False):
+    """How many draws ``generate_pool`` submits to the pool over the first
+    len(decisions) attempts, the i-th deciding ``decisions[i]``: its window
+    rule, replayed. Attempt a + d is drawn while attempt a is scored if it
+    is certain to run with a z known now."""
+    drawn, held, accepted, consecutive = 0, 0, 0, 0
+    for a, decision in enumerate(decisions):
+        held = max(held - 1, 0)  # attempt a takes its draw, if it was drawn ahead
+        while (held < window() and accepted + held + 1 < count and a + held + 1 < budget
+               and not (adaptive_z and (consecutive + held + 1) % 10 == 0)):
+            held, drawn = held + 1, drawn + 1
+        accepted, consecutive = accepted + bool(decision), 0 if decision else consecutive + 1
+    return drawn
+
+
+def both(net, cfg, count, monkeypatch, fit=None, decisions=None, held=None):
     """(generate_pool's outcome, the oracle's): each is (attempts, the
     accepted candidates' records) or ("failed", attempts). ``decisions``
     forces the i-th accept decision of each run. ``generate_pool`` must
-    draw once per attempt: no draw ahead is thrown away."""
-    draws, sample = [], Spectrum.sample
+    draw once per attempt: no draw ahead is thrown away. At each draw it
+    submits, it may hold no more than ``window()`` draws not yet taken;
+    ``held``, a list, gets that count at each submit."""
+    draws, sample, submit = [], Spectrum.sample, nn._tile_pool.submit
+    held = [] if held is None else held
+    pending = set()
 
     def counted(self, *args, **kwargs):
         draws.append(1)
         return sample(self, *args, **kwargs)
+
+    def spy(fn, *args, **kwargs):
+        future = submit(fn, *args, **kwargs)
+        if isinstance(getattr(fn, "__self__", None), Spectrum):  # a draw, not a tile
+            pending.add(future)
+            held.append(len(pending))
+            result = future.result
+
+            def taken(*args, **kwargs):
+                pending.discard(future)
+                return result(*args, **kwargs)
+
+            future.result = taken
+        return future
 
     def run(fn):
         if decisions is not None:
@@ -72,9 +112,11 @@ def both(net, cfg, count, monkeypatch, fit=None, decisions=None):
 
     def pooled():
         monkeypatch.setattr(Spectrum, "sample", counted)
+        monkeypatch.setattr(nn._tile_pool, "submit", spy)
         pool = generate_pool(net.base, net.spec, cfg, net.val, count, fit=fit)
         assert [c.cand_id for c in pool.candidates] == list(range(len(pool.candidates)))
         assert len(draws) == pool.attempts
+        assert max(held, default=0) <= window() and not pending
         return pool.attempts, [record(c) for c in pool.candidates]
 
     def oracle():
@@ -86,6 +128,7 @@ def both(net, cfg, count, monkeypatch, fit=None, decisions=None):
 
     outcome = run(pooled)
     monkeypatch.setattr(Spectrum, "sample", sample)
+    monkeypatch.setattr(nn._tile_pool, "submit", submit)
     return outcome, run(oracle)
 
 
@@ -145,6 +188,30 @@ class TestSequentialOracle:
         pooled, oracle = both(net, cfg, 3, monkeypatch, decisions=decisions)
         assert pooled == oracle and pooled[0] == len(decisions)
 
+    def test_the_whole_window_opens(self, net, monkeypatch):
+        """With 8 wanted and a wide budget, the first attempt draws
+        min(window(), 7) attempts ahead, and the pool is still the loop's."""
+        decisions = [True, False, True, True, False, False, True, True, False, True, True, True]
+        cfg = GeneratorConfig(attempts=4, seed=16, **net.mixed)
+        held = []
+        pooled, oracle = both(net, cfg, 8, monkeypatch, decisions=decisions, held=held)
+        assert pooled == oracle and pooled[0] == len(decisions)
+        assert max(held) == min(window(), 7)
+        assert len(held) == drawn_ahead(decisions, 8, 32)
+
+    def test_adaptive_z_stops_the_window_short_of_each_halving(self, net, monkeypatch):
+        """Runs of 8, 9, 10 and 11 rejections: the window stops before each
+        attempt that a run of 10 would give a halved z, so the accepted
+        candidate after the runs of 10 and 11 is drawn with z / 2 and z / 4."""
+        decisions = []
+        for run in (8, 9, 10, 11):
+            decisions += [False] * run + [True]
+        cfg = GeneratorConfig(t=0.9, z=0.2, attempts=30, adaptive_z=True, seed=17)
+        held = []
+        pooled, oracle = both(net, cfg, 4, monkeypatch, decisions=decisions, held=held)
+        assert pooled == oracle and pooled[0] == len(decisions)
+        assert len(held) == drawn_ahead(decisions, 4, 120, adaptive_z=True)
+
     def test_budget_exhaustion(self, net, monkeypatch):
         cfg = GeneratorConfig(t=0.9, z=0.2, attempts=7, adaptive_z=True, seed=14)
         pooled, oracle = both(net, cfg, 2, monkeypatch, decisions=[False] * 14)
@@ -159,16 +226,16 @@ def test_an_error_in_scoring_leaves_no_draw_running(net, monkeypatch):
         return futures[-1]
 
     def slow_sample(self, *args, **kwargs):
-        time.sleep(0.05)  # the draw ahead is still running when scoring raises
+        time.sleep(0.05)  # the draws ahead are still running when scoring raises
         return sample(self, *args, **kwargs)
 
-    calls, score = [], generator.score
+    cands, score = [], generator.score
 
     def failing(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:
+        if len(cands) == 2:
             raise RuntimeError("scoring failed")
-        return score(*args, **kwargs)
+        cands.append(score(*args, **kwargs))
+        return cands[-1]
 
     monkeypatch.setattr(nn._tile_pool, "submit", spy)
     monkeypatch.setattr(Spectrum, "sample", slow_sample)
@@ -177,5 +244,7 @@ def test_an_error_in_scoring_leaves_no_draw_running(net, monkeypatch):
     with pytest.raises(RuntimeError, match="scoring failed"):
         generate_pool(net.base, net.spec, cfg, net.val, 5)
     assert [f for f in futures if not f.done()] == []
-    # attempts 1, 2 and 3 were drawn ahead (the others are image-stage tiles)
-    assert sum(isinstance(f.result(), nn.ParamSet) for f in futures) == 3
+    # attempts 0 and 1 were scored and attempt 2 began: the draws ahead are
+    # those the window rule allows for them (the others are image-stage tiles)
+    ahead = drawn_ahead([c.accepted for c in cands] + [None], 5, 25)
+    assert sum(isinstance(f.result(), nn.ParamSet) for f in futures) == ahead >= 3

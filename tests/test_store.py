@@ -14,7 +14,8 @@ from mgepool.errors import (
     UndefinedRatioError,
     UnsupportedVersionError,
 )
-from mgepool.nn import ParamEntry, ParamSet, init_params, mlp
+from mgepool import store
+from mgepool.nn import ParamEntry, ParamSet, init_params, lenet_like, mlp
 from mgepool.store import build_manifest, read_manifest, read_model, verify_manifest, write_manifest
 
 
@@ -27,14 +28,16 @@ def random_params(rng, layers=3):
     return ParamSet(entries)
 
 
-def hand_assembled(name, values):
-    """A one-layer .mgem file built with nothing but struct + hashlib; ``name``
-    is raw bytes, so it need not be valid UTF-8. Returns the file bytes."""
-    values = np.asarray(values, dtype="<f4")
-    body = b"MGEM" + struct.pack("<I", 1) + struct.pack("<I", 1)
-    body += struct.pack("<I", len(name)) + name
-    body += struct.pack("<I", values.ndim) + struct.pack(f"<{values.ndim}I", *values.shape)
-    body += values.tobytes()
+def hand_assembled(*layers):
+    """A .mgem file built with nothing but struct + hashlib, one layer per
+    (name, values) pair, each shaped as its ``values``; ``name`` is raw
+    bytes, so it need not be valid UTF-8. Returns the file bytes."""
+    body = b"MGEM" + struct.pack("<I", 1) + struct.pack("<I", len(layers))
+    for name, values in layers:
+        values = np.asarray(values, dtype="<f4")
+        body += struct.pack("<I", len(name)) + name
+        body += struct.pack("<I", values.ndim) + struct.pack(f"<{values.ndim}I", *values.shape)
+        body += values.tobytes()
     return rehashed(body)
 
 
@@ -80,7 +83,7 @@ class TestModelFile:
     def test_hand_assembled_file_loads(self, tmp_path):
         values = np.array([[1.5, -2.25], [0.125, 8.0]], dtype="<f4")
         path = tmp_path / "hand.mgem"
-        path.write_bytes(hand_assembled(b"layer0.weight", values))
+        path.write_bytes(hand_assembled((b"layer0.weight", values)))
         loaded = load_model(path)
         assert loaded.entries[0].name == "layer0.weight"
         assert tuple(loaded.entries[0].shape) == (2, 2)
@@ -89,7 +92,7 @@ class TestModelFile:
     def test_non_utf8_layer_name_rejected(self, tmp_path):
         # the trailing hash is valid; only the name bytes are bad
         path = tmp_path / "name.mgem"
-        path.write_bytes(hand_assembled(b"layer\xff.weight", [1.0, 2.0]))
+        path.write_bytes(hand_assembled((b"layer\xff.weight", [1.0, 2.0])))
         with pytest.raises(CorruptModelError, match="UTF-8"):
             load_model(path)
 
@@ -171,7 +174,7 @@ class TestModelFile:
         values = np.array([1.5, -2.25], dtype="<f4")
         values.view("<u4")[1] = bits
         path = tmp_path / "nan.mgem"
-        path.write_bytes(hand_assembled(b"layer0.weight", values))
+        path.write_bytes(hand_assembled((b"layer0.weight", values)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CorruptModelError, match="layer0.weight contains non-finite"):
@@ -208,6 +211,24 @@ class TestModelFile:
             for a, b in zip(reloaded.entries, again.entries):
                 assert np.array_equal(a.values, b.values)
 
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_params(np.random.default_rng(8), layers=4),
+        lambda: init_params(mlp([2, 16, 3]), np.random.default_rng(9)),
+        lambda: init_params(lenet_like(10), np.random.default_rng(10)),
+        lambda: ParamSet([ParamEntry("gain", (), np.array([0.1])),
+                          ParamEntry("couche.poids\u00e9", (2, 1, 3), np.arange(6.0) - 2.5)]),
+        lambda: ParamSet([]),
+    ], ids=["random", "mlp", "lenet", "rank-0-and-utf8", "no-layers"])
+    def test_file_equals_the_hand_assembled_one(self, tmp_path, make):
+        """save_model writes, piece by piece, the bytes of a file assembled
+        field by field, and reports their hash and size."""
+        params = make()
+        info = save_model(params, tmp_path / "m.mgem")
+        data = (tmp_path / "m.mgem").read_bytes()
+        assert data == hand_assembled(*((e.name.encode("utf-8"), e.values.reshape(e.shape))
+                                        for e in params.entries))
+        assert (info.sha256, info.byte_size) == (data[-32:].hex(), len(data))
 
 class TestTimeRatio:
     def test_equal_times(self):
@@ -394,3 +415,51 @@ class TestManifest:
         missing = f"missing member file {re.escape(str(member))}$"
         with pytest.raises(CorruptModelError, match=missing):
             verify_manifest(pools[1] / "manifest.json")
+
+    def test_verify_without_load_rejects_what_load_rejects(self, tmp_path):
+        """Over every truncation and bit flip of a member (the model file
+        fuzz above), ``load=False`` raises the exception ``load=True``
+        raises, with the same message, and passes where it passes."""
+        info = save_model(init_params(mlp([2, 4, 3]), np.random.default_rng(5)),
+                          tmp_path / "m.mgem")
+        manifest, member = tmp_path / "manifest.json", tmp_path / "m.mgem"
+        data, outcomes = member.read_bytes(), set()
+
+        def outcome(load):
+            try:
+                verify_manifest(manifest, load=load)
+            except (CorruptModelError, UnsupportedVersionError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mutant, _ in truncations_and_bit_flips(data):
+                member.write_bytes(mutant)
+                digest = mutant[-32:].hex() if len(mutant) >= 32 else info.sha256
+                write_manifest(build_manifest("pool-f", {}, {},
+                                              [{"id": 0, "file": "m.mgem", "hash": digest}],
+                                              {}), manifest)
+                rejected = outcome(True)
+                assert outcome(False) == rejected
+                outcomes.add(rejected and re.sub(r"\d+", "#", rejected[1]))
+        assert None in outcomes and len(outcomes) > 5  # some load, and many checks fire
+
+    def test_verify_without_load_builds_no_param_set(self, tmp_path, monkeypatch):
+        members = []
+        for i in range(3):
+            info = save_model(random_params(np.random.default_rng(i)), tmp_path / f"m{i}.mgem")
+            members.append({"id": i, "file": f"m{i}.mgem", "hash": info.sha256})
+        write_manifest(build_manifest("pool-s", {}, {}, members, {}),
+                       tmp_path / "manifest.json")
+        built, param_set = [], store.ParamSet
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return param_set(*args, **kwargs)
+
+        monkeypatch.setattr(store, "ParamSet", counted)
+        assert verify_manifest(tmp_path / "manifest.json")[1] == []
+        assert built == []
+        assert len(verify_manifest(tmp_path / "manifest.json", load=True)[1]) == 3
+        assert len(built) == 3  # the spy sees what load builds
