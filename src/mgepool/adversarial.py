@@ -7,11 +7,12 @@ that range after the signed step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigRangeError, check_count
-from .nn import batch_array, eval_batches, forward, loss_and_grads, n_correct
+from .nn import eval_batches, forward, loss_and_grads, n_correct
 
 
 @dataclass
@@ -36,23 +37,35 @@ class TransferReport:
         return "\n".join(lines) + "\n"
 
 
+def _check_eps(eps):
+    if not (0 <= eps < np.inf):
+        raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
+
+
+def _step(x, g, out, *, eps, targeted):
+    """FGSM's step from rows ``x`` along their input gradient ``g``, clipped
+    to [0, 1], written into ``out``: the one place it is written."""
+    return np.clip(x - eps * np.sign(g) if targeted else x + eps * np.sign(g), 0.0, 1.0,
+                   out=out)
+
+
 def fgsm_batch(spec, params, features, labels, eps, targets=None, *, taped=None):
     """Signed-gradient step on a batch (an array or an EvalSet; one example
     ``x`` is the batch ``x[None]``), clipped to [0, 1].
 
     Untargeted: ascend the loss at the true label. Targeted: descend the
     loss at the target label. The gradient is ``nn.loss_and_grads`` on the
-    batch's ``nn.forward(..., tape=True)``: ``taped`` if given, else made here.
+    batch's ``nn.forward(..., tape=True)``: ``taped`` if given (it must have
+    been made on these rows, else StructuralError), else made here. The
+    recorded backward steps each image-stage tile's rows on that tile's
+    worker, as soon as the tile's gradient is formed.
     """
-    if not (0 <= eps < np.inf):
-        raise ConfigRangeError(f"eps {eps} must be finite and >= 0")
+    _check_eps(eps)
     # the taped forward checks that an array batch is finite
-    taped = taped or forward(spec, params, features, tape=True)
-    g = loss_and_grads(spec, params, features, labels if targets is None else targets,
-                       taped=taped)[2]
-    x = batch_array(features)
-    perturbed = x + eps * np.sign(g) if targets is None else x - eps * np.sign(g)
-    return np.clip(perturbed, 0.0, 1.0)
+    logits, back = taped or forward(spec, params, features, tape=True)
+    step = partial(_step, eps=eps, targeted=targets is not None)
+    return loss_and_grads(spec, params, features, labels if targets is None else targets,
+                          taped=(logits, partial(back, step=step)))[2]
 
 
 def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
@@ -61,12 +74,23 @@ def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
     ``dataset`` is a Dataset or an EvalSet; on an EvalSet the attack's
     forward pass takes the first layer's im2col from its cache. ``taped``,
     the ``nn.forward(..., tape=True)`` of ``params`` on all of ``dataset``'s
-    rows (at most ``EVAL_BATCH``, so one batch), goes to ``fgsm_batch``.
+    rows (at most ``EVAL_BATCH``, so one batch), goes to ``fgsm_batch``,
+    which refuses a pass taped on other rows (StructuralError).
+
+    The attack is one pass over the image-stage tiles: ``fgsm_batch``'s
+    backward, asked here to score, runs each tile's stepped rows through
+    the image stage on the tile's worker, and the calling thread runs the
+    vector stage once on the joined features. The logits it counts are the
+    bytes ``nn.forward`` of ``fgsm_batch``'s perturbed batch gives.
     """
+    _check_eps(eps)
     correct = 0
     for features, labels in eval_batches(dataset):
-        adv = fgsm_batch(spec, params, features, labels, eps, taped=taped)
-        correct += n_correct(forward(spec, params, adv), labels)
+        logits, back = taped or forward(spec, params, features, tape=True)
+        scored = []
+        fgsm_batch(spec, params, features, labels, eps,
+                   taped=(logits, partial(back, score=scored.append)))
+        correct += n_correct(scored.pop(), labels)
     return correct / len(dataset)
 
 

@@ -69,22 +69,36 @@ The forward and the backward split the net at its first ``Flatten``:
   sum's order. An MLP has no image stage.
 
 The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
-dataset that many parameter sets are scored on and builds that im2col
-(``first_layer_cols``) on first use. The forward takes it from there when
-it is handed the EvalSet in place of a feature array, so accuracy and FGSM
-on one set share a single copy. It is built only for a set that fits in
-one evaluation batch (``EVAL_BATCH`` rows), since for LeNet it costs
-~115 KB per image, and it lives as long as its EvalSet:
+dataset that many parameter sets are scored on and keeps that im2col
+(``first_layer_cols``), made on first use. The forward takes it from there
+when it is handed the EvalSet in place of a feature array, so accuracy and
+FGSM on one set share a single copy. The buffer is allocated empty, and
+the first forward that reads it fills it: each of its tiles writes its
+rows' windows into the buffer in place of a temporary, so the copy costs
+nothing beyond that forward's own im2col and is spread over the pool's
+workers. The cache counts as filled only when every tile of that forward
+has finished without an error; a forward that starts while another fills
+it builds its own windows, so both get the same bytes. It is kept only for
+a set that fits in one evaluation batch (``EVAL_BATCH`` rows), since for
+LeNet it costs ~115 KB per image, and it lives as long as its EvalSet:
 ``generate_pool`` and ``evolve`` hold theirs for the length of one call.
 
 ``forward(..., tape=True)`` returns the logits with their gradient-only
 backward ``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``,
 the pair gives the training mode's loss and input gradient, byte for byte,
-with no forward, as often as asked. ``adversarial.fgsm_batch`` takes its
-gradient that way, from a tape it is handed or makes. ``generator.score``
-tapes its admission forward when a fitness criterion runs FGSM on the set
-it admits on, so an admitted model gets one clean pass over that set, not
-two: the logits decide admission, and ``score`` hands the pair to
+with no forward, as often as asked; a pair taped on other rows than the
+batch is refused (StructuralError), at once when the rows are the taped
+array or a view of it. ``adversarial.fgsm_batch`` takes its gradient that
+way, from a tape it is handed or makes, and hands ``back`` its step: each
+tile steps its own rows on its worker as soon as its dx is formed, so no
+joined dx is made. ``robust_accuracy`` asks that backward to score as
+well: each tile then also runs its stepped rows through the image stage on
+its worker, and the calling thread joins only the flattened features and
+runs the vector stage once, so the attack is one pass over the tiles, not
+a backward round and then a forward round. ``generator.score`` tapes its
+admission forward when a fitness criterion runs FGSM on the set it admits
+on, so an admitted model gets one clean pass over that set, not two: the
+logits decide admission, and ``score`` hands the pair to
 ``robust_accuracy``, which hands it to ``fgsm_batch``.
 """
 
@@ -95,6 +109,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -321,11 +336,16 @@ class Dataset:
     classes: int
 
     def __post_init__(self):
+        # a list spells an array; a ragged list raises ValueError
+        try:
+            self.features = np.asarray(self.features)
+        except ValueError:
+            raise StructuralError("features are not rows of one shape") from None
         if len(self.features) == 0:
             raise InvalidInputError("dataset is empty")
         try:
-            self.labels = np.asarray(self.labels)  # a list spells an array
-        except ValueError:  # a ragged list
+            self.labels = np.asarray(self.labels)
+        except ValueError:
             raise StructuralError(f"labels are not one per row of {len(self.features)}") from None
         if self.labels.shape != (len(self.features),):
             raise StructuralError(f"labels of shape {self.labels.shape} "
@@ -529,11 +549,14 @@ def _dense_backward(x, w, pidx, d, grads):
     return d @ w.T
 
 
-def _im2col_nhwc(x, k):
+def _im2col_nhwc(x, k, out=None):
     """(n, h2, w2, c*k*k) windows of an NHWC batch, columns in the (c, k, k)
-    order of a conv weight's rows."""
+    order of a conv weight's rows; written into ``out`` if it is given."""
     win = sliding_window_view(x, (k, k), axis=(1, 2))  # (n, h2, w2, c, k, k)
-    return np.ascontiguousarray(win).reshape(*win.shape[:3], -1)
+    if out is None:
+        return np.ascontiguousarray(win).reshape(*win.shape[:3], -1)
+    out.reshape(win.shape)[...] = win
+    return out
 
 
 def _pool_nhwc(x, k):
@@ -561,6 +584,11 @@ def _nchw(a):
     return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
 
 
+def _nhwc(a):
+    """NHWC view of an NCHW batch; any other array as it is."""
+    return a.transpose(0, 2, 3, 1) if a.ndim == 4 else a
+
+
 def _image_stage_len(spec):
     """How many leading layers make the image stage: every layer up to and
     including the first Flatten, or none when no layer comes before a
@@ -569,12 +597,13 @@ def _image_stage_len(spec):
     return cut + 1 if cut else 0
 
 
-def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
+def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads, fill=False):
     """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
     see ``_forward``. ``first_cols`` replaces the im2col of a conv at
-    ``layers[0]``. Given a ``tape`` list, appends each layer's backward
-    ``back(d, grads)``, bound to what it reads when it is made: a closure
-    over the loop would see the last layer's values."""
+    ``layers[0]``; with ``fill``, that im2col is built into it instead.
+    Given a ``tape`` list, appends each layer's backward ``back(d, grads)``,
+    bound to what it reads when it is made: a closure over the loop would
+    see the last layer's values."""
     keep = tape is not None
     for i, layer in enumerate(layers):
         if isinstance(layer, Dense):
@@ -585,7 +614,8 @@ def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
             pidx += 2
         elif isinstance(layer, Conv):
             w = params.entries[pidx].reshaped()
-            cols = first_cols if i == 0 and first_cols is not None else _im2col_nhwc(out, layer.k)
+            into = first_cols if i == 0 else None
+            cols = into if into is not None and not fill else _im2col_nhwc(out, layer.k, into)
             n, h2, w2, _ = cols.shape
             cols = cols.reshape(n, h2 * w2, -1)
             y = cols @ w.reshape(layer.out_ch, -1).T
@@ -677,9 +707,18 @@ def _join(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
+def _same_rows(a, b):
+    """Whether two float64 batches hold the same rows: at once when both
+    view the same memory the same way, else by comparing their values."""
+    return a.shape == b.shape and (
+        (a.__array_interface__["data"][0], a.strides)
+        == (b.__array_interface__["data"][0], b.strides) or np.array_equal(a, b))
+
+
+def _forward(spec, params, x, evalset, tape=False, param_grads=True):
     """Logits of a non-empty batch (else InvalidInputError); image batches
-    run channels-last (NHWC).
+    run channels-last (NHWC). ``evalset`` is the EvalSet whose rows ``x``
+    is, whose cache gives (or takes) the first layer's im2col, or None.
 
     It walks ``_inference_layers(spec)``. The image stage
     (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
@@ -691,37 +730,67 @@ def _forward(spec, params, x, first_cols, tape=False, param_grads=True):
     with one slot per parameter entry, unless that is None. With
     ``param_grads`` the image stage is one tile and each conv and dense layer
     also keeps the input that its dW reads.
+
+    ``back`` takes three more arguments, for ``adversarial.fgsm_batch``:
+
+    - ``batch``: the rows the caller means, refused (StructuralError) unless
+      they are the taped rows (``_same_rows``).
+    - ``step(x_rows, dx_rows, out)``: instead of joining dx, each tile
+      writes ``step`` of its rows and its dx into its rows of a new batch,
+      which ``back`` returns.
+    - ``score``: with ``step``, each tile also runs the image stage of its
+      stepped rows on its worker; the calling thread joins those features,
+      runs the vector stage once and hands the stepped batch's logits to
+      ``score``. They are the bytes ``forward`` of the stepped batch gives.
     """
     if not len(x):
         raise InvalidInputError("empty batch: the loss and its gradients need rows")
     layers = _inference_layers(spec)
     cut = _image_stage_len(spec)
-    out = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
-    if cut:
-        # dW and db sum over the batch, so their image stage runs as one tile
-        step = len(x) if tape and param_grads else TILE_ROWS
-        rows = [slice(s, s + step) for s in range(0, len(x), step)]
+    image, vector_layers = layers[:cut], layers[cut:]
+    # dW and db sum over the batch, so their image stage runs as one tile;
+    # an MLP's is empty, and its one tile is the batch
+    size = len(x) if (tape and param_grads) or not cut else TILE_ROWS
+    rows = [slice(s, s + size) for s in range(0, len(x), size)]
+    out = _nhwc(x)
+    claim = nullcontext((None, False)) if evalset is None else evalset._claim(spec)
+    with claim as (cols, fill):
 
         def run(tile_rows):
             tile = [] if tape else None
-            cols = None if first_cols is None else first_cols[tile_rows]
-            return _layers_forward(layers[:cut], params, 0, out[tile_rows], cols, tile,
-                                   param_grads), (tile_rows, tile)
+            first = None if cols is None else cols[tile_rows]
+            return _layers_forward(image, params, 0, out[tile_rows], first, tile,
+                                   param_grads, fill), (tile_rows, tile)
 
         parts = _tile_pool.map(run, rows)
-        out = _join([part for part, _ in parts])
-        tiles = [tile for _, tile in parts]
+    tiles = [tile for _, tile in parts]
     vector = [] if tape else None
-    pidx = 2 * sum(isinstance(l, (Dense, Conv)) for l in layers[:cut])  # weight, bias each
-    logits = _layers_forward(layers[cut:], params, pidx, out, None, vector, param_grads)
+    pidx = 2 * sum(isinstance(l, (Dense, Conv)) for l in image)  # weight, bias each
+    logits = _layers_forward(vector_layers, params, pidx, _join([p for p, _ in parts]), None,
+                             vector, param_grads)
     if not tape:
         return logits
 
-    def back(d, grads):
+    def back(d, grads, batch=None, step=None, score=None):
+        if batch is not None and not _same_rows(batch, x):
+            raise StructuralError("the taped pass was made on other rows than this batch")
         d = _run_tape(vector, d, grads)
-        if cut:  # several tiles only without parameter gradients
-            d = _join(_tile_pool.map(lambda t, dy=d: _run_tape(t[1], dy[t[0]], grads), tiles))
-        return d
+        if step is None:  # several tiles only without parameter gradients
+            return _join(_tile_pool.map(lambda t: _run_tape(t[1], d[t[0]], grads), tiles))
+        stepped = np.empty(x.shape)
+
+        def attack(t):
+            tile_rows, tile = t
+            adv = step(x[tile_rows], _run_tape(tile, d[tile_rows], grads), stepped[tile_rows])
+            if score is not None:
+                _check_finite(adv)  # as forward checks a batch
+                return _layers_forward(image, params, 0, _nhwc(adv), None, None, False)
+
+        features = _tile_pool.map(attack, tiles)
+        if score is not None:
+            score(_layers_forward(vector_layers, params, pidx, _join(features), None, None,
+                                  False))
+        return stepped
 
     return logits, back
 
@@ -736,41 +805,78 @@ TILE_ROWS = 32  # rows per image-stage tile in evaluation and FGSM (module docst
 
 
 def first_layer_cols(spec, features):
-    """im2col of a batch for the network's first layer, or None when that
-    layer is not a conv or the batch has more than ``EVAL_BATCH`` rows, to
-    bound its memory. It depends only on the data, so one copy serves every
-    parameter set evaluated on the same rows (see ``EvalSet``)."""
+    """An unfilled buffer for the im2col of a batch for the network's first
+    layer, or None when that layer is not a conv or the batch has more than
+    ``EVAL_BATCH`` rows, to bound its memory. The im2col depends only on the
+    data, so one copy serves every parameter set evaluated on the same rows:
+    ``EvalSet`` keeps the buffer, and the first forward over its rows fills
+    it."""
     layer = spec.layers[0]
     if not isinstance(layer, Conv) or len(features) > EVAL_BATCH:
         return None
-    x = np.asarray(features, dtype=np.float64)
-    _check_batch(spec, x)
-    return _im2col_nhwc(x.transpose(0, 2, 3, 1), layer.k)
+    _check_batch(spec, features)
+    c, h, w = spec.input_shape
+    return np.empty((len(features), h - layer.k + 1, w - layer.k + 1, c * layer.k ** 2))
 
 
 class EvalSet:
     """A dataset that many parameter sets are scored on, plus its
-    ``first_layer_cols``, built on first use and kept while the EvalSet lives.
+    ``first_layer_cols``, made on first use and kept while the EvalSet lives.
 
     ``evaluate_accuracy``, ``robust_accuracy``, ``generate_pool``,
     ``generator.score`` and ``evolve`` take an EvalSet wherever they take a
     dataset. ``forward``, ``loss_and_grads`` and ``adversarial.fgsm_batch``
     take one in place of a feature array: the batch is then all of its rows,
-    and the first layer's im2col comes from the cache.
+    and the first layer's im2col comes from the cache. The first forward
+    that reads the cache fills it: each of its tiles writes its rows'
+    windows there as it computes them. The cache counts as filled once every
+    tile has finished; a forward that starts while another fills it builds
+    its own windows.
     """
 
     def __init__(self, dataset):
         self.dataset = dataset
+        self._lock = threading.Lock()
         self._spec = self._cols = None
+        self._filled = self._filling = False
 
     def __len__(self):
         return len(self.dataset)
 
     def first_cols(self, spec):
-        """``first_layer_cols(spec, features)``, built once per spec."""
+        """The cache for ``spec``, ``first_layer_cols(spec, features)``, made
+        once per spec; unfilled until a forward fills it."""
+        with self._lock:
+            return self._cache(spec)
+
+    def _cache(self, spec):  # holding the lock
         if spec != self._spec:
             self._spec, self._cols = spec, first_layer_cols(spec, self.dataset.features)
+            self._filled = self._filling = False
         return self._cols
+
+    @contextmanager
+    def _claim(self, spec):
+        """``(cols, fill)`` for one forward over all rows: the filled cache
+        and False; the unfilled cache and True for the one forward that fills
+        it, which counts as done if the block ends without an error; or
+        ``(None, False)`` when there is no cache or another forward fills it."""
+        with self._lock:
+            cols = self._cache(spec)
+            fill = cols is not None and not (self._filled or self._filling)
+            self._filling |= fill
+            filled = self._filled
+        if not fill:
+            yield (cols if filled else None), False
+            return
+        done = False
+        try:
+            yield cols, True
+            done = True
+        finally:
+            with self._lock:
+                if self._cols is cols:
+                    self._filled, self._filling = done, False
 
 
 def eval_set(data):
@@ -805,26 +911,26 @@ def _check_finite(x):
 
 
 def _batch(spec, params, features):
-    """(float64 rows, first-layer im2col or None) of a batch (an array or an
-    EvalSet) for ``params``, which must have ``spec``'s layout. An array must
-    be finite; an EvalSet's Dataset was checked when it was made, and its
-    im2col comes from its cache."""
+    """(float64 rows, EvalSet or None) of a batch (an array or an EvalSet)
+    for ``params``, which must have ``spec``'s layout. An array must be
+    finite; an EvalSet's Dataset was checked when it was made, and its
+    first-layer im2col comes from its cache."""
     if params.layout != param_layout(spec):
         raise StructuralError("parameters do not match network spec layout")
     x = batch_array(features)
     if not isinstance(features, EvalSet):
         _check_finite(x)
     _check_batch(spec, x)
-    return x, features.first_cols(spec) if isinstance(features, EvalSet) else None
+    return x, features if isinstance(features, EvalSet) else None
 
 
 def forward(spec, params, features, *, tape=False):
     """Logits for a batch of examples (an array or an EvalSet), one row per
     example. With ``tape``, ``(logits, back)`` of a non-empty batch, for
     ``loss_and_grads(..., taped=)``: ``back(d, None)`` is dx from ``d``."""
-    x, cols = _batch(spec, params, features)
+    x, evalset = _batch(spec, params, features)
     if len(x) or tape:
-        return _forward(spec, params, x, cols, tape, param_grads=False)
+        return _forward(spec, params, x, evalset, tape, param_grads=False)
     return np.zeros((0, spec.classes))
 
 
@@ -847,13 +953,17 @@ def loss_and_grads(spec, params, features, labels, *, taped=None):
     Without ``taped`` it trains: the image stage runs as one tile (module
     docstring). Given ``taped``, the ``forward(..., tape=True)`` of
     ``features``, it runs no forward and forms no dW or db (grads is None);
-    the loss and the input gradient are the same bytes as training's.
+    the loss and the input gradient are the same bytes as training's. A
+    ``taped`` pass made on other rows is a StructuralError.
     ``labels`` holds one class index in [0, spec.classes) per row.
     """
     grads = None
     if taped is None:
         grads = [None] * len(params.entries)
-        taped = _forward(spec, params, *_batch(spec, params, features), tape=True)
+        x, evalset = _batch(spec, params, features)
+        taped = _forward(spec, params, x, evalset, tape=True)
+    else:
+        x = batch_array(features)
     logits, back = taped
     y = np.asarray(labels)
     if y.shape != (len(logits),):
@@ -863,7 +973,7 @@ def loss_and_grads(spec, params, features, labels, *, taped=None):
     loss = cross_entropy(logits, y)
     probs = softmax(logits)
     probs[np.arange(len(y)), y] -= 1.0
-    return loss, grads, back(probs / len(y), grads)
+    return loss, grads, back(probs / len(y), grads, x)
 
 
 # ---------------------------------------------------------------------------

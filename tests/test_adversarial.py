@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgepool import evaluate_accuracy, fgsm_batch, nn, robust_accuracy, transfer_matrix
-from mgepool.errors import ConfigRangeError, InvalidInputError
+from mgepool.errors import ConfigRangeError, InvalidInputError, StructuralError
 from mgepool.nn import Dataset, Dense, NetworkSpec, init_params, lenet_like
 
 
@@ -77,6 +77,50 @@ class TestFgsm:
             fgsm_batch(desk.spec, desk.base, val.features, val.labels, eps)
         with pytest.raises(ConfigRangeError):
             robust_accuracy(desk.spec, desk.base, val, eps)
+
+
+TAPED_SPECS = {"dense": NetworkSpec((Dense(3, 2),), (3,), 2), "lenet": lenet_like(10)}
+
+
+class TestTapedRows:
+    """A taped pass serves only the rows it was taped on."""
+
+    @pytest.mark.parametrize("name", TAPED_SPECS)
+    def test_a_pass_taped_on_other_rows_is_refused(self, name):
+        spec = TAPED_SPECS[name]
+        params = init_params(spec, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x, other = rng.uniform(0.0, 1.0, (2, 10, *spec.input_shape))
+        y = np.arange(10) % 2
+        taped = nn.forward(spec, params, x, tape=True)
+        with pytest.raises(StructuralError, match="rows"):
+            fgsm_batch(spec, params, other, y, 0.1, taped=taped)
+        with pytest.raises(StructuralError, match="rows"):
+            fgsm_batch(spec, params, other, y, 0.1, targets=1 - y, taped=taped)
+        for data in (Dataset(other, y, spec.classes), nn.EvalSet(Dataset(other, y, spec.classes))):
+            with pytest.raises(StructuralError, match="rows"):
+                robust_accuracy(spec, params, data, 0.3, taped=taped)
+        # equal rows held in other memory are the same rows
+        assert np.array_equal(fgsm_batch(spec, params, x.copy(), y, 0.1, taped=taped),
+                              fgsm_batch(spec, params, x, y, 0.1))
+
+    def test_the_same_rows_are_not_compared(self, monkeypatch):
+        """The rows of the taped pass itself, or a view of them, are known
+        at once, without a pass over the values."""
+        spec = TAPED_SPECS["lenet"]
+        params = init_params(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(0.0, 1.0, (10, *spec.input_shape))
+        y = np.arange(10) % 2
+        data = Dataset(x, y, spec.classes)
+        expected = fgsm_batch(spec, params, x, y, 0.1)
+        accuracy = robust_accuracy(spec, params, data, 0.1)
+        for features in (x, nn.EvalSet(data)):
+            taped = nn.forward(spec, params, features, tape=True)
+            monkeypatch.setattr(np, "array_equal", None)  # a comparison here would fail
+            got = fgsm_batch(spec, params, x[:], y, 0.1, taped=taped)
+            assert robust_accuracy(spec, params, data, 0.1, taped=taped) == accuracy
+            monkeypatch.undo()
+            assert np.array_equal(got, expected)
 
 
 class TestRobustAccuracy:

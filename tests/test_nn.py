@@ -542,6 +542,18 @@ class TestValidation:
         with pytest.raises(StructuralError, match="labels"):
             nn.Dataset(np.zeros((3, 2)), [[0], [1, 2], [0]], 3)
 
+    def test_features_given_as_a_list(self):
+        """A nested list of feature rows is taken as the array it spells, so
+        a subset and a split index it as they index an array; a ragged list
+        is refused."""
+        ds = nn.Dataset([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]], np.array([0, 1, 0]), 2)
+        assert isinstance(ds.features, np.ndarray) and ds.features.shape == (3, 2)
+        assert ds.subset([0, 2]).features.tolist() == [[0.0, 0.0], [0.5, 0.5]]
+        parts = nn.split_dataset(ds, {"a": 0.5, "b": 0.5}, seed=0)
+        assert sorted(len(p) for p in parts.values()) == [1, 2]
+        with pytest.raises(StructuralError, match="features"):
+            nn.Dataset([[0.0, 0.0], [1.0], [0.5, 0.5]], np.array([0, 1, 0]), 2)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_integer_labels_of_any_width_accepted(self, dtype):
         ds = nn.Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=dtype), 3)
