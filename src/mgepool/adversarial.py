@@ -100,16 +100,18 @@ def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100) -> 
     pool is a list of (model_id, ParamSet). Each member gets the untargeted
     attack's success rate and the targeted one's, whose target is (true
     label + 1) mod classes. The first n_examples of the dataset are used,
-    deterministically.
+    deterministically. Both attacks step from one taped forward of them.
     """
     if not pool:
         raise ConfigRangeError("pool is empty")
     n = min(check_count("n_examples", n_examples), len(dataset))
+    _check_eps(eps)  # before the taped forward
     x = dataset.features[:n]
     y = dataset.labels[:n]
     targets = (y + 1) % dataset.classes
-    adv_u = fgsm_batch(spec, source_params, x, y, eps)
-    adv_t = fgsm_batch(spec, source_params, x, y, eps, targets=targets)
+    taped = forward(spec, source_params, x, tape=True)
+    adv_u = fgsm_batch(spec, source_params, x, y, eps, taped=taped)
+    adv_t = fgsm_batch(spec, source_params, x, y, eps, targets=targets, taped=taped)
     rows = []
     for model_id, params in pool:
         clean = float((forward(spec, params, x).argmax(axis=1) == y).mean())

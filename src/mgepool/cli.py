@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import adversarial, evolution, fitness, generator, nn, store
+from . import adversarial, evolution, fitness, generator, nn, store, transforms
 from .errors import (
     ConfigRangeError,
     CorruptModelError,
@@ -340,31 +340,27 @@ def cmd_train(cfg, args):
 def cmd_analyze(cfg, args):
     out, splits, spec = _inputs(cfg, args)
     base = _load_model(args.model, spec)[0]
-    report = {"layers": {}}
-    from .transforms import cumulative_energy, dct2
-    for e in base.entries:
-        c = dct2(e.values)
+    coeffs = [transforms.dct2(e.values) for e in base.entries]  # once per entry
+    report = {"layers": {}, "unimportant_positions": {}}
+    for e, c in zip(base.entries, coeffs):
+        m = generator.unimportant_mask_spatial(e.values, c, 0.10)
+        report["unimportant_positions"][e.name] = [int(i) for i in np.nonzero(m)[0]]
         if (c * c).sum() == 0.0:
             # no energy to rank: importance_mask keeps every coefficient at any t
             report["layers"][e.name] = {"size": c.size, "all_zero": True, "kept": c.size}
             continue
-        curve = cumulative_energy(c)
+        curve = transforms.cumulative_energy(c)
         report["layers"][e.name] = {
             "size": int(e.values.size),
             "cumulative_energy": [float(v) for v in curve[:: max(1, len(curve) // 64)]],
         }
     fractions = [round(0.05 * i, 2) for i in range(11)]
-    decay = generator.zero_fill_decay(base, spec, splits["test"], fractions)
+    decay = generator.zero_fill_decay(base, coeffs, spec, splits["test"], fractions)
     report["zero_fill_decay"] = [{"fraction": f, "accuracy": a} for f, a in decay]
     bands = [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)]
-    sens = generator.band_sensitivity(base, spec, splits["test"], bands,
+    sens = generator.band_sensitivity(base, coeffs, spec, splits["test"], bands,
                                       scale=0.05, seed=args.seed or 0)
     report["band_sensitivity"] = [{"band": [lo, hi], "accuracy": a} for (lo, hi), a in sens]
-    masks = {}
-    for e in base.entries:
-        m = generator.unimportant_mask_spatial(e.values, 0.10)
-        masks[e.name] = [int(i) for i in np.nonzero(m)[0]]
-    report["unimportant_positions"] = masks
     store.write_manifest(report, os.path.join(out, "analysis.json"))
     _write_stamp(out, cfg, {"analyze": args.seed or 0}, {})
     print(f"analysis written to {os.path.join(out, 'analysis.json')}")

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import robust_accuracy
-from .errors import ConfigRangeError, GenerationFailedError, check_count
+from .errors import ConfigRangeError, GenerationFailedError, StructuralError, check_count
 from .fitness import criterion_score
 from .nn import (ParamEntry, ParamSet, _tile_pool, eval_batches, eval_set, evaluate_accuracy,
                  forward, n_correct)
 from .transforms import (
     MAX_LATENT_BOUND,
     RngStream,
+    _as_vector,
     dct2,
     idct2,
     sample_bounded_normal,
@@ -277,9 +278,9 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
 # spectrum diagnostics
 
 
-def unimportant_mask_spatial(layer_values, fraction) -> np.ndarray:
+def unimportant_mask_spatial(layer_values, coeffs, fraction) -> np.ndarray:
     """Parameter positions most affected by zeroing the middle third of a
-    layer's spectrum.
+    layer's spectrum, ``coeffs`` (``dct2(layer_values)``).
 
     Zeroes that band's lowest-|magnitude| share of coefficients, inverse-
     transforms, and marks the top `fraction` of positions by |delta| as
@@ -287,17 +288,16 @@ def unimportant_mask_spatial(layer_values, fraction) -> np.ndarray:
     """
     if not (0.0 <= fraction < 1.0):
         raise ConfigRangeError(f"fraction={fraction} outside [0, 1)")
-    v = np.asarray(layer_values, dtype=np.float64)
+    v = _as_vector(layer_values, "layer values")
+    if np.shape(coeffs) != v.shape:
+        raise StructuralError(f"coefficients of shape {np.shape(coeffs)} for {v.size} values")
     n = v.size
     mask = np.zeros(n, dtype=bool)
-    if fraction == 0.0:
-        return mask
-    c = dct2(v)
     third = n // 3
     band_idx = np.arange(third, max(2 * third, third + 1))
     k_band = int(np.ceil(fraction * band_idx.size))
-    order = band_idx[np.argsort(np.abs(c[band_idx]), kind="stable")]
-    zeroed = c.copy()
+    zeroed = np.array(coeffs, dtype=np.float64)  # a copy
+    order = band_idx[np.argsort(np.abs(zeroed[band_idx]), kind="stable")]
     zeroed[order[:k_band]] = 0.0
     delta = np.abs(idct2(zeroed) - v)
     k = int(np.ceil(fraction * n))
@@ -306,36 +306,35 @@ def unimportant_mask_spatial(layer_values, fraction) -> np.ndarray:
     return mask
 
 
-def zero_fill_decay(base, spec, testset, fractions):
+def zero_fill_decay(base, coeffs, spec, testset, fractions):
     """Accuracy after zeroing the lowest-energy share of each layer's spectrum.
 
-    Each entry of ``base`` is transformed, and its energies ranked, once per
-    call; every fraction zeroes a copy of those coefficients."""
+    ``coeffs`` holds the ``dct2`` of each entry of ``base``. Their energies
+    are ranked once per call; every fraction zeroes a copy of them."""
     fractions = list(fractions)
     if fractions != sorted(fractions) or not all(0 <= f <= 1 for f in fractions):
         raise ConfigRangeError("fractions must be ascending within [0, 1]")
-    coeffs = [dct2(e.values) for e in base.entries]
     ranked = [np.argsort(c * c, kind="stable") for c in coeffs]
     curve = []
     for f in fractions:
         if f == 0.0:
             curve.append((f, evaluate_accuracy(spec, base, testset)))
             continue
-        zeroed = base.copy()
-        for e, c, order in zip(zeroed.entries, coeffs, ranked):
+        entries = []
+        for e, c, order in zip(base.entries, coeffs, ranked):
             c = c.copy()
             c[order[:int(round(f * c.size))]] = 0.0
-            e.values[:] = idct2(c)
-        curve.append((f, evaluate_accuracy(spec, zeroed, testset)))
+            entries.append(ParamEntry(e.name, e.shape, idct2(c)))
+        curve.append((f, evaluate_accuracy(spec, ParamSet(entries), testset)))
     return curve
 
 
-def band_sensitivity(base, spec, testset, bands, scale, seed=0):
+def band_sensitivity(base, coeffs, spec, testset, bands, scale, seed=0):
     """Accuracy after perturbing each coefficient index band independently.
 
-    Each entry of ``base`` is transformed once per call; every band perturbs
-    a copy of those coefficients, and an entry too small to hold any of the
-    band keeps the base's own values."""
+    ``coeffs`` holds the ``dct2`` of each entry of ``base``. Every band
+    perturbs a copy of them, and an entry too small to hold any of the band
+    keeps the base's own values."""
     for i, (lo, hi) in enumerate(bands):
         if not (0.0 <= lo < hi <= 1.0):
             raise ConfigRangeError(f"band {i} bounds invalid")
@@ -346,16 +345,15 @@ def band_sensitivity(base, spec, testset, bands, scale, seed=0):
     if scale == 0.0:
         acc = evaluate_accuracy(spec, base, testset)
         return [((lo, hi), acc) for lo, hi in bands]
-    coeffs = [dct2(e.values) for e in base.entries]
     results = []
     for bi, (lo, hi) in enumerate(bands):
         rng = root.child(bi).generator()
-        perturbed = base.copy()
-        for e, c in zip(perturbed.entries, coeffs):
+        entries = []
+        for e, c in zip(base.entries, coeffs):
             a, b = int(lo * c.size), int(hi * c.size)
             if b > a:
                 c = c.copy()
                 c[a:b] += sample_bounded_normal(scale, b - a, rng)
-                e.values[:] = idct2(c)
-        results.append(((lo, hi), evaluate_accuracy(spec, perturbed, testset)))
+            entries.append(ParamEntry(e.name, e.shape, idct2(c) if b > a else e.values))
+        results.append(((lo, hi), evaluate_accuracy(spec, ParamSet(entries), testset)))
     return results

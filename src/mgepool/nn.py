@@ -341,6 +341,9 @@ class Dataset:
             self.features = np.asarray(self.features)
         except ValueError:
             raise StructuralError("features are not rows of one shape") from None
+        if self.features.dtype.kind not in "biuf":  # float64 would parse numeric strings
+            raise InvalidInputError(f"features of dtype {self.features.dtype} are not real numbers")
+        self.features = self.features.astype(np.float64, copy=False)
         if len(self.features) == 0:
             raise InvalidInputError("dataset is empty")
         try:
@@ -898,8 +901,8 @@ def eval_batches(data):
 
 
 def batch_array(features):
-    """The float64 rows of a batch given as an array or as an EvalSet,
-    unchecked."""
+    """The float64 rows of a batch given as an array or as an EvalSet (its
+    Dataset's own features), unchecked."""
     if isinstance(features, EvalSet):
         features = features.dataset.features
     return np.asarray(features, dtype=np.float64)

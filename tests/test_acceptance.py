@@ -167,8 +167,8 @@ class TestAcceptance:
 
     def test_criterion_06_zero_fill_decay(self, desk, passline):
         fractions = [round(0.05 * i, 2) for i in range(11)]
-        curve = zero_fill_decay(desk.base, desk.spec, desk.splits["test"],
-                                fractions)
+        curve = zero_fill_decay(desk.base, [dct2(e.values) for e in desk.base.entries],
+                                desk.spec, desk.splits["test"], fractions)
         assert curve[0][1] == desk.test_accuracy
         for (_, prev), (_, nxt) in zip(curve, curve[1:]):
             assert nxt <= prev + 0.02
@@ -286,6 +286,10 @@ class TestAcceptance:
                              "--count", "5"]) == 0
             assert cli.main(["--config", cfg_path, "--out", str(out / "evo"),
                              "evolve", "--model", str(out / "base.mgem")]) == 0
+            assert cli.main(["--config", cfg_path, "--out", str(out / "analysis"),
+                             "analyze", "--model", str(out / "base.mgem")]) == 0
+            assert cli.main(["--config", cfg_path, "--out", str(out / "attack"),
+                             "attack", "--pool", str(out / "pool")]) == 0
             outputs.append(out)
         monkeypatch.undo()
         a, b = outputs
@@ -295,14 +299,16 @@ class TestAcceptance:
             doc.pop("wall_clock", None)
             return doc
 
-        for rel in ("train.json", "stamp.json", "pool/stamp.json", "evo/stamp.json"):
+        for rel in ("train.json", "stamp.json", "pool/stamp.json", "evo/stamp.json",
+                    "analysis/stamp.json", "attack/stamp.json"):
             assert stripped(a / rel) == stripped(b / rel)
         for pool in ("pool", "evo"):
             assert stripped(a / pool / "manifest.json") == stripped(b / pool / "manifest.json")
         [best] = stripped(a / "evo" / "manifest.json")["members"]
         models = ["base.mgem", f"evo/{best['file']}"] + \
             [f"pool/model_{i:04d}.mgem" for i in range(5)]
-        for rel in models:
+        reports = ["analysis/analysis.json", "attack/robustness.csv", "attack/transfer.tsv"]
+        for rel in models + reports:
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
         passline(13, "two full pipeline runs byte-identical (manifests modulo "
-                     "wall clock, model files exactly)")
+                     "wall clock, model files and analyze/attack reports exactly)")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgepool import evaluate_accuracy, fgsm_batch, nn, robust_accuracy, transfer_matrix
+from mgepool import adversarial, evaluate_accuracy, fgsm_batch, nn, robust_accuracy, transfer_matrix
 from mgepool.errors import ConfigRangeError, InvalidInputError, StructuralError
 from mgepool.nn import Dataset, Dense, NetworkSpec, init_params, lenet_like
 
@@ -71,12 +71,15 @@ class TestFgsm:
                        -0.1)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
-    def test_non_finite_eps_rejected(self, desk, eps):
+    def test_non_finite_eps_rejected(self, desk, eps, monkeypatch):
         val = desk.splits["val"]
         with pytest.raises(ConfigRangeError):
             fgsm_batch(desk.spec, desk.base, val.features, val.labels, eps)
         with pytest.raises(ConfigRangeError):
             robust_accuracy(desk.spec, desk.base, val, eps)
+        monkeypatch.setattr(adversarial, "forward", None)  # refused before any pass
+        with pytest.raises(ConfigRangeError):
+            transfer_matrix(desk.spec, desk.base, [("0", desk.base)], val, eps)
 
 
 TAPED_SPECS = {"dense": NetworkSpec((Dense(3, 2),), (3,), 2), "lenet": lenet_like(10)}
@@ -173,6 +176,31 @@ class TestTransferMatrix:
         text = report.to_text()
         assert text.splitlines()[0].startswith("model_id")
         assert len(text.splitlines()) == 4
+
+    @pytest.mark.parametrize("name", TAPED_SPECS)
+    def test_rows_are_taped_once(self, name, monkeypatch):
+        """One taped forward serves the untargeted and the targeted attack,
+        which give the bytes two separately taped calls give."""
+        spec = TAPED_SPECS[name]
+        rng = np.random.default_rng(2)
+        source = init_params(spec, rng)
+        pool = [(str(i), init_params(spec, rng)) for i in range(2)]
+        data = Dataset(rng.uniform(0.0, 1.0, (70, *spec.input_shape)), np.arange(70) % 2, 2)
+        taped, attacks = [], []
+        forward, fgsm = adversarial.forward, adversarial.fgsm_batch
+        monkeypatch.setattr(adversarial, "forward", lambda *a, tape=False: (
+            taped.append(a) if tape else None) or forward(*a, tape=tape))
+        monkeypatch.setattr(adversarial, "fgsm_batch", lambda *a, **k: (
+            attacks.append(fgsm(*a, **k)) or attacks[-1]))
+        report = transfer_matrix(spec, source, pool, data, 0.1, n_examples=70)
+        monkeypatch.undo()
+        assert len(taped) == 1 and len(attacks) == 2
+        x, y = data.features, data.labels
+        assert attacks[0].tobytes() == fgsm_batch(spec, source, x, y, 0.1).tobytes()
+        assert attacks[1].tobytes() == fgsm_batch(spec, source, x, y, 0.1,
+                                                  targets=(y + 1) % 2).tobytes()
+        assert report.to_text() == transfer_matrix(spec, source, pool, data, 0.1,
+                                                   n_examples=70).to_text()
 
     def test_empty_pool_rejected(self, desk):
         with pytest.raises(ConfigRangeError):

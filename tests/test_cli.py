@@ -474,6 +474,17 @@ class TestAnalyze:
         assert doc["layers"]
 
 
+    def test_each_entry_is_transformed_once(self, pipeline, tmp_path, monkeypatch):
+        """The command transforms each base entry once and hands those
+        coefficients to its own curve and to every diagnostic."""
+        from mgepool import generator, transforms
+        sizes, dct2 = [], transforms.dct2
+        for module in (transforms, generator):
+            monkeypatch.setattr(module, "dct2", lambda v: sizes.append(v.size) or dct2(v))
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "analysis"),
+                         "analyze", "--model", str(pipeline["out"] / "base.mgem")]) == 0
+        assert sizes == [128, 64, 192, 3]
+
     def test_all_zero_layer_gets_keep_all_record(self, pipeline, tmp_path):
         from mgepool.nn import init_params, mlp
         from mgepool.store import save_model

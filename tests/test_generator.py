@@ -108,6 +108,36 @@ def band_sensitivity_per_band(base, spec, testset, bands, scale, seed=0):
     return results
 
 
+def unimportant_mask_transforming(layer_values, fraction):
+    """``unimportant_mask_spatial`` as it transformed the layer itself,
+    verbatim."""
+    if not (0.0 <= fraction < 1.0):
+        raise ConfigRangeError(f"fraction={fraction} outside [0, 1)")
+    v = np.asarray(layer_values, dtype=np.float64)
+    n = v.size
+    mask = np.zeros(n, dtype=bool)
+    if fraction == 0.0:
+        return mask
+    c = dct2(v)
+    third = n // 3
+    band_idx = np.arange(third, max(2 * third, third + 1))
+    k_band = int(np.ceil(fraction * band_idx.size))
+    order = band_idx[np.argsort(np.abs(c[band_idx]), kind="stable")]
+    zeroed = c.copy()
+    zeroed[order[:k_band]] = 0.0
+    delta = np.abs(idct2(zeroed) - v)
+    k = int(np.ceil(fraction * n))
+    top = np.argsort(-delta, kind="stable")[:k]  # ties: lowest index first
+    mask[top] = True
+    return mask
+
+
+def spectra(params):
+    """The ``dct2`` of each entry of ``params``, as a caller of the spectrum
+    diagnostics hands them over."""
+    return [dct2(e.values) for e in params.entries]
+
+
 # coefficient vectors with many ties: rounded values and exact zeros,
 # all-equal vectors (length 1 among them), and magnitudes whose squares
 # overflow to inf
@@ -415,21 +445,22 @@ class TestAdaptiveZ:
 class TestUnimportantMaskSpatial:
     def test_zero_fraction_empty(self):
         rng = np.random.default_rng(4)
-        assert not unimportant_mask_spatial(rng.normal(size=30), 0.0).any()
+        values = rng.normal(size=30)
+        assert not unimportant_mask_spatial(values, dct2(values), 0.0).any()
 
     def test_degenerate_diff_tie_breaks_low_index(self):
         # layer whose mid band is already zero: delta == 0 everywhere
         c = np.zeros(30)
         c[0] = 5.0  # all energy in the DC coefficient (low band)
         values = idct2(c)
-        mask = unimportant_mask_spatial(values, 0.10)
+        mask = unimportant_mask_spatial(values, c, 0.10)
         expected = int(np.ceil(0.10 * 30))
         assert mask[:expected].all() and not mask[expected:].any()
 
     def test_count_matches_top_k_oracle(self, desk):
         e = desk.base.entries[0]
         fraction = 0.10
-        mask = unimportant_mask_spatial(e.values, fraction)
+        mask = unimportant_mask_spatial(e.values, dct2(e.values), fraction)
         k = int(np.ceil(fraction * e.values.size))
         assert int(mask.sum()) == k
         # oracle: recompute delta independently and verify the marked set is
@@ -448,67 +479,87 @@ class TestUnimportantMaskSpatial:
 
 class TestZeroFillDecay:
     def test_fraction_zero_equals_base_exactly(self, desk):
-        curve = zero_fill_decay(desk.base, desk.spec, desk.splits["test"], [0.0])
+        curve = zero_fill_decay(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
+                                [0.0])
         assert curve[0][1] == evaluate_accuracy(desk.spec, desk.base, desk.splits["test"])
 
     def test_fraction_one_is_constant_classifier(self, desk):
-        curve = zero_fill_decay(desk.base, desk.spec, desk.splits["test"], [1.0])
+        curve = zero_fill_decay(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
+                                [1.0])
         freq0 = float((desk.splits["test"].labels == 0).mean())
         assert curve[0][1] == freq0
 
     def test_curve_non_increasing_with_slack(self, desk):
         fractions = [0.05 * i for i in range(11)]
-        curve = zero_fill_decay(desk.base, desk.spec, desk.splits["test"], fractions)
+        curve = zero_fill_decay(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
+                                fractions)
         accs = [a for _, a in curve]
         for prev, nxt in zip(accs, accs[1:]):
             assert nxt <= prev + 0.02
 
     def test_unsorted_fractions_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
-            zero_fill_decay(desk.base, desk.spec, desk.splits["test"], [0.5, 0.1])
+            zero_fill_decay(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
+                            [0.5, 0.1])
 
     @pytest.mark.parametrize("fractions", [[np.nan], [0.1, np.nan], [1.5], [-0.1]])
     def test_fractions_outside_unit_range_rejected(self, desk, fractions):
         with pytest.raises(ConfigRangeError):
-            zero_fill_decay(desk.base, desk.spec, desk.splits["test"], fractions)
+            zero_fill_decay(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
+                            fractions)
 
 
 class TestBandSensitivity:
     def test_zero_scale_returns_base_accuracy(self, desk):
         bands = [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]
-        results = band_sensitivity(desk.base, desk.spec, desk.splits["test"],
+        results = band_sensitivity(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
                                    bands, scale=0.0)
         base_acc = evaluate_accuracy(desk.spec, desk.base, desk.splits["test"])
         assert all(acc == base_acc for _, acc in results)
 
     def test_reports_every_band(self, desk):
         bands = [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)]
-        results = band_sensitivity(desk.base, desk.spec, desk.splits["test"],
+        results = band_sensitivity(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
                                    bands, scale=0.05, seed=7)
         assert len(results) == 3
         assert all(0.0 <= acc <= 1.0 for _, acc in results)
 
     def test_overlapping_bands_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
-            band_sensitivity(desk.base, desk.spec, desk.splits["test"],
+            band_sensitivity(desk.base, spectra(desk.base), desk.spec, desk.splits["test"],
                              [(0.0, 0.5), (0.4, 1.0)], scale=0.01)
 
 
 class TestDiagnosticsTransformOnce:
-    """``zero_fill_decay`` and ``band_sensitivity`` transform each base entry
-    once per call and give what transforming it once per fraction or band
-    gave, byte for byte."""
+    """The three spectrum diagnostics take each base entry's coefficients
+    from the caller, transform nothing themselves, and give what
+    transforming each entry once per fraction, band or layer gave, byte for
+    byte."""
 
-    def test_each_entry_is_transformed_once_per_call(self, desk, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(generator, "dct2", lambda v: sizes.append(v.size) or dct2(v))
-        test = desk.splits["test"]
-        zero_fill_decay(desk.base, desk.spec, test, [0.0, 0.1, 0.3, 0.5, 1.0])
-        assert sizes == [e.values.size for e in desk.base.entries]
-        sizes.clear()
-        band_sensitivity(desk.base, desk.spec, test, [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)],
-                         scale=0.05, seed=3)
-        assert sizes == [e.values.size for e in desk.base.entries]
+    def test_the_diagnostics_transform_nothing(self, desk, monkeypatch):
+        transformed = []
+        monkeypatch.setattr(generator, "dct2", transformed.append)
+        coeffs, test = spectra(desk.base), desk.splits["test"]
+        zero_fill_decay(desk.base, coeffs, desk.spec, test, [0.0, 0.1, 0.3, 0.5, 1.0])
+        band_sensitivity(desk.base, coeffs, desk.spec, test,
+                         [(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)], scale=0.05, seed=3)
+        for e, c in zip(desk.base.entries, coeffs):
+            unimportant_mask_spatial(e.values, c, 0.1)
+        assert transformed == []
+
+    def test_coefficients_that_do_not_fit_are_refused(self, desk):
+        """Coefficients of another size than their entry's, or fewer arrays
+        than entries, are a StructuralError."""
+        coeffs, test = spectra(desk.base), desk.splits["test"]
+        for bad in ([coeffs[0][:-1], *coeffs[1:]], coeffs[:-1]):
+            with pytest.raises(StructuralError):
+                zero_fill_decay(desk.base, bad, desk.spec, test, [0.0, 0.5])
+            with pytest.raises(StructuralError):
+                band_sensitivity(desk.base, bad, desk.spec, test, [(0.0, 1.0)], scale=0.05)
+        values = desk.base.entries[0].values
+        for bad in (coeffs[0][:-1], coeffs[0][None]):
+            with pytest.raises(StructuralError, match="coefficients"):
+                unimportant_mask_spatial(values, bad, 0.1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(widths=st.lists(st.integers(1, 5), min_size=2, max_size=4), classes=st.integers(2, 3),
@@ -517,15 +568,19 @@ class TestDiagnosticsTransformOnce:
                               max_size=4).map(sorted),
            bands=st.sampled_from([[(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)],
                                   [(0.0, 0.1)], [(0.2, 0.25), (0.9, 1.0)], [(0.0, 1.0)]]),
-           scale=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+           scale=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+           mask_fraction=st.sampled_from([0.0, 0.05, 0.1, 1 / 3, 0.5, 0.9]))
     @example(widths=[1, 1], classes=2, seed=0, fractions=[0.0, 0.5],
-             bands=[(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)], scale=0.05)
-    @example(widths=[2, 1], classes=3, seed=1, fractions=[0.0], bands=[(0.0, 0.1)], scale=0.0)
+             bands=[(0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)], scale=0.05, mask_fraction=0.1)
+    @example(widths=[2, 1], classes=3, seed=1, fractions=[0.0], bands=[(0.0, 0.1)], scale=0.0,
+             mask_fraction=0.0)
     def test_same_bytes_as_transforming_per_fraction_and_band(self, widths, classes, seed,
-                                                               fractions, bands, scale):
+                                                               fractions, bands, scale,
+                                                               mask_fraction):
         """Small MLPs, whose one-unit layers have entries too small to hold a
         band, at f=0 and at scale=0 among the rest: each reported accuracy and
-        each model evaluated are the same bytes."""
+        each model evaluated are the same bytes, and so is each entry's
+        unimportant-position mask."""
         spec = mlp(widths + [classes])
         rng = np.random.default_rng(seed)
         base = ParamSet([ParamEntry(name, shape, rng.normal(size=int(np.prod(shape))))
@@ -546,14 +601,22 @@ class TestDiagnosticsTransformOnce:
             return [key for key, _ in result], np.array([a for _, a in result]).tobytes(), \
                 list(evaluated)
 
-        assert run(zero_fill_decay, fractions) == run(zero_fill_per_fraction, fractions)
-        keys, accs, models = run(band_sensitivity, bands, scale, seed=seed)
+        def taking_coeffs(fn):  # called as the oracles are, with the caller's coefficients
+            return lambda base, *args, **kwargs: fn(base, spectra(base), *args, **kwargs)
+
+        assert run(taking_coeffs(zero_fill_decay), fractions) == \
+            run(zero_fill_per_fraction, fractions)
+        keys, accs, models = run(taking_coeffs(band_sensitivity), bands, scale, seed=seed)
         old_keys, old_accs, old_models = run(band_sensitivity_per_band, bands, scale, seed=seed)
         assert (keys, accs) == (old_keys, old_accs)
         if scale:
             assert models == old_models
         else:  # the base, evaluated once instead of once per band
             assert models == old_models[:1] == [base.flat.tobytes()]
+        for e in base.entries:
+            mask = unimportant_mask_spatial(e.values, dct2(e.values), mask_fraction)
+            old_mask = unimportant_mask_transforming(e.values, mask_fraction)
+            assert mask.tobytes() == old_mask.tobytes()
 
 
 class TestConfigValidation:

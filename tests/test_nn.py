@@ -554,6 +554,37 @@ class TestValidation:
         with pytest.raises(StructuralError, match="features"):
             nn.Dataset([[0.0, 0.0], [1.0], [0.5, 0.5]], np.array([0, 1, 0]), 2)
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+    def test_features_become_float64_once(self, dtype, monkeypatch):
+        """Real features of any dtype are converted where the set is made, so
+        every forward over an EvalSet reads the same rows, and a pass taped
+        on them is known by identity, without comparing values."""
+        from mgepool.adversarial import robust_accuracy
+        given = np.array([[0, 0], [1, 1], [0, 1]], dtype=dtype)
+        ds = nn.Dataset(given, np.array([0, 1, 0]), 2)
+        ev = nn.EvalSet(ds)
+        assert nn.batch_array(ev) is nn.batch_array(ev)
+        assert ds.features.dtype == np.float64 and ds.features.tolist() == given.tolist()
+        spec = nn.mlp([2, 3, 2])
+        params = nn.init_params(spec, np.random.default_rng(0))
+        taped = nn.forward(spec, params, ev, tape=True)
+        compared, equal = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a, **k: compared.append(a) or equal(*a, **k))
+        accuracy = robust_accuracy(spec, params, ev, 0.1, taped=taped)
+        monkeypatch.undo()
+        assert compared == [] and accuracy == robust_accuracy(spec, params, ds, 0.1)
+
+    @pytest.mark.parametrize("features", [
+        np.array([["0.5", "1"], ["0", "1"]]),
+        np.array([[0.5, 1.0], [0.0, 1.0]], dtype=object),
+        np.array([[0.5, 1.0], [0.0, None]], dtype=object),
+        np.array([[0.5, 1.0], [0.0, 1.0]], dtype=complex),
+    ], ids=["numeric-string", "object", "object-none", "complex"])
+    def test_features_must_be_real_numbers(self, features):
+        """Numeric strings are not parsed, and a complex part is not dropped."""
+        with pytest.raises(InvalidInputError, match="features"):
+            nn.Dataset(features, np.array([0, 1]), 2)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_integer_labels_of_any_width_accepted(self, dtype):
         ds = nn.Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=dtype), 3)
