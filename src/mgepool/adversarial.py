@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigRangeError, check_count
-from .nn import eval_batches, forward, loss_and_grads, n_correct
+from .nn import eval_batches, eval_set, forward, loss_and_grads, n_correct
 
 
 @dataclass
@@ -99,11 +99,13 @@ def transfer_matrix(spec, source_params, pool, dataset, eps, n_examples=100) -> 
 
     pool is a list of (model_id, ParamSet). Each member gets the untargeted
     attack's success rate and the targeted one's, whose target is (true
-    label + 1) mod classes. The first n_examples of the dataset are used,
-    deterministically. Both attacks step from one taped forward of them.
+    label + 1) mod classes. The first n_examples of the dataset (a Dataset
+    or an EvalSet) are used, deterministically. Both attacks step from one
+    taped forward of them.
     """
     if not pool:
         raise ConfigRangeError("pool is empty")
+    dataset = eval_set(dataset).dataset
     n = min(check_count("n_examples", n_examples), len(dataset))
     _check_eps(eps)  # before the taped forward
     x = dataset.features[:n]

@@ -11,7 +11,10 @@ logits. Image batches run channels-last (NHWC): turned once on entry and
 back once at ``Flatten``, so a conv's im2col is a reshape of its sliding
 windows and its GEMM output is already NHWC. Both modes walk one layer
 order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
-(the two commute, and the pool leaves k*k fewer values).
+(the two commute, and the pool leaves k*k fewer values), and a conv that
+then feeds the max-pool leaves its bias to it: the pool adds the bias to
+its k*k times fewer maxima, the same bytes, since adding one value is
+monotone under rounding.
 
 Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
 strided views ``x[:, i::k, j::k]``.
@@ -34,9 +37,11 @@ The forward and the backward split the net at its first ``Flatten``:
 
 - The **image stage** is every layer up to and including that Flatten
   (conv, max-pool, activations). Each of its ops works image by image: a
-  conv's GEMM is a stacked matmul (one BLAS call per image), im2col is a
-  copy, pooling and activations are elementwise, and col2im adds k*k
-  contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
+  conv's GEMM is a stacked matmul (one BLAS call per image, through
+  ``_conv_product``, which takes a contiguous copy of the transposed weight
+  for a product shape where a probe finds it keeps the bytes of the view,
+  and the view elsewhere), im2col is a copy, pooling and activations are
+  elementwise, and col2im adds k*k contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
   the input height and width and takes one weight-left product per image,
   so each slab add writes one contiguous run over the tile; the product
   writes its slabs channel- and slab-major, so each add reads one run per
@@ -336,11 +341,14 @@ class Dataset:
     classes: int
 
     def __post_init__(self):
+        self.classes = check_count("classes", self.classes)
         # a list spells an array; a ragged list raises ValueError
         try:
             self.features = np.asarray(self.features)
         except ValueError:
             raise StructuralError("features are not rows of one shape") from None
+        if self.features.ndim == 0:
+            raise StructuralError("features are one value, not rows")
         if self.features.dtype.kind not in "biuf":  # float64 would parse numeric strings
             raise InvalidInputError(f"features of dtype {self.features.dtype} are not real numbers")
         self.features = self.features.astype(np.float64, copy=False)
@@ -562,6 +570,35 @@ def _im2col_nhwc(x, k, out=None):
     return out
 
 
+_CONTIGUOUS_WEIGHT = {}  # (P, K, N) -> whether the contiguous layout keeps the bytes
+
+
+def _contiguous_agrees(p, k, n):
+    """Whether ``cols @ ascontiguousarray(wmat.T)`` gives the bytes of ``cols
+    @ wmat.T`` for a conv product of P positions, K = ic*k*k and N = oc.
+    BLAS sums in the same order whatever the values, but the order may hang
+    on the layout, by shape. So the probe makes the forward's call: two
+    stacked images, with values spread over several binades and both signs,
+    so that any change of order moves some low bit."""
+    rng = np.random.default_rng(0)
+    cols, wmat = (rng.standard_normal(s) * 2.0 ** rng.integers(-4, 5, s)
+                  for s in ((2, p, k), (n, k)))
+    return (cols @ wmat.T).tobytes() == (cols @ np.ascontiguousarray(wmat.T)).tobytes()
+
+
+def _conv_product(cols, wmat):
+    """``cols @ wmat.T`` for a stacked (n, P, K) im2col and an (N, K) weight.
+    A C-contiguous copy of ``wmat.T`` spares BLAS a packing pass (about half
+    the product's time for LeNet's first conv), so it is used wherever a
+    probe, run once per (P, K, N), finds it gives the transposed view's bytes;
+    racing probes find the same, so the dict needs no lock."""
+    shape = (cols.shape[1], *wmat.shape[::-1])
+    same = _CONTIGUOUS_WEIGHT.get(shape)
+    if same is None:
+        same = _CONTIGUOUS_WEIGHT[shape] = _contiguous_agrees(*shape)
+    return cols @ (np.ascontiguousarray(wmat.T) if same else wmat.T)
+
+
 def _pool_nhwc(x, k):
     """k x k max-pool of an NHWC batch: elementwise max of the k*k strided views."""
     out = x[:, ::k, ::k].copy()
@@ -574,7 +611,9 @@ def _pool_nhwc(x, k):
 
 def _inference_layers(spec):
     """spec.layers with every ReLU that feeds a max-pool moved after it:
-    max and ReLU commute exactly, and the pool leaves k*k fewer values."""
+    max and ReLU commute exactly, and the pool leaves k*k fewer values. A
+    conv that then feeds the max-pool leaves its bias to the pool
+    (``_layers_forward``), which adds it to the k*k times fewer maxima."""
     layers = list(spec.layers)
     for i in range(len(layers) - 1):
         if layers[i] == Activation("relu") and isinstance(layers[i + 1], MaxPool):
@@ -606,8 +645,14 @@ def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads, fi
     ``layers[0]``; with ``fill``, that im2col is built into it instead.
     Given a ``tape`` list, appends each layer's backward ``back(d, grads)``,
     bound to what it reads when it is made: a closure over the loop would
-    see the last layer's values."""
+    see the last layer's values.
+
+    A conv that feeds a max-pool leaves its bias to the pool, which adds it
+    to the k*k times fewer maxima: adding one value is monotone under
+    rounding, so ``max(z_t + b)`` and ``max(z_t) + b`` are the same bytes, and
+    a taped pool's hits, ``view + b == output``, are the same masks."""
     keep = tape is not None
+    bias = None  # the bias a conv left to the max-pool it feeds
     for i, layer in enumerate(layers):
         if isinstance(layer, Dense):
             w = params.entries[pidx].reshaped()
@@ -621,21 +666,29 @@ def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads, fi
             cols = into if into is not None and not fill else _im2col_nhwc(out, layer.k, into)
             n, h2, w2, _ = cols.shape
             cols = cols.reshape(n, h2 * w2, -1)
-            y = cols @ w.reshape(layer.out_ch, -1).T
-            y += params.entries[pidx + 1].values
+            y = _conv_product(cols, w.reshape(layer.out_ch, -1))
+            bias = params.entries[pidx + 1].values
+            if not (i + 1 < len(layers) and isinstance(layers[i + 1], MaxPool)):
+                y += bias
+                bias = None
             if keep:
                 tape.append(partial(_conv_backward, _nchw(out).shape,
                                     cols if param_grads else None, w, pidx))
             out = y.reshape(n, h2, w2, layer.out_ch)
             pidx += 2
         elif isinstance(layer, MaxPool):
-            y = _pool_nhwc(out, layer.k)
-            if keep:  # where each strided view holds its window's maximum
-                k = layer.k
-                hits = [_nchw(out[:, i::k, j::k] == y) for i, j in np.ndindex(k, k)]
+            k = layer.k
+            y = _pool_nhwc(out, k)
+            if bias is not None:
+                y += bias
+            if keep:  # where each strided view, biased, holds its window's maximum
+                views = (out[:, i::k, j::k] for i, j in np.ndindex(k, k))
+                if bias is not None:
+                    views = (v + bias for v in views)
+                hits = [_nchw(v == y) for v in views]
                 # looked up when it runs, so a test can stand in for it
                 tape.append(lambda d, grads, hits=hits, k=k: _pool_backward(d, hits, k))
-            out = y
+            out, bias = y, None
         elif isinstance(layer, Activation):
             if keep and layer.kind == "relu":  # subgradient 0 at the kink
                 tape.append(lambda d, grads, x=_nchw(out): d * (x > 0))

@@ -146,9 +146,12 @@ def _decode(data, sha256, name, load=True):
 
 
 def time_ratio(t_gen, t_train) -> float:
-    """Generated-to-trained wall-clock quotient."""
-    if t_train <= 0:
-        raise UndefinedRatioError(f"training time {t_train} must be > 0")
+    """Generated-to-trained wall-clock quotient, of a finite generation time
+    >= 0 and a finite training time > 0 (else UndefinedRatioError)."""
+    if not 0 < t_train < np.inf:
+        raise UndefinedRatioError(f"training time {t_train} must be finite and > 0")
+    if not 0 <= t_gen < np.inf:
+        raise UndefinedRatioError(f"generation time {t_gen} must be finite and >= 0")
     return t_gen / t_train
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigRangeError, DegenerateSpectrumError, InvalidInputError
+from .errors import ConfigRangeError, DegenerateSpectrumError, InvalidInputError, check_count
 
 MAX_LATENT_BOUND = 0.2
 
@@ -75,10 +75,8 @@ def sample_bounded_normal(z: float, count: int, rng: np.random.Generator) -> np.
     """Zero-mean normal with sigma = z/3, rejection-resampled into [-z, z]."""
     if not (0.0 < z <= MAX_LATENT_BOUND):
         raise ConfigRangeError(f"latent bound z={z} outside (0, {MAX_LATENT_BOUND}]")
-    if count < 1:
-        raise ConfigRangeError("count must be >= 1")
     sigma = z / 3.0
-    out = rng.normal(0.0, sigma, size=count)
+    out = rng.normal(0.0, sigma, size=check_count("count", count))
     bad = np.abs(out) > z
     while bad.any():
         out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))

@@ -202,6 +202,18 @@ class TestTransferMatrix:
         assert report.to_text() == transfer_matrix(spec, source, pool, data, 0.1,
                                                    n_examples=70).to_text()
 
+    @pytest.mark.parametrize("name", TAPED_SPECS)
+    def test_eval_set_accepted(self, name):
+        """An EvalSet gives the report its Dataset gives."""
+        spec = TAPED_SPECS[name]
+        rng = np.random.default_rng(3)
+        source = init_params(spec, rng)
+        pool = [("a", source), ("b", init_params(spec, rng))]
+        data = Dataset(rng.uniform(0.0, 1.0, (40, *spec.input_shape)), np.arange(40) % 2, 2)
+        expected = transfer_matrix(spec, source, pool, data, 0.1, n_examples=30)
+        got = transfer_matrix(spec, source, pool, nn.EvalSet(data), 0.1, n_examples=30)
+        assert got == expected
+
     def test_empty_pool_rejected(self, desk):
         with pytest.raises(ConfigRangeError):
             transfer_matrix(desk.spec, desk.base, [], desk.splits["test"], 0.1)

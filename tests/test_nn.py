@@ -554,6 +554,23 @@ class TestValidation:
         with pytest.raises(StructuralError, match="features"):
             nn.Dataset([[0.0, 0.0], [1.0], [0.5, 0.5]], np.array([0, 1, 0]), 2)
 
+    @pytest.mark.parametrize("features", [5, np.float64(0.5), np.array(1.0)],
+                             ids=["int", "numpy-scalar", "0-d-array"])
+    def test_features_must_have_rows(self, features):
+        """A scalar spells no rows, so it gets the typed error a ragged list
+        gets, not numpy's ``len() of unsized object``."""
+        with pytest.raises(StructuralError, match="features"):
+            nn.Dataset(features, 0, 2)
+
+    @pytest.mark.parametrize("classes", [1.5, np.nan, np.inf, True, "2", None])
+    def test_class_count_must_be_an_integer(self, classes):
+        with pytest.raises(ConfigRangeError, match="^classes must be an integer"):
+            nn.Dataset(np.zeros((2, 2)), np.array([0, 0]), classes)
+
+    def test_integral_class_count_becomes_an_int(self):
+        ds = nn.Dataset(np.zeros((2, 2)), np.array([0, 1]), 2.0)
+        assert ds.classes == 2 and type(ds.classes) is int
+
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
     def test_features_become_float64_once(self, dtype, monkeypatch):
         """Real features of any dtype are converted where the set is made, so

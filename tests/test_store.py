@@ -246,6 +246,19 @@ class TestTimeRatio:
         with pytest.raises(UndefinedRatioError):
             time_ratio(1.0, 0.0)
 
+    @pytest.mark.parametrize("t_train", [-1.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_training_time_not_finite_and_positive_rejected(self, t_train):
+        with pytest.raises(UndefinedRatioError, match="training time"):
+            time_ratio(1.0, t_train)
+
+    @pytest.mark.parametrize("t_gen", [-1.0, np.nan, np.inf, -np.inf])
+    def test_generation_time_not_finite_and_non_negative_rejected(self, t_gen):
+        with pytest.raises(UndefinedRatioError, match="generation time"):
+            time_ratio(t_gen, 1.0)
+
+    def test_zero_generation_time_gives_zero(self):
+        assert time_ratio(0.0, 2.0) == 0.0
+
 
 class TestManifest:
     def test_write_read_round_trip(self, tmp_path):

@@ -179,6 +179,15 @@ class TestBoundedNormal:
                 sample_bounded_normal(bad, 10, rng)
 
 
+    @pytest.mark.parametrize("count", [2.5, 0, -1, np.nan, np.inf, True, "10", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ConfigRangeError, match="^count must be an integer"):
+            sample_bounded_normal(0.1, count, np.random.default_rng(0))
+
+    def test_integral_count_accepted(self):
+        a = sample_bounded_normal(0.1, 10.0, np.random.default_rng(0))
+        assert np.array_equal(a, sample_bounded_normal(0.1, 10, np.random.default_rng(0)))
+
 class TestKsStatistic:
     def test_identical_samples(self):
         a = np.array([0.3, 0.1, 0.9])
