@@ -77,20 +77,15 @@ def robust_accuracy(spec, params, dataset, eps, *, taped=None) -> float:
     rows (at most ``EVAL_BATCH``, so one batch), goes to ``fgsm_batch``,
     which refuses a pass taped on other rows (StructuralError).
 
-    The attack is one pass over the image-stage tiles: ``fgsm_batch``'s
-    backward, asked here to score, runs each tile's stepped rows through
-    the image stage on the tile's worker, and the calling thread runs the
-    vector stage once on the joined features. The logits it counts are the
-    bytes ``nn.forward`` of ``fgsm_batch``'s perturbed batch gives.
+    Each batch is perturbed by ``fgsm_batch``, whose backward steps each
+    tile's rows on its worker, and scored by ``nn.forward`` of the
+    perturbed rows.
     """
     _check_eps(eps)
     correct = 0
     for features, labels in eval_batches(dataset):
-        logits, back = taped or forward(spec, params, features, tape=True)
-        scored = []
-        fgsm_batch(spec, params, features, labels, eps,
-                   taped=(logits, partial(back, score=scored.append)))
-        correct += n_correct(scored.pop(), labels)
+        adv = fgsm_batch(spec, params, features, labels, eps, taped=taped)
+        correct += n_correct(forward(spec, params, adv), labels)
     return correct / len(dataset)
 
 

@@ -199,7 +199,10 @@ def _out_dir(cfg, args):
     out = args.out or _section(cfg, "output").get("directory")
     if not out:
         raise ConfigError("no output directory (use --out or output.directory)")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} cannot be made: {exc.strerror}") from None
     return out
 
 
@@ -237,17 +240,19 @@ def _entry(entry):
     return "no entry" if entry is None else "{} {}".format(*entry)
 
 
-_KINDS = {"a number": (int, float), "an integer": int, "a string": str,
+_KINDS = {"a float": (int, float), "an integer": int, "a string": str,
           "an integer or a string": (int, str), "an object": dict, "a list": list}
 
 
 def _field(obj, key, kind, where):
     """``obj[key]``, which must be of ``kind`` (a key of ``_KINDS``; never a
-    bool), else a FormatError naming it as ``where + key``."""
+    bool), else a FormatError naming it as ``where + key``. "a float" is an
+    int or a float that fits a float, and is returned as a float."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-        raise FormatError(f"{where}{key} is missing or not {kind}")
-    return value
+    with contextlib.suppress(OverflowError):  # float(10**400) overflows
+        if not isinstance(value, bool) and isinstance(value, _KINDS[kind]):
+            return float(value) if kind == "a float" else value
+    raise FormatError(f"{where}{key} is missing or not {kind}")
 
 
 def _pool_manifest(pool, load=False):
@@ -259,7 +264,7 @@ def _pool_manifest(pool, load=False):
     doc, models = store.verify_manifest(path, load)
     for i, member in enumerate(doc["members"]):
         _field(member, "id", "an integer or a string", f"{path}: members[{i}].")
-        _field(member, "accuracy", "a number", f"{path}: members[{i}].")
+        _field(member, "accuracy", "a float", f"{path}: members[{i}].")
     return path, doc, models
 
 
@@ -270,7 +275,7 @@ def _train_seconds(model):
     if not os.path.exists(path):
         return None
     wall = _field(store.read_manifest(path), "wall_clock", "an object", f"{path}: ")
-    seconds = _field(wall, "train_seconds", "a number", f"{path}: wall_clock.")
+    seconds = _field(wall, "train_seconds", "a float", f"{path}: wall_clock.")
     if not 0 < seconds < float("inf"):
         raise FormatError(f"{path}: wall_clock.train_seconds {seconds} must be finite and > 0")
     return seconds
@@ -458,7 +463,7 @@ def _aligned(rows, headers):
 
 
 # the keys of each row of an evolved pool's history, and their kinds
-_HISTORY = {"generation": "an integer", "max_f": "a number", "mean_f": "a number",
+_HISTORY = {"generation": "an integer", "max_f": "a float", "mean_f": "a float",
             "best_id": "an integer"}
 
 
@@ -468,7 +473,7 @@ def cmd_report(cfg, args):
     if not doc["members"]:
         print("pool is empty")
         return EXIT_OK
-    base_acc = _field(doc.get("base"), "accuracy", "a number", f"{path}: base.")
+    base_acc = _field(doc.get("base"), "accuracy", "a float", f"{path}: base.")
     rows = [[m["id"], f"{m['accuracy']:.4f}", f"{base_acc:.4f}",
              f"{m['accuracy'] - base_acc:+.4f}"] for m in doc["members"]]
     mean_acc = sum(m["accuracy"] for m in doc["members"]) / len(doc["members"])
@@ -478,7 +483,7 @@ def cmd_report(cfg, args):
     wall = doc.get("wall_clock")
     if isinstance(wall, dict) and "ratio_time" in wall:
         generated, trained, ratio = (
-            _field(wall, key, "a number", f"{path}: wall_clock.")
+            _field(wall, key, "a float", f"{path}: wall_clock.")
             for key in ("time_generated", "time_trained", "ratio_time"))
         sections.append("== time ==")
         sections.append(_aligned([[f"{generated:.2f}", f"{trained:.2f}", f"{ratio:.2%}"]],
@@ -535,8 +540,8 @@ def main(argv=None):
     except (ConfigRangeError, json.JSONDecodeError) as exc:
         print(f"ERROR code={EXIT_CONFIG} config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, FormatError, CorruptModelError,
-            UnsupportedVersionError, LayoutMismatchError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FormatError,
+            CorruptModelError, UnsupportedVersionError, LayoutMismatchError) as exc:
         print(f"ERROR code={EXIT_INPUT} input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GenerationFailedError, TrainingDivergedError) as exc:

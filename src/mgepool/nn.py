@@ -96,19 +96,17 @@ batch is refused (StructuralError), at once when the rows are the taped
 array or a view of it. ``adversarial.fgsm_batch`` takes its gradient that
 way, from a tape it is handed or makes, and hands ``back`` its step: each
 tile steps its own rows on its worker as soon as its dx is formed, so no
-joined dx is made. ``robust_accuracy`` asks that backward to score as
-well: each tile then also runs its stepped rows through the image stage on
-its worker, and the calling thread joins only the flattened features and
-runs the vector stage once, so the attack is one pass over the tiles, not
-a backward round and then a forward round. ``generator.score`` tapes its
-admission forward when a fitness criterion runs FGSM on the set it admits
-on, so an admitted model gets one clean pass over that set, not two: the
-logits decide admission, and ``score`` hands the pair to
-``robust_accuracy``, which hands it to ``fgsm_batch``.
+joined dx is made. ``robust_accuracy`` then counts ``forward`` of the
+stepped batch; ``step`` is the one hook the attack gives the backward.
+``generator.score`` tapes its admission forward when a fitness criterion
+runs FGSM on the set it admits on, so an admitted model gets one clean
+pass over that set, not two: the logits decide admission, and ``score``
+hands the pair to ``robust_accuracy``, which hands it to ``fgsm_batch``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -205,7 +203,7 @@ class NetworkSpec:
                 if layer.kind not in ("relu", "tanh"):
                     raise StructuralError(f"unknown activation {layer.kind!r}")
             elif isinstance(layer, Flatten):
-                shape = (int(np.prod(shape)),)
+                shape = (math.prod(shape),)
             else:
                 raise StructuralError(f"unknown layer {layer!r}")
             out.append(shape)
@@ -269,7 +267,7 @@ class ParamSet:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.values.ndim != 1 or e.values.size != int(np.prod(e.shape)):
+            if e.values.ndim != 1 or e.values.size != math.prod(e.shape):
                 raise StructuralError(f"entry {e.name}: flat length != prod(shape)")
         # the empty float64 head fixes the dtype and admits an empty set
         self.flat = np.concatenate([np.zeros(0), *(e.values for e in self.entries)])
@@ -311,7 +309,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParamSet:
         if name.endswith(".bias"):
             values = np.zeros(shape[0])
         else:  # dense (in, out) or conv (out, in, k, k)
-            fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
+            fan_in = shape[0] if len(shape) == 2 else math.prod(shape[1:])
             values = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).ravel()
         entries.append(ParamEntry(name, shape, values))
     return ParamSet(entries)
@@ -448,7 +446,7 @@ def load_idx(path):
     if len(data) < header_len:
         raise FormatError("truncated dimension header", offset=len(data))
     dims = struct.unpack(f">{ndim}I", data[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(data) != header_len + count:
         raise FormatError(
             f"payload length {len(data) - header_len} != {count}", offset=len(data))
@@ -780,24 +778,18 @@ def _forward(spec, params, x, evalset, tape=False, param_grads=True):
     (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
     tile order, and the vector stage on the whole batch. With ``tape`` it
     returns ``(logits, back)``: every layer records its backward (see
-    ``_layers_forward``), and ``back(d, grads)`` runs them from ``d`` at the
-    logits, the vector stage's and then each tile's on the tile pool, and
-    returns the input gradient, NCHW for images. It fills ``grads``, a list
-    with one slot per parameter entry, unless that is None. With
-    ``param_grads`` the image stage is one tile and each conv and dense layer
-    also keeps the input that its dW reads.
+    ``_layers_forward``), and ``back(d, grads, batch)`` runs them from ``d``
+    at the logits, the vector stage's and then each tile's on the tile pool,
+    and returns the input gradient, NCHW for images. It fills ``grads``, a
+    list with one slot per parameter entry, unless that is None. ``batch``
+    is the rows the caller means, refused (StructuralError) unless they are
+    the taped rows (``_same_rows``). With ``param_grads`` the image stage is
+    one tile and each conv and dense layer also keeps the input that its dW
+    reads.
 
-    ``back`` takes three more arguments, for ``adversarial.fgsm_batch``:
-
-    - ``batch``: the rows the caller means, refused (StructuralError) unless
-      they are the taped rows (``_same_rows``).
-    - ``step(x_rows, dx_rows, out)``: instead of joining dx, each tile
-      writes ``step`` of its rows and its dx into its rows of a new batch,
-      which ``back`` returns.
-    - ``score``: with ``step``, each tile also runs the image stage of its
-      stepped rows on its worker; the calling thread joins those features,
-      runs the vector stage once and hands the stepped batch's logits to
-      ``score``. They are the bytes ``forward`` of the stepped batch gives.
+    For ``adversarial.fgsm_batch``, ``back`` also takes a ``step(x_rows,
+    dx_rows, out)``: instead of joining dx, each tile writes ``step`` of its
+    rows and its dx into its rows of a new batch, which ``back`` returns.
     """
     if not len(x):
         raise InvalidInputError("empty batch: the loss and its gradients need rows")
@@ -827,25 +819,15 @@ def _forward(spec, params, x, evalset, tape=False, param_grads=True):
     if not tape:
         return logits
 
-    def back(d, grads, batch=None, step=None, score=None):
-        if batch is not None and not _same_rows(batch, x):
+    def back(d, grads, batch, step=None):
+        if not _same_rows(batch, x):
             raise StructuralError("the taped pass was made on other rows than this batch")
         d = _run_tape(vector, d, grads)
         if step is None:  # several tiles only without parameter gradients
             return _join(_tile_pool.map(lambda t: _run_tape(t[1], d[t[0]], grads), tiles))
         stepped = np.empty(x.shape)
-
-        def attack(t):
-            tile_rows, tile = t
-            adv = step(x[tile_rows], _run_tape(tile, d[tile_rows], grads), stepped[tile_rows])
-            if score is not None:
-                _check_finite(adv)  # as forward checks a batch
-                return _layers_forward(image, params, 0, _nhwc(adv), None, None, False)
-
-        features = _tile_pool.map(attack, tiles)
-        if score is not None:
-            score(_layers_forward(vector_layers, params, pidx, _join(features), None, None,
-                                  False))
+        _tile_pool.map(lambda t: step(x[t[0]], _run_tape(t[1], d[t[0]], grads), stepped[t[0]]),
+                       tiles)
         return stepped
 
     return logits, back
@@ -983,7 +965,8 @@ def _batch(spec, params, features):
 def forward(spec, params, features, *, tape=False):
     """Logits for a batch of examples (an array or an EvalSet), one row per
     example. With ``tape``, ``(logits, back)`` of a non-empty batch, for
-    ``loss_and_grads(..., taped=)``: ``back(d, None)`` is dx from ``d``."""
+    ``loss_and_grads(..., taped=)``: ``back(d, None, x)`` is dx from ``d``
+    for the batch's float64 rows ``x``."""
     x, evalset = _batch(spec, params, features)
     if len(x) or tape:
         return _forward(spec, params, x, evalset, tape, param_grads=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -125,7 +126,7 @@ def _decode(data, sha256, name, load=True):
             off += 4
             dims = struct.unpack_from(f"<{rank}I", body, off)
             off += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)
             payload = body[off:off + 4 * count]
             if len(payload) != 4 * count:
                 raise CorruptModelError(f"{name}: truncated payload at offset {off}")
@@ -147,7 +148,12 @@ def _decode(data, sha256, name, load=True):
 
 def time_ratio(t_gen, t_train) -> float:
     """Generated-to-trained wall-clock quotient, of a finite generation time
-    >= 0 and a finite training time > 0 (else UndefinedRatioError)."""
+    >= 0 and a finite training time > 0 (else UndefinedRatioError, also for a
+    time that does not fit a float)."""
+    try:
+        t_gen, t_train = float(t_gen), float(t_train)
+    except OverflowError:
+        raise UndefinedRatioError("generation and training times must fit a float") from None
     if not 0 < t_train < np.inf:
         raise UndefinedRatioError(f"training time {t_train} must be finite and > 0")
     if not 0 <= t_gen < np.inf:

@@ -231,6 +231,18 @@ class TestConfigValidation:
         assert cli.main(["--config", str(latin1), "train"]) == cli.EXIT_CONFIG
         assert "UTF-8" in error_lines(capsys, cli.EXIT_CONFIG)
 
+    def test_idx_dims_whose_int64_product_wraps_are_input_error(self, tmp_path, capsys):
+        """An image header of 65536 * 2**24 * 2**24 bytes (2**64, 0 in int64)
+        and no payload."""
+        import struct
+        images = tmp_path / "i.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 65536, 2 ** 24, 2 ** 24))
+        cfg = desk_config(tmp_path / "o")
+        cfg["dataset"] = {"kind": "idx", "images": str(images), "labels": str(images),
+                          "seed": 1, "splits": cfg["dataset"]["splits"]}
+        assert cli.main(["--config", write_config(tmp_path, cfg), "train"]) == cli.EXIT_INPUT
+        assert "payload length 0" in error_lines(capsys, cli.EXIT_INPUT)
+
     def test_unsupported_model_version_is_input_error(self, pipeline, tmp_path, capsys):
         import hashlib
         import struct
@@ -270,6 +282,31 @@ class TestConfigValidation:
         code = cli.main(["--config", cfg_path, "generate",
                         "--model", str(tmp_path / "absent.mgem")])
         assert code == cli.EXIT_INPUT
+
+
+class TestPaths:
+    """A path that is a file where a directory is meant is one ERROR line:
+    an output directory that cannot be made is a config error, an input
+    under or in place of a directory an input error."""
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["the-file", "under-the-file"])
+    def test_out_that_cannot_be_made(self, tmp_path, capsys, sub):
+        path = write_config(tmp_path, desk_config(tmp_path / "o"))
+        out = os.path.join(path, sub) if sub else path
+        assert cli.main(["--config", path, "--out", out, "train"]) == cli.EXIT_CONFIG
+        assert f"output directory {out} cannot be made" in error_lines(capsys, cli.EXIT_CONFIG)
+
+    def test_config_under_a_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, desk_config(tmp_path / "o"))
+        assert cli.main(["--config", os.path.join(path, "cfg.json"), "train"]) == cli.EXIT_INPUT
+        assert path in error_lines(capsys, cli.EXIT_INPUT)
+
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_pool_that_is_a_file(self, pipeline, tmp_path, capsys, command):
+        pool = str(pipeline["pool"] / "manifest.json")
+        assert cli.main(["--config", pipeline["config"], "--out", str(tmp_path / "o"),
+                         command, "--pool", pool]) == cli.EXIT_INPUT
+        assert pool in error_lines(capsys, cli.EXIT_INPUT)
 
 
 def narrow_network(width=32):
@@ -735,6 +772,8 @@ _BROKEN_MANIFESTS = [
         ("member-without-id", _json(lambda doc: doc["members"][1].pop("id")), "members[1].id"),
         ("accuracy-not-a-number",
          _json(lambda doc: doc["members"][0].update(accuracy="high")), "members[0].accuracy"),
+        ("accuracy-too-large-for-a-float",
+         _json(lambda doc: doc["members"][0].update(accuracy=10 ** 400)), "members[0].accuracy"),
     ]],
     ("attack", "base-without-path", _json(lambda doc: doc["base"].pop("path")), "base.path"),
     ("attack", "base-hash-not-a-string",
@@ -743,6 +782,10 @@ _BROKEN_MANIFESTS = [
      _json(lambda doc: doc["base"].pop("accuracy")), "base.accuracy"),
     ("report", "ratio-without-generated-time",
      _json(lambda doc: doc["wall_clock"].pop("time_generated")), "wall_clock.time_generated"),
+    ("report", "base-accuracy-too-large-for-a-float",
+     _json(lambda doc: doc["base"].update(accuracy=10 ** 400)), "base.accuracy"),
+    ("report", "ratio-too-large-for-a-float",
+     _json(lambda doc: doc["wall_clock"].update(ratio_time=10 ** 400)), "wall_clock.ratio_time"),
 ]
 
 
@@ -781,8 +824,9 @@ class TestInputFiles:
         (b'{"wall_clock": {"train_seconds": 0}}', "train_seconds"),
         (b'{"wall_clock": {"train_seconds": NaN}}', "train_seconds"),
         (b'{"wall_clock": {"train_seconds": true}}', "train_seconds"),
+        (b'{"wall_clock": {"train_seconds": 1%s}}' % (b"0" * 400), "train_seconds"),
     ], ids=["not-json", "no-train-seconds", "no-wall-clock", "not-an-object", "a-string",
-            "zero", "nan", "a-bool"])
+            "zero", "nan", "a-bool", "too-large-for-a-float"])
     def test_broken_train_json_rejected_before_generating(self, pipeline, tmp_path, capsys,
                                                            content, named):
         import shutil

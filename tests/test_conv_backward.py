@@ -18,6 +18,8 @@ from mgepool import adversarial, nn
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 from test_inference import random_features, random_params, specs
 
+pytestmark = pytest.mark.byte_identity
+
 
 def _conv_backward_before(xshape, cols, w, pidx, dy, grads):
     """dx (C-order NCHW, shape ``xshape``) of a conv with weight ``w``, entry

@@ -20,6 +20,8 @@ from mgepool import adversarial, nn
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool
 from test_inference import random_features, random_params, specs
 
+pytestmark = pytest.mark.byte_identity
+
 
 def _layers_forward_before(layers, params, pidx, out, first_cols, tape, param_grads,
                            fill=False):

@@ -224,10 +224,9 @@ class TestEvaluatePopulation:
 
     def test_criteria_see_float32_exact_params(self, desk, monkeypatch):
         """Every pass, admission's and each criterion's, runs on float32-exact
-        parameters: one per model on the validation set (the taped admission
-        pass, whose backward also runs the attack's forward on the same
-        parameters), three on a copy (admission, accuracy and FGSM's taped
-        pass)."""
+        parameters: two per model on the validation set (the taped admission
+        pass and the attack's), four on a copy (admission, accuracy, FGSM's
+        taped pass and the attack's)."""
         seen = []
         original = nn._forward
 
@@ -237,7 +236,7 @@ class TestEvaluatePopulation:
 
         monkeypatch.setattr(nn, "_forward", recording)
         params = [c.params for c in desk.pool.candidates[:3]]
-        for data, passes in ((desk.splits["val"], 3), (val_copy(desk), 9)):
+        for data, passes in ((desk.splits["val"], 6), (val_copy(desk), 12)):
             seen.clear()
             scored(desk, params, FitnessConfig(Criterion("accuracy", data),
                                                Criterion("robust_accuracy", data,

@@ -18,6 +18,8 @@ from mgepool.nn import Dataset
 from test_inference import random_params, specs, tied_features
 from test_recording import mlps, same_bytes
 
+pytestmark = pytest.mark.byte_identity
+
 EPS = [0.0, 0.01, 0.1, 0.3]
 
 

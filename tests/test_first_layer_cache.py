@@ -17,6 +17,8 @@ from mgepool import nn
 from mgepool.nn import Dataset
 from test_inference import random_features, random_params, specs
 
+pytestmark = pytest.mark.byte_identity
+
 
 def first_layer_builds(monkeypatch, x):
     """Wrap nn._im2col_nhwc; returns the ``out`` of each call whose input

@@ -7,11 +7,14 @@ moves a logit's low bits can flip an argmax, so this pins the whole path
 import hashlib
 
 import numpy as np
+import pytest
 
 from mgepool import (Dataset, EvalSet, GeneratorConfig, TrainConfig, generate_pool, lenet_like,
                      robust_accuracy, train)
 from mgepool.adversarial import fgsm_batch
 from mgepool.nn import Activation, Conv, Dense, Flatten, MaxPool, NetworkSpec
+
+pytestmark = pytest.mark.byte_identity
 
 CLASSES = 10
 SIDE = 28

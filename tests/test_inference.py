@@ -30,6 +30,8 @@ from mgepool.fitness import Criterion, FitnessConfig
 from mgepool.generator import GeneratorConfig
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 
+pytestmark = pytest.mark.byte_identity
+
 
 @st.composite
 def specs(draw, conv_first=False):

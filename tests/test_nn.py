@@ -508,6 +508,14 @@ class TestIdx:
             nn.load_idx(path)
         assert err.value.offset == 0
 
+    def test_dims_whose_int64_product_wraps_rejected(self, tmp_path):
+        """65536 * 2**24 * 2**24 is 2**64, 0 in int64: the header alone must
+        not pass for a file of that many bytes."""
+        path = tmp_path / "huge.idx3"
+        path.write_bytes(struct.pack(">IIII", nn.IDX_IMAGE_MAGIC, 65536, 2 ** 24, 2 ** 24))
+        with pytest.raises(FormatError, match="payload length 0 != 18446744073709551616"):
+            nn.load_idx(path)
+
 
 class TestValidation:
     def test_dataset_empty_rejected(self):
@@ -710,6 +718,11 @@ class TestFlatBuffer:
             assert ps.flat.size == sum(e.values.size for e in ps.entries), origin
             for e in ps.entries:
                 assert np.shares_memory(e.values, ps.flat), (origin, e.name)
+
+    def test_shape_whose_int64_product_wraps_rejected(self):
+        """65536 * 2**24 * 2**24 is 2**64, 0 in int64: no values do not fill it."""
+        with pytest.raises(StructuralError, match="flat length != prod"):
+            nn.ParamSet([nn.ParamEntry("w", (65536, 2 ** 24, 2 ** 24), np.zeros(0))])
 
     def test_construction_copies_its_input(self):
         values = np.arange(4.0)

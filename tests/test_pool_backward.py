@@ -6,10 +6,13 @@ with non-square outputs, inputs where many windows hold several equal
 maxima, and a dy holding exact zeros and -0.0."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgepool import nn
+
+pytestmark = pytest.mark.byte_identity
 
 
 def _pool_backward_before(dy, hits, k):

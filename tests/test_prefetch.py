@@ -18,6 +18,8 @@ from mgepool.generator import GeneratorConfig, Spectrum, generate_pool
 from mgepool.nn import Activation, Conv, Dataset, Dense, Flatten, MaxPool, NetworkSpec
 from mgepool.transforms import RngStream
 
+pytestmark = pytest.mark.byte_identity
+
 
 def sequential_pool(base, spec, cfg, valset, count, fit=None):
     """(every candidate in attempt order, attempts) of ``generate_pool``'s

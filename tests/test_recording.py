@@ -23,6 +23,8 @@ from mgepool.generator import GeneratorConfig
 from mgepool.nn import Dataset
 from test_inference import random_features, random_params, specs
 
+pytestmark = pytest.mark.byte_identity
+
 
 @st.composite
 def mlps(draw):

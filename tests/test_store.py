@@ -18,6 +18,8 @@ from mgepool import store
 from mgepool.nn import ParamEntry, ParamSet, init_params, lenet_like, mlp
 from mgepool.store import build_manifest, read_manifest, read_model, verify_manifest, write_manifest
 
+pytestmark = pytest.mark.byte_identity
+
 
 def random_params(rng, layers=3):
     entries = []
@@ -130,6 +132,23 @@ class TestModelFile:
         path.write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+    def test_shape_whose_int64_product_wraps_rejected(self, tmp_path):
+        """One entry of shape (65536, 2**24, 2**24), 2**64 values, 0 in int64,
+        and no payload: a valid hash, but a truncated file, to the loader and
+        to the manifest check."""
+        body = b"MGEM" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w"
+        body += struct.pack("<4I", 3, 65536, 2 ** 24, 2 ** 24)
+        path = tmp_path / "huge.mgem"
+        path.write_bytes(rehashed(body))
+        with pytest.raises(CorruptModelError, match="truncated payload"):
+            load_model(path)
+        write_manifest(build_manifest("pool-h", {}, {}, [
+            {"id": 0, "file": "huge.mgem", "hash": path.read_bytes()[-32:].hex()}], {}),
+            tmp_path / "manifest.json")
+        for load in (True, False):
+            with pytest.raises(CorruptModelError, match="truncated payload"):
+                verify_manifest(tmp_path / "manifest.json", load=load)
 
     def test_empty_layer_name_rejected(self, tmp_path):
         params = ParamSet([ParamEntry("x", (2,), np.zeros(2))])
@@ -255,6 +274,12 @@ class TestTimeRatio:
     def test_generation_time_not_finite_and_non_negative_rejected(self, t_gen):
         with pytest.raises(UndefinedRatioError, match="generation time"):
             time_ratio(t_gen, 1.0)
+
+    @pytest.mark.parametrize("t_gen, t_train", [(1.5, 10 ** 400), (10 ** 400, 1.5)],
+                             ids=["training", "generation"])
+    def test_time_that_does_not_fit_a_float_rejected(self, t_gen, t_train):
+        with pytest.raises(UndefinedRatioError, match="must fit a float"):
+            time_ratio(t_gen, t_train)
 
     def test_zero_generation_time_gives_zero(self):
         assert time_ratio(0.0, 2.0) == 0.0
