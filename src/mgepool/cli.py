@@ -143,8 +143,9 @@ def load_config(path):
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path} is not UTF-8 ({exc})") from None
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past Python's digit limit
+            raise ConfigError(f"config file {path} cannot be read as UTF-8 JSON ({exc})") \
+                from None
     _convert({}, doc, "config", SCHEMA)
     for section in doc:
         _section(doc, section, {})  # checks the keys; a command checks the values it reads
@@ -268,9 +269,11 @@ def _pool_manifest(pool, load=False):
     return path, doc, models
 
 
-def _train_seconds(model):
+def _time_trained(model, count):
     """wall_clock.train_seconds of the train.json beside the model file
-    ``model``, or None if there is no such file."""
+    ``model``, times ``count``, or None if there is no such file. Formed
+    before generating, so that a product past the float range is refused
+    before any work is done."""
     path = os.path.join(os.path.dirname(os.path.abspath(model)), "train.json")
     if not os.path.exists(path):
         return None
@@ -278,7 +281,11 @@ def _train_seconds(model):
     seconds = _field(wall, "train_seconds", "a float", f"{path}: wall_clock.")
     if not 0 < seconds < float("inf"):
         raise FormatError(f"{path}: wall_clock.train_seconds {seconds} must be finite and > 0")
-    return seconds
+    with contextlib.suppress(OverflowError):  # 1.0 * 10**400 overflows
+        if seconds * count < float("inf"):
+            return seconds * count
+    raise FormatError(f"{path}: wall_clock.train_seconds {seconds} times --count {count} "
+                      "is past the float range")
 
 
 def _write_stamp(out, cfg, seeds, artifacts):
@@ -376,15 +383,15 @@ def cmd_generate(cfg, args):
     out, splits, spec = _inputs(cfg, args)
     base, base_hash = _load_model(args.model, spec)
     gcfg = build_section_config(cfg, "generator", args.seed)
-    t_train_one = _train_seconds(args.model)
+    time_trained = _time_trained(args.model, args.count)
     pool = generator.generate_pool(base, spec, gcfg, splits["val"], args.count)
     wall = {
         "time_generated": pool.seconds,
         "member_seconds": [c.seconds for c in pool.candidates],
     }
-    if t_train_one is not None:
-        wall["time_trained"] = t_train_one * args.count
-        wall["ratio_time"] = store.time_ratio(pool.seconds, wall["time_trained"])
+    if time_trained is not None:
+        wall["time_trained"] = time_trained
+        wall["ratio_time"] = store.time_ratio(pool.seconds, time_trained)
     members = _write_pool(out, cfg, args.model, base_hash, pool.base_accuracy, pool.candidates,
                           pool_id=f"pool-{gcfg.seed}-{args.count}",
                           config={"generator": vars(gcfg)}, wall_clock=wall,
@@ -537,7 +544,7 @@ def main(argv=None):
             raise ConfigError(f"--seed does nothing for {args.command}")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigRangeError, json.JSONDecodeError) as exc:
+    except ConfigRangeError as exc:
         print(f"ERROR code={EXIT_CONFIG} config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FormatError,

@@ -8,8 +8,9 @@ operations (casting, fusion, optimizer steps) act on ``flat`` at once.
 
 There is one forward, ``_forward``, and its two modes give bit-identical
 logits. Image batches run channels-last (NHWC): turned once on entry and
-back once at ``Flatten``, so a conv's im2col is a reshape of its sliding
-windows and its GEMM output is already NHWC. Both modes walk one layer
+back once at ``Flatten``, so a conv's GEMM output is already NHWC. Its
+im2col is one gather over each image's flat values, at offsets made once
+per input shape (``_im2col_nhwc``). Both modes walk one layer
 order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
 (the two commute, and the pool leaves k*k fewer values), and a conv that
 then feeds the max-pool leaves its bias to it: the pool adds the bias to
@@ -40,8 +41,9 @@ The forward and the backward split the net at its first ``Flatten``:
   conv's GEMM is a stacked matmul (one BLAS call per image, through
   ``_conv_product``, which takes a contiguous copy of the transposed weight
   for a product shape where a probe finds it keeps the bytes of the view,
-  and the view elsewhere), im2col is a copy, pooling and activations are
-  elementwise, and col2im adds k*k contiguous slabs in a fixed (i, j) order. (``_conv_backward`` pads dy to
+  and the view elsewhere), im2col is one gather at per-shape offsets, pooling
+  and activations are elementwise, and col2im adds k*k contiguous slabs in
+  a fixed (i, j) order. (``_conv_backward`` pads dy to
   the input height and width and takes one weight-left product per image,
   so each slab add writes one contiguous run over the tile; the product
   writes its slabs channel- and slab-major, so each add reads one run per
@@ -558,13 +560,27 @@ def _dense_backward(x, w, pidx, d, grads):
     return d @ w.T
 
 
+_IM2COL_OFFSETS = {}  # (h, w, c, k) -> each im2col value's position in an image
+
+
 def _im2col_nhwc(x, k, out=None):
     """(n, h2, w2, c*k*k) windows of an NHWC batch, columns in the (c, k, k)
-    order of a conv weight's rows; written into ``out`` if it is given."""
-    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (n, h2, w2, c, k, k)
+    order of a conv weight's rows; written into ``out`` if it is given.
+    One gather over each image's flat values, at offsets made once per (h,
+    w, c, k); racing builders of one shape make equal arrays, so the dict
+    needs no lock. ``mode="clip"`` (the offsets are in range) keeps numpy
+    from buffering ``out``, and ``out`` must be C-contiguous: its reshape
+    is a view, or it raises."""
+    n, h, w, c = x.shape
+    offsets = _IM2COL_OFFSETS.get((h, w, c, k))
+    if offsets is None:
+        at = np.arange(h * w * c).reshape(h, w, c)
+        offsets = _IM2COL_OFFSETS[h, w, c, k] = \
+            sliding_window_view(at, (k, k), axis=(0, 1)).ravel()  # (h2, w2, c, k, k)
     if out is None:
-        return np.ascontiguousarray(win).reshape(*win.shape[:3], -1)
-    out.reshape(win.shape)[...] = win
+        out = np.empty((n, h - k + 1, w - k + 1, c * k * k), x.dtype)
+    np.take(x.reshape(n, h * w * c), offsets, axis=1, mode="clip",
+            out=out.reshape(n, offsets.size, copy=False))
     return out
 
 

@@ -194,12 +194,12 @@ def write_manifest(doc, path):
 
 def read_manifest(path):
     """The JSON document at ``path``; FormatError, naming the file, if it is
-    not UTF-8 JSON."""
+    not UTF-8 JSON or holds an integer past Python's int-string digit limit."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path} is not a UTF-8 JSON file ({exc})") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise FormatError(f"{path} cannot be read as UTF-8 JSON ({exc})") from None
 
 
 def verify_manifest(path, load=False):

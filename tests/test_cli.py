@@ -82,6 +82,19 @@ def pipeline(tmp_path_factory):
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, digits):
+        """Python's int-string limit (4300 digits) stops the JSON reader with
+        a ValueError before any check: a config error too, as an integer that
+        parses but does not fit a float is."""
+        path = write_config(tmp_path, desk_config(tmp_path / "o"))
+        with open(path) as f:
+            text = f.read().replace('"epochs": 40', '"epochs": 1' + "0" * digits)
+        with open(path, "w") as f:
+            f.write(text)
+        assert cli.main(["--config", path, "train"]) == cli.EXIT_CONFIG
+        assert "ERROR code=2 config:" in error_lines(capsys, cli.EXIT_CONFIG)
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = desk_config(tmp_path / "o")
         cfg["extras"] = {}
@@ -765,6 +778,7 @@ _BROKEN_MANIFESTS = [
     *[(command, why, edit, named) for command in ("attack", "report") for why, edit, named in [
         ("not-json", lambda doc: b'{"members": [', "JSON"),
         ("not-utf8", lambda doc: b'{"pool_id": "\xff"}', "JSON"),
+        ("past-the-digit-limit", lambda doc: b'{"members": [1%s]}' % (b"0" * 5000), "JSON"),
         ("not-an-object", lambda doc: b"[]", "members"),
         ("no-members", _json(lambda doc: doc.pop("members")), "members"),
         ("member-not-an-object", _json(lambda doc: doc["members"].append(3)), "members"),
@@ -825,8 +839,9 @@ class TestInputFiles:
         (b'{"wall_clock": {"train_seconds": NaN}}', "train_seconds"),
         (b'{"wall_clock": {"train_seconds": true}}', "train_seconds"),
         (b'{"wall_clock": {"train_seconds": 1%s}}' % (b"0" * 400), "train_seconds"),
+        (b'{"wall_clock": {"train_seconds": 1%s}}' % (b"0" * 5000), "JSON"),
     ], ids=["not-json", "no-train-seconds", "no-wall-clock", "not-an-object", "a-string",
-            "zero", "nan", "a-bool", "too-large-for-a-float"])
+            "zero", "nan", "a-bool", "too-large-for-a-float", "past-the-digit-limit"])
     def test_broken_train_json_rejected_before_generating(self, pipeline, tmp_path, capsys,
                                                            content, named):
         import shutil
@@ -841,3 +856,25 @@ class TestInputFiles:
         assert line.startswith("ERROR code=3 input:")
         assert str(model.parent / "train.json") in line and named in line
         assert sorted(os.listdir(tmp_path / "o")) == []
+
+    @pytest.mark.parametrize("seconds, count", [("1e308", "2"), ("1", "1" + "0" * 400)],
+                             ids=["inf", "count-too-large-for-a-float"])
+    def test_generate_refuses_an_infinite_training_time_before_generating(
+            self, pipeline, tmp_path, capsys, monkeypatch, seconds, count):
+        """``train_seconds`` times ``--count`` is formed before the pool is drawn:
+        1e308 * 2 is inf, an input error naming train.json, and no pool is
+        generated or written."""
+        import shutil
+        model = tmp_path / "m" / "base.mgem"
+        model.parent.mkdir()
+        shutil.copy(pipeline["out"] / "base.mgem", model)
+        (model.parent / "train.json").write_text(
+            '{"wall_clock": {"train_seconds": %s}}' % seconds)
+        calls = []
+        monkeypatch.setattr(cli.generator, "generate_pool", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "o"
+        assert cli.main(["--config", write_config(tmp_path, desk_config(out)), "generate",
+                         "--model", str(model), "--count", count]) == cli.EXIT_INPUT
+        line = error_lines(capsys, cli.EXIT_INPUT)
+        assert line.startswith("ERROR code=3 input:") and str(model.parent / "train.json") in line
+        assert calls == [] and not (out / "manifest.json").exists()
