@@ -77,18 +77,14 @@ The forward and the backward split the net at its first ``Flatten``:
 
 The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
 dataset that many parameter sets are scored on and keeps that im2col
-(``first_layer_cols``), made on first use. The forward takes it from there
-when it is handed the EvalSet in place of a feature array, so accuracy and
-FGSM on one set share a single copy. The buffer is allocated empty, and
-the first forward that reads it fills it: each of its tiles writes its
-rows' windows into the buffer in place of a temporary, so the copy costs
-nothing beyond that forward's own im2col and is spread over the pool's
-workers. The cache counts as filled only when every tile of that forward
-has finished without an error; a forward that starts while another fills
-it builds its own windows, so both get the same bytes. It is kept only for
-a set that fits in one evaluation batch (``EVAL_BATCH`` rows), since for
-LeNet it costs ~115 KB per image, and it lives as long as its EvalSet:
-``generate_pool`` and ``evolve`` hold theirs for the length of one call.
+(``first_layer_cols``), built once, the first time a forward asks for it,
+tile by tile on the tile pool. The forward takes it from there when it is
+handed the EvalSet in place of a feature array, so accuracy and FGSM on one
+set share a single copy; a forward that asks while another builds it waits
+for that build. It is kept only for a set that fits in one evaluation batch
+(``EVAL_BATCH`` rows), since for LeNet it costs ~115 KB per image, and it
+lives as long as its EvalSet: ``generate_pool`` and ``evolve`` hold theirs
+for the length of one call.
 
 ``forward(..., tape=True)`` returns the logits with their gradient-only
 backward ``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``,
@@ -114,7 +110,6 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -132,6 +127,8 @@ from .errors import (
 
 # ---------------------------------------------------------------------------
 # network description
+
+_MAX_SIZE = int(np.iinfo(np.intp).max)  # the most values a numpy array can hold
 
 
 @dataclass(frozen=True)
@@ -180,9 +177,11 @@ class NetworkSpec:
             raise StructuralError("network has no parameterized layer")
 
     def layer_shapes(self):
-        """Shape after each layer, starting from input_shape."""
+        """Shape after each layer, starting from input_shape. A network of
+        more parameters than a numpy array can hold is a ConfigRangeError."""
         shape = tuple(self.input_shape)
         out = [shape]
+        count = 0  # parameters, which bounds every Dense and Conv size
         for layer in self.layers:
             if isinstance(layer, (Dense, Conv, MaxPool)) and min(vars(layer).values()) < 1:
                 raise ConfigRangeError(f"layer sizes must be >= 1, got {layer}")
@@ -190,6 +189,7 @@ class NetworkSpec:
                 if shape != (layer.in_dim,):
                     raise StructuralError(f"dense expects ({layer.in_dim},), got {shape}")
                 shape = (layer.out_dim,)
+                count += (layer.in_dim + 1) * layer.out_dim
             elif isinstance(layer, Conv):
                 if len(shape) != 3 or shape[0] != layer.in_ch:
                     raise StructuralError(f"conv expects ({layer.in_ch},H,W), got {shape}")
@@ -197,6 +197,7 @@ class NetworkSpec:
                 if h < 1 or w < 1:
                     raise StructuralError("conv kernel larger than input")
                 shape = (layer.out_ch, h, w)
+                count += (layer.in_ch * layer.k ** 2 + 1) * layer.out_ch
             elif isinstance(layer, MaxPool):
                 if len(shape) != 3 or shape[1] % layer.k or shape[2] % layer.k:
                     raise StructuralError(f"maxpool {layer.k} does not divide {shape}")
@@ -209,6 +210,9 @@ class NetworkSpec:
             else:
                 raise StructuralError(f"unknown layer {layer!r}")
             out.append(shape)
+        if count > _MAX_SIZE:
+            raise ConfigRangeError(f"the network's {count} parameters are past the "
+                                   f"{_MAX_SIZE} values a numpy array can hold")
         return out
 
 
@@ -378,6 +382,9 @@ def make_synthetic(kind, n, classes, seed, noise=0.06, dim=2):
     """Deterministic class-balanced toy dataset with features in [0, 1]."""
     classes, dim = check_count("classes", classes), check_count("dim", dim)
     n = check_count("n", n, least=classes)
+    if n * dim > _MAX_SIZE:  # classes <= n
+        raise ConfigRangeError(f"n * dim = {n} * {dim} features are past the "
+                               f"{_MAX_SIZE} values a numpy array can hold")
     if not (0 <= noise < np.inf):
         raise ConfigRangeError(f"noise {noise} must be finite and >= 0")
     rng = np.random.default_rng(check_count("seed", seed, least=0))
@@ -653,10 +660,10 @@ def _image_stage_len(spec):
     return cut + 1 if cut else 0
 
 
-def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads, fill=False):
+def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
     """Run ``layers``, whose parameters start at entry ``pidx``, on ``out``;
-    see ``_forward``. ``first_cols`` replaces the im2col of a conv at
-    ``layers[0]``; with ``fill``, that im2col is built into it instead.
+    see ``_forward``. A conv at ``layers[0]`` reads its im2col from
+    ``first_cols`` if that is given; every other conv builds its own.
     Given a ``tape`` list, appends each layer's backward ``back(d, grads)``,
     bound to what it reads when it is made: a closure over the loop would
     see the last layer's values.
@@ -676,8 +683,7 @@ def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads, fi
             pidx += 2
         elif isinstance(layer, Conv):
             w = params.entries[pidx].reshaped()
-            into = first_cols if i == 0 else None
-            cols = into if into is not None and not fill else _im2col_nhwc(out, layer.k, into)
+            cols = _im2col_nhwc(out, layer.k) if i or first_cols is None else first_cols
             n, h2, w2, _ = cols.shape
             cols = cols.reshape(n, h2 * w2, -1)
             y = _conv_product(cols, w.reshape(layer.out_ch, -1))
@@ -729,7 +735,9 @@ class _TilePool:
     CPU this process may run on (``workers()``), made on first use. A forked
     child has none of its parent's threads, so it drops the pool and makes
     its own. No task on it waits for another, so one worker cannot
-    deadlock."""
+    deadlock. No task on it runs a forward or takes an ``EvalSet``'s lock
+    either, so ``EvalSet.first_cols`` may hold that lock while it builds its
+    cache on the pool."""
 
     def __init__(self):
         self._forget()
@@ -788,7 +796,7 @@ def _same_rows(a, b):
 def _forward(spec, params, x, evalset, tape=False, param_grads=True):
     """Logits of a non-empty batch (else InvalidInputError); image batches
     run channels-last (NHWC). ``evalset`` is the EvalSet whose rows ``x``
-    is, whose cache gives (or takes) the first layer's im2col, or None.
+    is, whose cache gives the first layer's im2col, or None.
 
     It walks ``_inference_layers(spec)``. The image stage
     (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
@@ -817,16 +825,15 @@ def _forward(spec, params, x, evalset, tape=False, param_grads=True):
     size = len(x) if (tape and param_grads) or not cut else TILE_ROWS
     rows = [slice(s, s + size) for s in range(0, len(x), size)]
     out = _nhwc(x)
-    claim = nullcontext((None, False)) if evalset is None else evalset._claim(spec)
-    with claim as (cols, fill):
+    cols = None if evalset is None else evalset.first_cols(spec)
 
-        def run(tile_rows):
-            tile = [] if tape else None
-            first = None if cols is None else cols[tile_rows]
-            return _layers_forward(image, params, 0, out[tile_rows], first, tile,
-                                   param_grads, fill), (tile_rows, tile)
+    def run(tile_rows):
+        tile = [] if tape else None
+        first = None if cols is None else cols[tile_rows]
+        return _layers_forward(image, params, 0, out[tile_rows], first, tile,
+                               param_grads), (tile_rows, tile)
 
-        parts = _tile_pool.map(run, rows)
+    parts = _tile_pool.map(run, rows)
     tiles = [tile for _, tile in parts]
     vector = [] if tape else None
     pidx = 2 * sum(isinstance(l, (Dense, Conv)) for l in image)  # weight, bias each
@@ -859,78 +866,52 @@ TILE_ROWS = 32  # rows per image-stage tile in evaluation and FGSM (module docst
 
 
 def first_layer_cols(spec, features):
-    """An unfilled buffer for the im2col of a batch for the network's first
-    layer, or None when that layer is not a conv or the batch has more than
-    ``EVAL_BATCH`` rows, to bound its memory. The im2col depends only on the
-    data, so one copy serves every parameter set evaluated on the same rows:
-    ``EvalSet`` keeps the buffer, and the first forward over its rows fills
-    it."""
+    """The im2col of a float64 batch for the network's first layer, or None
+    when that layer is not a conv or the batch has more than ``EVAL_BATCH``
+    rows, to bound its memory. The im2col depends only on the data, so one
+    copy serves every parameter set evaluated on the same rows: ``EvalSet``
+    keeps it. It is built into one buffer tile by tile, ``TILE_ROWS`` rows at
+    a time on the tile pool, the same bytes as each forward's own build."""
     layer = spec.layers[0]
     if not isinstance(layer, Conv) or len(features) > EVAL_BATCH:
         return None
     _check_batch(spec, features)
     c, h, w = spec.input_shape
-    return np.empty((len(features), h - layer.k + 1, w - layer.k + 1, c * layer.k ** 2))
+    x = _nhwc(features)
+    cols = np.empty((len(x), h - layer.k + 1, w - layer.k + 1, c * layer.k ** 2))
+    _tile_pool.map(lambda s: _im2col_nhwc(x[s], layer.k, cols[s]),
+                   [slice(s, s + TILE_ROWS) for s in range(0, len(x), TILE_ROWS)])
+    return cols
 
 
 class EvalSet:
     """A dataset that many parameter sets are scored on, plus its
-    ``first_layer_cols``, made on first use and kept while the EvalSet lives.
+    ``first_layer_cols``, built on first use and kept while the EvalSet lives.
 
     ``evaluate_accuracy``, ``robust_accuracy``, ``generate_pool``,
     ``generator.score`` and ``evolve`` take an EvalSet wherever they take a
     dataset. ``forward``, ``loss_and_grads`` and ``adversarial.fgsm_batch``
     take one in place of a feature array: the batch is then all of its rows,
-    and the first layer's im2col comes from the cache. The first forward
-    that reads the cache fills it: each of its tiles writes its rows'
-    windows there as it computes them. The cache counts as filled once every
-    tile has finished; a forward that starts while another fills it builds
-    its own windows.
+    and the first layer's im2col comes from the cache.
     """
 
     def __init__(self, dataset):
         self.dataset = dataset
         self._lock = threading.Lock()
         self._spec = self._cols = None
-        self._filled = self._filling = False
 
     def __len__(self):
         return len(self.dataset)
 
     def first_cols(self, spec):
-        """The cache for ``spec``, ``first_layer_cols(spec, features)``, made
-        once per spec; unfilled until a forward fills it."""
+        """The cache for ``spec``, ``first_layer_cols(spec, features)``, built
+        once per spec under the lock, so a forward that asks while another
+        builds it waits for that build. A failed build keeps nothing, and the
+        next call builds it again."""
         with self._lock:
-            return self._cache(spec)
-
-    def _cache(self, spec):  # holding the lock
-        if spec != self._spec:
-            self._spec, self._cols = spec, first_layer_cols(spec, self.dataset.features)
-            self._filled = self._filling = False
-        return self._cols
-
-    @contextmanager
-    def _claim(self, spec):
-        """``(cols, fill)`` for one forward over all rows: the filled cache
-        and False; the unfilled cache and True for the one forward that fills
-        it, which counts as done if the block ends without an error; or
-        ``(None, False)`` when there is no cache or another forward fills it."""
-        with self._lock:
-            cols = self._cache(spec)
-            fill = cols is not None and not (self._filled or self._filling)
-            self._filling |= fill
-            filled = self._filled
-        if not fill:
-            yield (cols if filled else None), False
-            return
-        done = False
-        try:
-            yield cols, True
-            done = True
-        finally:
-            with self._lock:
-                if self._cols is cols:
-                    self._filled, self._filling = done, False
+            if spec != self._spec:
+                self._spec, self._cols = spec, first_layer_cols(spec, self.dataset.features)
+            return self._cols
 
 
 def eval_set(data):
@@ -1064,24 +1045,26 @@ def train(spec, dataset, cfg: TrainConfig):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
     n = len(dataset)
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads, _ = loss_and_grads(
-                spec, params, dataset.features[idx], dataset.labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"loss became {loss}")
-            g = np.concatenate(grads)
-            if cfg.optimizer == "sgd":
-                params.flat -= cfg.learning_rate * g
-            else:
-                step += 1
-                m = beta1 * m + (1 - beta1) * g
-                v = beta2 * v + (1 - beta2) * g * g
-                mhat = m / (1 - beta1 ** step)
-                vhat = v / (1 - beta2 ** step)
-                params.flat -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+    # a diverging step overflows; the loss check, not numpy's warnings, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss, grads, _ = loss_and_grads(
+                    spec, params, dataset.features[idx], dataset.labels[idx])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"loss became {loss}")
+                g = np.concatenate(grads)
+                if cfg.optimizer == "sgd":
+                    params.flat -= cfg.learning_rate * g
+                else:
+                    step += 1
+                    m = beta1 * m + (1 - beta1) * g
+                    v = beta2 * v + (1 - beta2) * g * g
+                    mhat = m / (1 - beta1 ** step)
+                    vhat = v / (1 - beta2 ** step)
+                    params.flat -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
     return params, time.perf_counter() - t0
 
 

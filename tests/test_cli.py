@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ class TestConfigValidation:
                                 {"type": "flatten"}, {"type": "dense", "in": 50, "out": 3}]},
          "train", "sizes must be >= 1"),
         ("dataset", {"noise": -0.1}, "train", "noise"),
+        # sizes past the most values a numpy array can hold, intp's largest
+        ("dataset", {"n": 10**20}, "train", "n * dim = 100000000000000000000 * 2"),
+        ("dataset", {"dim": 10**20}, "train", "n * dim = 600 * 100000000000000000000"),
+        ("dataset", {"n": 10**20, "classes": 10**20}, "train",
+         "n * dim = 100000000000000000000 * 2"),
+        ("network", {"layers": [{"type": "dense", "in": 2, "out": 10**20}, {"type": "relu"},
+                                {"type": "dense", "in": 10**20, "out": 3}]},
+         "train", "the network's 600000000000000000003 parameters"),
+        ("network", {"input_shape": [1, 4, 4],
+                     "layers": [{"type": "conv", "in_ch": 1, "out_ch": 2**62, "k": 3},
+                                {"type": "flatten"}, {"type": "dense", "in": 2**64, "out": 3}]},
+         "train", "parameters are past the 9223372036854775807 values"),
         ("attack", {"examples": 0}, "attack", "examples"),
         ("attack", {"examples": -5}, "attack", "examples"),
         # layers whose shapes do not compose
@@ -191,6 +204,8 @@ class TestConfigValidation:
          "train", "network.layers"),
     ], ids=["train.batch_size", "dataset.dim", "dataset.classes", "fitness.base.kind",
             "dense.in", "dense.out", "maxpool.k", "conv.k", "dataset.noise",
+            "dataset.n>intp", "dataset.dim>intp", "dataset.classes>intp", "dense.out>intp",
+            "conv.out_ch>intp",
             "attack.examples=0", "attack.examples=-5", "layers:dense.in", "layers:classes",
             "layers:conv.k", "layers:maxpool.k"])
     def test_out_of_range_value_is_one_config_error(self, pipeline, tmp_path, capsys,
@@ -481,6 +496,18 @@ class TestTrain:
         assert record["val_accuracy"] >= 0.9
         assert record["wall_clock"]["train_seconds"] > 0
         assert (out / "stamp.json").exists()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_divergence_prints_one_error_line(self, tmp_path, capsys, optimizer):
+        """The steps overflow; the loss check reports it, so stderr holds the
+        one error line and numpy warns of nothing."""
+        cfg = desk_config(tmp_path / "o", train={"optimizer": optimizer, "learning_rate": 1e300})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["--config", write_config(tmp_path, cfg), "train"]) \
+                == cli.EXIT_RUNTIME
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "ERROR code=4 runtime: loss became nan\n"
 
 
 class TestGenerate:

@@ -1,9 +1,9 @@
-"""The first-layer im2col cache is filled by the first forward that reads
-it. ``EvalSet`` makes the buffer on first use; the tiles of the first
-forward over its rows write their windows there as they compute them, and
-the cache counts as filled once every tile has finished. Later forwards
-read it and build no first-layer im2col; a forward that starts while
-another fills it, or after a filling forward failed, gets the same bytes."""
+"""The first-layer im2col cache is built once. ``EvalSet.first_cols`` builds
+it under its lock on first use, ``TILE_ROWS`` rows at a time on the tile
+pool, and keeps it. Later forwards read it and build no first-layer im2col;
+a forward that starts while it is built waits for it, and a failed build
+leaves no cache, so the next forward builds it. Every forward gets the
+bytes of a forward without the cache."""
 
 import sys
 import threading
@@ -51,21 +51,24 @@ LENET = nn.lenet_like(10)
        tape=st.booleans())
 @example(spec=LENET, rows=100, seed=0, tape=False)
 @example(spec=LENET, rows=nn.EVAL_BATCH, seed=1, tape=True)
-def test_the_first_forward_fills_the_cache(spec, rows, seed, tape):
+def test_the_cache_is_built_once_and_later_forwards_build_no_first_layer_im2col(
+        spec, rows, seed, tape):
     params = random_params(spec, seed)
     x = random_features(spec, rows, seed)
     expected = nn.forward(spec, params, x)  # no cache
     ev = nn.EvalSet(Dataset(x, np.zeros(rows, dtype=int), spec.classes))
-    cache = ev.first_cols(spec)
     with pytest.MonkeyPatch.context() as mp:
         builds = first_layer_builds(mp, x)
         first = nn.forward(spec, params, ev, tape=tape)
-        # every tile built its windows into its rows of the cache
-        assert builds and all(out is not None and np.shares_memory(out, cache) for out in builds)
-        assert sum(len(out) for out in builds) == rows
+        cache = ev.first_cols(spec)
+        # one build per tile of rows, each into its rows of the cache, in any order
+        assert sorted(len(out) for out in builds) == \
+            sorted(len(x[s:s + nn.TILE_ROWS]) for s in range(0, rows, nn.TILE_ROWS))
+        assert all(out is not None and np.shares_memory(out, cache) for out in builds)
         builds.clear()
         second = nn.forward(spec, params, ev)
         assert builds == []  # read from the cache
+    assert ev.first_cols(spec) is cache
     assert same_bytes(cache, first_layer_im2col(spec, x))
     assert same_bytes(first[0] if tape else first, expected)
     assert same_bytes(second, expected)
@@ -85,19 +88,21 @@ def test_a_set_of_more_than_one_batch_has_no_cache(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [40, nn.EVAL_BATCH])
-def test_two_threads_that_run_the_first_forward_at_once(rows):
-    """Each gets the uncached forward's bytes, whichever fills the cache;
-    the other builds its own windows, and the cache is filled after."""
+def test_two_threads_that_run_the_first_forward_at_once(rows, monkeypatch):
+    """Each gets the uncached forward's bytes: one builds the cache, once,
+    and the other waits for it and builds no first-layer windows."""
     spec = LENET
     params = random_params(spec, 0)
     x = random_features(spec, rows, 0)
     expected = nn.forward(spec, params, x)
+    builds = first_layer_builds(monkeypatch, x)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             ev = nn.EvalSet(Dataset(x, np.zeros(rows, dtype=int), 10))
             start, results = threading.Barrier(2), [None, None]
+            builds.clear()
 
             def run(i):
                 start.wait()
@@ -110,60 +115,87 @@ def test_two_threads_that_run_the_first_forward_at_once(rows):
                 t.join()
             for got in results:
                 assert same_bytes(got, expected)
+            assert all(out is not None for out in builds)
+            assert sum(len(out) for out in builds) == rows
             assert same_bytes(ev.first_cols(spec), first_layer_im2col(spec, x))
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_a_forward_that_starts_while_another_fills_builds_its_own(monkeypatch):
-    """The filling forward is held inside its one tile (a batch of one tile
-    runs on its calling thread) while another forward runs."""
+class _ArrivalLock:
+    """A lock that sets ``arrived`` when a thread other than ``owner``
+    comes to take it."""
+
+    def __init__(self, lock, owner):
+        self.lock, self.owner, self.arrived = lock, owner, threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is not self.owner:
+            self.arrived.set()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_forward_that_starts_while_the_cache_is_built_waits_for_it(monkeypatch):
+    """The build is held inside its one tile (a batch of one tile runs on
+    the calling thread) while a second forward starts: that one waits at the
+    EvalSet's lock, builds no first-layer windows, and reads the cache."""
     spec = LENET
     params = random_params(spec, 0)
     x = random_features(spec, nn.TILE_ROWS - 3, 0)
     expected = nn.forward(spec, params, x)
     ev = nn.EvalSet(Dataset(x, np.zeros(len(x), dtype=int), 10))
-    build, filling, release = nn._im2col_nhwc, threading.Event(), threading.Event()
-    builds = []  # (built on the main thread, out) of each first-layer im2col
+    build, building, release = nn._im2col_nhwc, threading.Event(), threading.Event()
+    builds = []  # (thread, out) of each first-layer im2col
 
     def held(a, k, out=None):
         if np.shares_memory(a, x):
-            builds.append((threading.current_thread() is threading.main_thread(), out))
-        if out is not None:
-            filling.set()
-            release.wait(60)
+            builds.append((threading.current_thread(), out))
+            if out is not None:
+                building.set()
+                release.wait(60)
         return build(a, k, out)
 
     monkeypatch.setattr(nn, "_im2col_nhwc", held)
-    results = []
-    filler = threading.Thread(target=lambda: results.append(nn.forward(spec, params, ev)))
-    filler.start()
+    results = {}
+
+    def run(name):
+        results[name] = nn.forward(spec, params, ev)
+
+    builder = threading.Thread(target=run, args=("builder",))
+    waiter = threading.Thread(target=run, args=("waiter",))
+    lock = ev._lock = _ArrivalLock(ev._lock, builder)
+    builder.start()
     try:
-        assert filling.wait(60)
-        assert same_bytes(nn.forward(spec, params, ev), expected)
+        assert building.wait(60)
+        waiter.start()
+        assert lock.arrived.wait(60)
+        waiter.join(0.2)
+        assert waiter.is_alive() and "waiter" not in results  # it waits for the build
     finally:
         release.set()
-        filler.join()
-    assert same_bytes(results[0], expected)
-    assert [(main, out is None) for main, out in builds] == [(False, False), (True, True)]
-    builds.clear()
-    assert same_bytes(nn.forward(spec, params, ev), expected)
-    assert builds == []  # filled by the held forward
+        builder.join()
+        waiter.join()
+    assert [(t, out is None) for t, out in builds] == [(builder, False)]
+    assert same_bytes(results["builder"], expected)
+    assert same_bytes(results["waiter"], expected)
 
 
-def test_a_failed_fill_leaves_the_cache_to_the_next_forward(monkeypatch):
+def test_a_failed_build_leaves_no_cache_and_the_next_forward_builds_it(monkeypatch):
     spec = LENET
     params = random_params(spec, 0)
     x = random_features(spec, 100, 0)
     expected = nn.forward(spec, params, x)
     ev = nn.EvalSet(Dataset(x, np.zeros(100, dtype=int), 10))
     build = nn._im2col_nhwc
-    fills = []
+    tiles = []
 
-    def failing(a, k, out=None):  # the second tile's fill fails
+    def failing(a, k, out=None):  # the second tile's build fails
         if out is not None:
-            fills.append(out)
-            if len(fills) == 2:
+            tiles.append(out)
+            if len(tiles) == 2:
                 raise MemoryError("no room")
         return build(a, k, out)
 
@@ -173,7 +205,7 @@ def test_a_failed_fill_leaves_the_cache_to_the_next_forward(monkeypatch):
     monkeypatch.undo()
     builds = first_layer_builds(monkeypatch, x)
     assert same_bytes(nn.forward(spec, params, ev), expected)
-    assert builds and all(out is not None for out in builds)  # filled again
+    assert sum(len(out) for out in builds) == len(x)  # built again, whole
     builds.clear()
     assert same_bytes(nn.forward(spec, params, ev), expected)
     assert builds == []

@@ -386,8 +386,8 @@ class TestTrain:
     def test_divergence_detected(self):
         ds = nn.make_synthetic("blobs", 60, 2, seed=16)
         spec = nn.mlp([2, 4, 2])
-        # the step deliberately overflows, which numpy reports as it goes
-        with pytest.raises(TrainingDivergedError), pytest.warns(RuntimeWarning):
+        # the step deliberately overflows; the loss check reports it, not numpy
+        with pytest.raises(TrainingDivergedError):
             nn.train(spec, ds, nn.TrainConfig(optimizer="sgd", learning_rate=1e308,
                                               epochs=50, seed=17))
 
