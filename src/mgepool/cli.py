@@ -6,7 +6,9 @@ command writes a reproducibility stamp (config echo, seeds, artifact hashes)
 into its output directory.
 
 Exit codes: 0 success, 2 config error, 3 missing/invalid input file,
-4 training or generation failure, 1 unexpected error.
+4 training or generation failure, or an array the allocator refuses
+(MemoryError), 1 unexpected error. Every failure prints one
+``ERROR code=<exit code> ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -553,6 +555,9 @@ def main(argv=None):
         return EXIT_INPUT
     except (GenerationFailedError, TrainingDivergedError) as exc:
         print(f"ERROR code={EXIT_RUNTIME} runtime: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        print(f"ERROR code={EXIT_RUNTIME} runtime: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MgeError as exc:
         print(f"ERROR code={EXIT_UNEXPECTED} {exc}", file=sys.stderr)

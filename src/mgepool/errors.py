@@ -51,12 +51,21 @@ class FormatError(MgeError, ValueError):
 
 
 class GenerationFailedError(MgeError, RuntimeError):
-    """Attempt budget exhausted without a single accepted candidate."""
+    """Attempt budget exhausted without a single accepted candidate.
 
-    def __init__(self, message, attempts=0, budget=0):
+    ``bar`` is ``base_accuracy - epsilon``: a candidate passes only above it.
+    ``best_accuracy`` is the best any attempt scored, ``z`` the latent bound
+    the last attempt drew with."""
+
+    def __init__(self, message, attempts=0, budget=0, base_accuracy=None, bar=None,
+                 best_accuracy=None, z=None):
         super().__init__(message)
         self.attempts = attempts
         self.budget = budget
+        self.base_accuracy = base_accuracy
+        self.bar = bar
+        self.best_accuracy = best_accuracy
+        self.z = z
 
 
 class StorageError(MgeError, OSError):

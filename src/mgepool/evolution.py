@@ -80,7 +80,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     The seed population comes from ``generate_pool``, and the base's
     Spectrum it hands back is the run's one spectrum: each generation adds j
     mutation children (round-robin over parents, sampled from it) and up to
-    m fused candidates.
+    m fused candidates, none while fewer than two models are there to fuse.
     Every child and fused model must pass ``generator.score``; only admitted
     ones get an id, a fitness and a place in fusion and selection, which
     keeps the n fittest (all of a smaller population).
@@ -88,10 +88,7 @@ def evolve(base, spec, gcfg: GeneratorConfig, ecfg: EvolutionConfig,
     ``valset`` (a Dataset or an EvalSet) is wrapped in one EvalSet for the
     whole run: generation, every ``score`` and every fitness criterion on
     the same dataset share its first-layer cache. ``score`` assigns each
-    admitted model's fitness: an accuracy criterion on the validation set
-    reuses the accuracy it measured, and FGSM on that set the backward of
-    its taped forward (``nn.forward(..., tape=True)``), handed over as
-    ``taped``.
+    admitted model's fitness, from its admission pass where it can.
     """
     valset = eval_set(valset)
     pool = generate_pool(base, spec, gcfg, valset, count=ecfg.parents, fit=fit)

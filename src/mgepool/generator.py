@@ -4,7 +4,10 @@ the sample-evaluate-accept loop that builds pools of generated models.
 A ``Spectrum`` holds, per layer of the base, the DCT coefficients and the
 mask of those carrying at least a fraction t of the energy. Its ``sample``
 keeps them and replaces the rest by bounded pseudo-normal draws; both
-generation and evolution's mutation draw from it.
+generation and evolution's mutation draw from it. ``generate_pool`` scores
+its attempts in order while the tile pool draws ahead the ones certain to
+run (its draw window, described in its docstring), so the pool is the one a
+plain loop gives, byte for byte.
 """
 
 from __future__ import annotations
@@ -239,6 +242,7 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
     budget = cfg.attempts * count
     window = 2 * _tile_pool.workers()
     accepted, attempts, consecutive, z = [], 0, 0, cfg.z
+    best = 0.0  # the best accuracy any attempt scored
     ahead = deque()  # the Futures of the attempts drawn ahead, in attempt order
     t0 = time.perf_counter()
     try:
@@ -257,6 +261,7 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
             cand = score(params, spec, valset, base_acc, cfg, fit=fit, seed=attempts)
             cand.seconds = time.perf_counter() - t1
             attempts += 1
+            best = max(best, cand.accuracy)
             if cand.accepted:
                 cand.cand_id = len(accepted)
                 accepted.append(cand)
@@ -269,8 +274,12 @@ def generate_pool(base, spec, cfg, valset, count, fit=None) -> PoolResult:
         wait(ahead)  # an attempt raised: let the draws ahead finish
     elapsed = time.perf_counter() - t0
     if not accepted:
+        bar = base_acc - cfg.epsilon
         raise GenerationFailedError(
-            f"no candidate accepted in {attempts} attempts", attempts, budget)
+            f"no candidate accepted in {attempts} attempts: the best scored {best:.4f}, "
+            f"a candidate passes only above {bar:.4f} (base accuracy {base_acc:.4f} "
+            f"- epsilon {cfg.epsilon}), final z {z}",
+            attempts, budget, base_acc, bar, best, z)
     return PoolResult(accepted, attempts, elapsed, base_acc, spectrum)
 
 

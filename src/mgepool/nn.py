@@ -1,71 +1,40 @@
 """Minimal trainable classifier substrate: dense and small conv nets.
 
-Forward/backward passes are plain numpy. A ParamSet keeps all parameters
-in one C-contiguous float64 vector, ``flat``, in ``param_layout`` order,
-and each entry's ``values`` is a 1-D view of its slice. Per-layer code
-(the DCT machinery, the forward pass) reads the entries; whole-model
-operations (casting, fusion, optimizer steps) act on ``flat`` at once.
+This docstring is the one description of how the forward and the backward
+work. A function's docstring gives its contract, and why its bytes equal
+those of the plainer code it stands for, without repeating what is here.
 
-There is one forward, ``_forward``, and its two modes give bit-identical
-logits. Image batches run channels-last (NHWC): turned once on entry and
-back once at ``Flatten``, so a conv's GEMM output is already NHWC. Its
-im2col is one gather over each image's flat values, at offsets made once
-per input shape (``_im2col_nhwc``). Both modes walk one layer
-order, ``_inference_layers``: a ReLU that feeds a max-pool runs after it
-(the two commute, and the pool leaves k*k fewer values), and a conv that
-then feeds the max-pool leaves its bias to it: the pool adds the bias to
-its k*k times fewer maxima, the same bytes, since adding one value is
-monotone under rounding.
+A ParamSet keeps all parameters in one C-contiguous float64 vector,
+``flat``, in ``param_layout`` order, and each entry's ``values`` is a 1-D
+view of its slice. Per-layer code (the DCT machinery, the forward pass)
+reads the entries; whole-model operations (casting, fusion, optimizer
+steps) act on ``flat`` at once.
 
-Both modes max-pool with ``_pool_nhwc``, an elementwise maximum of the k*k
-strided views ``x[:, i::k, j::k]``.
+**The forward.** There is one, ``_forward``, and its taped and untaped
+modes give bit-identical logits. Every batch comes in through ``_batch``:
+the parameters must have the network's layout, the rows its input shape,
+and a batch array must be finite (a NaN equals no maximum). Image batches
+run channels-last (NHWC): turned once on entry and back once at
+``Flatten``, so a conv's GEMM output is already NHWC. The forward walks
+``_inference_layers``: a ReLU that feeds a max-pool runs after it (the two
+commute, and the pool leaves k*k fewer values), and a conv that then feeds
+the max-pool leaves its bias to it, so the pool adds the bias to k*k times
+fewer maxima. A conv's im2col is one gather over each image's flat values,
+at offsets made once per input shape (``_im2col_nhwc``); its product
+(``_conv_product``) multiplies by a contiguous copy of the transposed
+weight for each product shape where a probe finds that this keeps the
+bytes of the view, and by the view elsewhere. A max-pool (``_pool_nhwc``)
+is the elementwise maximum of the k*k strided views ``x[:, i::k, j::k]``.
 
-- ``forward`` (unless taped) and ``evaluate_accuracy`` record nothing.
-- ``loss_and_grads`` (training) and ``forward(..., tape=True)`` (the tape,
-  for FGSM) record each layer's backward: a function bound to what the
-  channels-first backward reads, as NCHW views. A max-pool keeps where each
-  strided view equals the output (k*k bool arrays), and its backward gives
-  each window's gradient to the first maximum in (i, j) order, as an argmax
-  would: it forms each window's first-maximum mask once and writes dx one
-  (i, j) view at a time, as an exact integer product of the mask and dy's
-  bits. The tape is the gradient-only mode: it skips dW and db, and each
-  recorded backward keeps only what dx reads: a conv keeps no im2col and a
-  dense layer no input.
-- ``forward`` and ``loss_and_grads`` take a batch in through ``_batch``. A
-  batch array must be finite: a NaN equals no maximum.
+**Stages and tiles.** The forward and the backward split the net at its
+first ``Flatten``:
 
-The forward and the backward split the net at its first ``Flatten``:
-
-- The **image stage** is every layer up to and including that Flatten
-  (conv, max-pool, activations). Each of its ops works image by image: a
-  conv's GEMM is a stacked matmul (one BLAS call per image, through
-  ``_conv_product``, which takes a contiguous copy of the transposed weight
-  for a product shape where a probe finds it keeps the bytes of the view,
-  and the view elsewhere), im2col is one gather at per-shape offsets, pooling
-  and activations are elementwise, and col2im adds k*k contiguous slabs in
-  a fixed (i, j) order. (``_conv_backward`` pads dy to
-  the input height and width and takes one weight-left product per image,
-  so each slab add writes one contiguous run over the tile; the product
-  writes its slabs channel- and slab-major, so each add reads one run per
-  input channel, a single run with one input channel. The pad adds only
-  +-0.0 into sums that are never -0.0, so every byte is that of the
-  per-window product and strided col2im it replaced.
-  A 1 x 1 output keeps that per-window product, a gemv.) So it runs on
-  row tiles of ``TILE_ROWS`` (32) rows and every output byte is the same
-  as on the whole batch, while each
-  tile's temporaries stay near the size of a core's L2 cache instead of
-  streaming tens of MB per layer. Tiles are independent, so several tiles
-  run at once on a private thread pool with one thread per CPU the process
-  may run on (made on first use, and made anew in a forked child), and
-  their outputs are joined in tile order; a single tile runs on the
-  calling thread. When recording, each tile keeps its own layers'
-  backwards, and the backward runs tile by tile, on the same pool.
-  The pool also runs work that is not a tile (``_tile_pool.submit``):
-  ``generator.generate_pool`` draws its next attempts on it, up to two per
-  worker, while the current one is scored, and ``store.verify_manifest``
-  checks its member files on it. With one CPU, that work and the tiles
-  queue on one worker.
-- The **vector stage** (every Dense, its activations, the softmax and
+- The image stage is every layer up to and including that Flatten (conv,
+  max-pool, activations). Each of its ops works image by image, so it runs
+  on row tiles of ``TILE_ROWS`` (32) rows, and every output byte is the
+  same as on the whole batch, while each tile's temporaries stay near the
+  size of a core's L2 cache instead of streaming tens of MB per layer.
+- The vector stage (every Dense, its activations, the softmax and
   cross-entropy) runs on the whole batch, on the calling thread. BLAS
   rounds a dense GEMM by its row count: with OpenBLAS 0.3.31, the rows of
   ``(M, 64) @ (64, 10)`` differ in the low bits from the same rows of the
@@ -75,31 +44,62 @@ The forward and the backward split the net at its first ``Flatten``:
   stage is one tile: dW and db sum over the batch, and one tile keeps that
   sum's order. An MLP has no image stage.
 
-The first layer's im2col depends only on the data. An ``EvalSet`` wraps a
-dataset that many parameter sets are scored on and keeps that im2col
-(``first_layer_cols``), built once, the first time a forward asks for it,
-tile by tile on the tile pool. The forward takes it from there when it is
-handed the EvalSet in place of a feature array, so accuracy and FGSM on one
-set share a single copy; a forward that asks while another builds it waits
-for that build. It is kept only for a set that fits in one evaluation batch
-(``EVAL_BATCH`` rows), since for LeNet it costs ~115 KB per image, and it
-lives as long as its EvalSet: ``generate_pool`` and ``evolve`` hold theirs
-for the length of one call.
+Tiles are independent, so several run at once on ``_tile_pool``, a private
+thread pool with one thread per CPU the process may run on (made on first
+use, and made anew in a forked child); their outputs are joined in tile
+order, and a single tile runs on the calling thread. The pool also runs
+work that is not a tile: ``generator.generate_pool`` draws its next
+attempts on it while the current one is scored, ``store.verify_manifest``
+checks its member files on it, and an ``EvalSet`` builds its cache on it.
+With one CPU all of that queues on one worker. Neither ``TILE_ROWS`` nor
+the thread count is a setting, and no byte depends on the thread count.
 
-``forward(..., tape=True)`` returns the logits with their gradient-only
-backward ``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``,
-the pair gives the training mode's loss and input gradient, byte for byte,
-with no forward, as often as asked; a pair taped on other rows than the
-batch is refused (StructuralError), at once when the rows are the taped
-array or a view of it. ``adversarial.fgsm_batch`` takes its gradient that
-way, from a tape it is handed or makes, and hands ``back`` its step: each
-tile steps its own rows on its worker as soon as its dx is formed, so no
-joined dx is made. ``robust_accuracy`` then counts ``forward`` of the
-stepped batch; ``step`` is the one hook the attack gives the backward.
-``generator.score`` tapes its admission forward when a fitness criterion
-runs FGSM on the set it admits on, so an admitted model gets one clean
-pass over that set, not two: the logits decide admission, and ``score``
-hands the pair to ``robust_accuracy``, which hands it to ``fgsm_batch``.
+**The tape.** ``forward`` (unless taped) and ``evaluate_accuracy`` record
+nothing. ``loss_and_grads`` (training) and ``forward(..., tape=True)`` (for
+FGSM) record, as the forward runs, each layer's backward: a function bound
+to exactly what it reads, as NCHW views. The backward runs them in
+reverse, the vector stage's on the whole batch and each tile's on the tile
+pool, so one place branches on layer type. The taped forward is the
+gradient-only mode: it forms no dW or db, and each recorded backward keeps
+only what dx reads (a conv keeps no im2col, a dense layer no input), so
+the tiles in flight add little memory.
+
+- A max-pool keeps where each strided view equals its output (k*k bool
+  arrays, one byte per input value), and its backward (``_pool_backward``)
+  gives each window's gradient to its first maximum in (i, j) order, as an
+  argmax would. It forms each window's first-maximum mask once, ``hit_t &
+  ~(hit_0 | ... | hit_{t-1})``, and writes each (i, j) view of dx once:
+  the product of that mask with dy's bits read as integers.
+- A conv's backward (``_conv_backward``) forms dx over contiguous memory.
+  It pads dy with zeros to the input's height and width and takes one
+  weight-left product per image, ``wmat.T @ dy_padded``, written into a
+  channel- and slab-major buffer. dx is then k*k slab adds in (i, j) order,
+  each into one contiguous run of a flat buffer over the tile, reading one
+  run per input channel. A 1 x 1 output keeps the per-image vector-matrix
+  product.
+
+``forward(..., tape=True)`` returns the logits with their backward
+``back``. Handed to ``loss_and_grads(..., taped=(logits, back))``, the pair
+gives training's loss and input gradient, byte for byte, with no forward,
+as often as asked; a pair taped on other rows than the batch is refused
+(StructuralError), at once when the rows are the taped array or a view of
+it. ``adversarial.fgsm_batch`` takes its gradient that way, from a tape it
+is handed or makes, and hands ``back`` its step: each tile steps its own
+rows on its worker as soon as its dx is formed, so no joined dx is made.
+``step`` is the one hook the attack gives the backward. ``generator.score``
+tapes its admission forward when a fitness criterion runs FGSM on the same
+rows, so an admitted model gets one clean pass over them, not two.
+
+**The first-layer cache.** The first layer's im2col depends only on the
+data. An ``EvalSet`` wraps a dataset that many parameter sets are scored
+on and keeps that im2col (``first_layer_cols``). The first forward that
+asks for it builds it, once, under the EvalSet's lock, tile by tile on the
+tile pool; a forward that asks meanwhile waits for that build, and a
+failed build keeps nothing. A forward handed the EvalSet in place of a
+feature array reads the cache, so accuracy and FGSM on one set share a
+single copy. It is kept only for a set of at most ``EVAL_BATCH`` rows,
+since for LeNet it costs ~115 KB per image, and it lives as long as its
+EvalSet: ``generate_pool`` and ``evolve`` hold theirs for one call.
 """
 
 from __future__ import annotations
@@ -340,6 +340,15 @@ def param_layout(spec: NetworkSpec):
 
 @dataclass
 class Dataset:
+    """Rows and their labels. The features go through ``np.asarray`` (a
+    ragged list is a StructuralError) and, of a bool, integer or float dtype,
+    are converted to float64 once, so every forward over an EvalSet reads the
+    same rows and a pass taped on them is matched by identity. Any other
+    dtype, no rows or a non-finite value is an InvalidInputError. The labels
+    are one integer class index in [0, classes) per row, else a
+    StructuralError (the count) or an InvalidInputError (the values), so no
+    caller scores them."""
+
     features: np.ndarray  # (n, ...) float64, values in [0, 1]
     labels: np.ndarray    # (n,) integer class indices
     classes: int
@@ -487,14 +496,11 @@ def _pool_backward(dy, hits, k):
     first maximum in (i, j) order. ``hits`` holds, for each (i, j) in that
     order, where the strided view ``x[..., i::k, j::k]`` equals the output.
 
-    The view (i, j) of dx is written once, whole, in that order: it is the
-    mask of the windows whose first maximum sits there, ``hit_t & ~(hit_0 |
-    ... | hit_{t-1})``, times dy's bits read as integers. An integer product
-    by 0 or 1 is exact, so each dx value is dy's own value (a -0.0 too) or
-    +0.0: the bytes of a zeroed dx with dy copied in where the mask holds,
-    and no pass writes a view twice. (A float product would give -0.0 where
-    a negative dy meets a false mask; ``copyto(where=)`` and ``np.where``
-    both ran slower.)"""
+    An integer product of dy's bits by a 0/1 mask is exact, so each dx value
+    is dy's own value (a -0.0 too) or +0.0: the bytes of a zeroed dx with dy
+    copied in where the mask holds. (A float product would give -0.0 where a
+    negative dy meets a false mask; ``copyto(where=)`` and ``np.where`` both
+    ran slower.)"""
     n, c, h2, w2 = dy.shape
     dx = np.empty((n, c, h2, k, w2, k))
     bits, dy_bits = dx.view(np.uint64), dy.view(np.uint64)
@@ -512,26 +518,21 @@ def _conv_backward(xshape, cols, w, pidx, dy, grads):
     ``pidx``; writes dW and db into ``grads`` unless it is None. Only dW reads
     ``cols``, the forward's (n, h2*w2, ic*k*k) im2col.
 
-    col2im writes contiguous memory. ``dy`` is padded with zeros from h2 x w2
-    to the input's H x W = (h2 + k - 1) x (w2 + k - 1), so that one
-    weight-left product per image, ``wmat.T @ dyp``, gives for each weight
-    column (c, i, j) a slab of H*W values laid out like channel c of dx,
-    shifted by i rows and j columns. dx is then k*k slab adds, in (i, j)
-    order, each into one contiguous run of a flat buffer over the tile: slab
-    (i, j) of every image and channel starts at offset i*W + j. Each
-    image's product writes into an (ic, k*k, n, H*W) buffer (the same GEMM,
-    only its ldc grows to n*H*W), so slab (i, j) of channel c is one
-    contiguous run over the tile and each add reads ic runs: one with one
-    input channel. The bytes are those of the per-window product and
-    strided adds this replaced (for a C-order ``dy``, as every recorded
-    backward passes): each real product is the same dot product over oc in
-    BLAS's K-order, each dx element gets its real adds in the same (i, j)
-    order, and a pad row or column adds a +-0.0 product into a sum that
-    started at +0.0 and so is never -0.0, which changes nothing. That also
-    covers the pad tail of a channel's slabs, which lands on the first rows
-    of the next channel (or image) and past the buffer's dx part. A 1 x 1
-    output (h2 = w2 = 1) keeps the old per-image vector-matrix product: numpy
-    sends it to gemv, whose sum order differs from the padded GEMM's."""
+    With dy padded to the input's H x W = (h2 + k - 1) x (w2 + k - 1), the
+    product gives for each weight column (c, i, j) a slab of H*W values laid
+    out like channel c of dx, shifted by i rows and j columns, so slab (i, j)
+    of every image and channel starts at offset i*W + j of the flat buffer.
+    Each image's product is the same GEMM; only its ldc grows to n*H*W. The
+    bytes are those of the per-window product and strided col2im this
+    replaced (for a C-order ``dy``, as every recorded backward passes): each
+    real product is the same dot product over oc in BLAS's K-order, each dx
+    element gets its real adds in the same (i, j) order, and a pad row or
+    column adds a +-0.0 product into a sum that started at +0.0 and so is
+    never -0.0, which changes nothing. That also covers the pad tail of a
+    channel's slabs, which lands on the first rows of the next channel (or
+    image) and past the buffer's dx part. A 1 x 1 output (h2 = w2 = 1) keeps
+    the per-image vector-matrix product: numpy sends it to gemv, whose sum
+    order differs from the padded GEMM's."""
     n, oc, h2, w2 = dy.shape
     k = w.shape[-1]
     wmat = w.reshape(oc, -1)
@@ -632,9 +633,7 @@ def _pool_nhwc(x, k):
 
 def _inference_layers(spec):
     """spec.layers with every ReLU that feeds a max-pool moved after it:
-    max and ReLU commute exactly, and the pool leaves k*k fewer values. A
-    conv that then feeds the max-pool leaves its bias to the pool
-    (``_layers_forward``), which adds it to the k*k times fewer maxima."""
+    max and ReLU commute exactly."""
     layers = list(spec.layers)
     for i in range(len(layers) - 1):
         if layers[i] == Activation("relu") and isinstance(layers[i + 1], MaxPool):
@@ -668,10 +667,10 @@ def _layers_forward(layers, params, pidx, out, first_cols, tape, param_grads):
     bound to what it reads when it is made: a closure over the loop would
     see the last layer's values.
 
-    A conv that feeds a max-pool leaves its bias to the pool, which adds it
-    to the k*k times fewer maxima: adding one value is monotone under
-    rounding, so ``max(z_t + b)`` and ``max(z_t) + b`` are the same bytes, and
-    a taped pool's hits, ``view + b == output``, are the same masks."""
+    A conv that feeds a max-pool leaves its bias to the pool: adding one
+    value is monotone under rounding, so ``max(z_t + b)`` and ``max(z_t) +
+    b`` are the same bytes, and a taped pool's hits, ``view + b ==
+    output``, are the same masks."""
     keep = tape is not None
     bias = None  # the bias a conv left to the max-pool it feeds
     for i, layer in enumerate(layers):
@@ -730,14 +729,12 @@ def _run_tape(tape, d, grads):
 
 
 class _TilePool:
-    """The image stage's thread pool, which also draws ``generate_pool``'s
-    next attempts and checks ``verify_manifest``'s members: one worker per
-    CPU this process may run on (``workers()``), made on first use. A forked
-    child has none of its parent's threads, so it drops the pool and makes
-    its own. No task on it waits for another, so one worker cannot
-    deadlock. No task on it runs a forward or takes an ``EvalSet``'s lock
-    either, so ``EvalSet.first_cols`` may hold that lock while it builds its
-    cache on the pool."""
+    """The tile pool (module docstring): one worker per CPU this process may
+    run on (``workers()``), made on first use. A forked child has none of its
+    parent's threads, so it drops the pool and makes its own. No task on it
+    waits for another, so one worker cannot deadlock. No task on it runs a
+    forward or takes an ``EvalSet``'s lock either, so ``EvalSet.first_cols``
+    may hold that lock while it builds its cache on the pool."""
 
     def __init__(self):
         self._forget()
@@ -794,22 +791,17 @@ def _same_rows(a, b):
 
 
 def _forward(spec, params, x, evalset, tape=False, param_grads=True):
-    """Logits of a non-empty batch (else InvalidInputError); image batches
-    run channels-last (NHWC). ``evalset`` is the EvalSet whose rows ``x``
-    is, whose cache gives the first layer's im2col, or None.
+    """Logits of a non-empty batch (else InvalidInputError). ``evalset`` is
+    the EvalSet whose rows ``x`` is, whose cache gives the first layer's
+    im2col, or None.
 
-    It walks ``_inference_layers(spec)``. The image stage
-    (``_image_stage_len``) runs on row tiles of ``TILE_ROWS`` rows, joined in
-    tile order, and the vector stage on the whole batch. With ``tape`` it
-    returns ``(logits, back)``: every layer records its backward (see
-    ``_layers_forward``), and ``back(d, grads, batch)`` runs them from ``d``
-    at the logits, the vector stage's and then each tile's on the tile pool,
-    and returns the input gradient, NCHW for images. It fills ``grads``, a
-    list with one slot per parameter entry, unless that is None. ``batch``
-    is the rows the caller means, refused (StructuralError) unless they are
-    the taped rows (``_same_rows``). With ``param_grads`` the image stage is
-    one tile and each conv and dense layer also keeps the input that its dW
-    reads.
+    With ``tape`` it returns ``(logits, back)``: ``back(d, grads, batch)``
+    runs the recorded backwards from ``d`` at the logits and returns the
+    input gradient, NCHW for images. It fills ``grads``, a list with one
+    slot per parameter entry, unless that is None. ``batch`` is the rows the
+    caller means, refused (StructuralError) unless they are the taped rows
+    (``_same_rows``). With ``param_grads`` the image stage is one tile and
+    each conv and dense layer also keeps the input that its dW reads.
 
     For ``adversarial.fgsm_batch``, ``back`` also takes a ``step(x_rows,
     dx_rows, out)``: instead of joining dx, each tile writes ``step`` of its
@@ -866,12 +858,11 @@ TILE_ROWS = 32  # rows per image-stage tile in evaluation and FGSM (module docst
 
 
 def first_layer_cols(spec, features):
-    """The im2col of a float64 batch for the network's first layer, or None
-    when that layer is not a conv or the batch has more than ``EVAL_BATCH``
-    rows, to bound its memory. The im2col depends only on the data, so one
-    copy serves every parameter set evaluated on the same rows: ``EvalSet``
-    keeps it. It is built into one buffer tile by tile, ``TILE_ROWS`` rows at
-    a time on the tile pool, the same bytes as each forward's own build."""
+    """The im2col of a float64 batch for the network's first layer, which an
+    ``EvalSet`` keeps (module docstring), or None when that layer is not a
+    conv or the batch has more than ``EVAL_BATCH`` rows, to bound its
+    memory. Built tile by tile on the tile pool into one buffer, it is the
+    same bytes as each forward's own build."""
     layer = spec.layers[0]
     if not isinstance(layer, Conv) or len(features) > EVAL_BATCH:
         return None
@@ -886,13 +877,12 @@ def first_layer_cols(spec, features):
 
 class EvalSet:
     """A dataset that many parameter sets are scored on, plus its
-    ``first_layer_cols``, built on first use and kept while the EvalSet lives.
+    first-layer cache (module docstring).
 
     ``evaluate_accuracy``, ``robust_accuracy``, ``generate_pool``,
     ``generator.score`` and ``evolve`` take an EvalSet wherever they take a
     dataset. ``forward``, ``loss_and_grads`` and ``adversarial.fgsm_batch``
-    take one in place of a feature array: the batch is then all of its rows,
-    and the first layer's im2col comes from the cache.
+    take one in place of a feature array: the batch is then all of its rows.
     """
 
     def __init__(self, dataset):
@@ -904,10 +894,9 @@ class EvalSet:
         return len(self.dataset)
 
     def first_cols(self, spec):
-        """The cache for ``spec``, ``first_layer_cols(spec, features)``, built
-        once per spec under the lock, so a forward that asks while another
-        builds it waits for that build. A failed build keeps nothing, and the
-        next call builds it again."""
+        """``first_layer_cols(spec, features)``, built once per spec under the
+        lock, which a caller that asks meanwhile waits on. A failed build
+        keeps nothing, and the next call builds it again."""
         with self._lock:
             if spec != self._spec:
                 self._spec, self._cols = spec, first_layer_cols(spec, self.dataset.features)

@@ -5,6 +5,14 @@ Model file layout (all integers little-endian u32):
     "MGEM" | version | layer count |
     per layer: name length | name bytes | rank | dims... | float32 LE payload
     | 32-byte SHA-256 of everything before it
+
+An entry's value count is the exact product of its dims (``math.prod``),
+so dims whose product wraps around in int64 are a truncated payload, not
+an empty one. A payload holding a NaN or an infinity is a corrupt file
+(CorruptModelError) even under a matching hash, so ``save_model`` refuses
+to write one. Manifests and stamps keep every wall-clock quantity under one
+``wall_clock`` key, so two runs with the same config and seeds are
+byte-identical everywhere else.
 """
 
 from __future__ import annotations

@@ -509,8 +509,36 @@ class TestTrain:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == "ERROR code=4 runtime: loss became nan\n"
 
+    def test_an_array_the_allocator_refuses_is_one_runtime_error(self, tmp_path, capsys):
+        """10**17 rows need 711 PiB for their labels alone, which the allocator
+        refuses at once: numpy's MemoryError is one error line, not a
+        traceback."""
+        cfg = desk_config(tmp_path / "o", dataset={"n": 10**17},
+                          network={"layers": [{"type": "dense", "in": 2, "out": 3}]})
+        assert cli.main(["--config", write_config(tmp_path, cfg), "train"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR code=4 runtime: out of memory: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestGenerate:
+    def test_failed_generation_names_the_bar_and_the_best(self, pipeline, tmp_path, capsys):
+        """No attempt passes (t=0 redraws every coefficient): the one error
+        line gives the bar, base accuracy - epsilon, and the best accuracy
+        any attempt scored."""
+        cfg = desk_config(tmp_path / "o",
+                          generator={"t": 0.0, "z": 0.2, "attempts": 3, "seed": 5})
+        assert cli.main(["--config", write_config(tmp_path, cfg), "generate",
+                         "--model", str(pipeline["out"] / "base.mgem"), "--count", "2"]) \
+            == cli.EXIT_RUNTIME
+        line = error_lines(capsys, cli.EXIT_RUNTIME)
+        base = read_manifest(pipeline["out"] / "train.json")["val_accuracy"]
+        assert line.startswith("ERROR code=4 runtime: no candidate accepted in 6 attempts: "
+                               "the best scored 0.")
+        assert f"passes only above {base - 0.05:.4f} (base accuracy {base:.4f} " in line
+        assert line.endswith("final z 0.2")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_manifest_contents(self, pipeline):
         doc = read_manifest(pipeline["pool"] / "manifest.json")
         assert len(doc["members"]) == 10

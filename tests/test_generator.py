@@ -400,6 +400,31 @@ class TestGeneratePool:
                           desk.splits["val"], 2)
         assert err.value.attempts == 10
 
+    def test_failure_names_the_bar_and_the_best(self, desk, monkeypatch):
+        """With t=0 every coefficient is redrawn and no attempt passes: the
+        error carries the base accuracy, the bar below which no candidate
+        passes, the best accuracy any attempt scored and the final z."""
+        scored, score = [], generator.score
+
+        def spy(*args, **kwargs):
+            cand = score(*args, **kwargs)
+            scored.append(cand.accuracy)
+            return cand
+
+        monkeypatch.setattr(generator, "score", spy)
+        with pytest.raises(GenerationFailedError) as err:
+            generate_pool(desk.base, desk.spec,
+                          GeneratorConfig(t=0.0, z=0.2, attempts=3, seed=5),
+                          desk.splits["val"], 2)
+        exc = err.value
+        assert (exc.attempts, exc.budget, len(scored)) == (6, 6, 6)
+        assert exc.base_accuracy == desk.base_accuracy
+        assert exc.bar == desk.base_accuracy - 0.05
+        assert exc.best_accuracy == max(scored) <= exc.bar
+        assert exc.z == 0.2
+        for number in (exc.best_accuracy, exc.bar, exc.base_accuracy):
+            assert f"{number:.4f}" in str(exc)
+
     def test_distribution_preserved(self, desk):
         pooled = np.concatenate(
             [c.params.flat for c in desk.pool.candidates])
